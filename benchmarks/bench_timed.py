@@ -91,7 +91,7 @@ def test_timed_overhead(benchmark, results_dir):
         clock=prestamped_clock,
     )
     for event in body:
-        object.__setattr__(event, "timestamp", 0.0)
+        event.timestamp = 0.0
 
     def enqueue(runtime):
         handle = runtime.handle_event
@@ -220,7 +220,7 @@ def test_timed_and_untimed_verdicts_unchanged(results_dir):
         _assertion(True, "tb_v2"), stamp_capture=False, clock=FakeClock()
     )
     for event in trace("tb_v2"):
-        object.__setattr__(event, "timestamp", 0.0)
+        event.timestamp = 0.0
         unstamped.handle_event(event)
 
     assert verdict(stamped, "tb_v1") == verdict(unstamped, "tb_v2") == (

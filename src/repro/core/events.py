@@ -11,8 +11,8 @@ reaching an assertion site.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
+from threading import get_ident
 from typing import Any, Dict, Optional, Tuple
 
 from .ast import AssignOp
@@ -32,9 +32,17 @@ class EventKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
+@dataclass
 class RuntimeEvent:
-    """One observed program event.
+    """One observed program event: a plain record, built once per event.
+
+    Deliberately neither frozen nor ``slots``: a frozen dataclass routes
+    every field of ``__init__`` through ``object.__setattr__``, which
+    dominated event construction on the hook fast path, and the journal
+    encoder reads fields straight out of the instance ``__dict__``.
+    Only the runtime writes to an event once it is built, and only
+    ``timestamp``, at capture; every other field is read-only by
+    convention.
 
     ``name`` is the event's dispatch key: the instrumented function's
     registered name for call/return, ``"Struct.field"`` for field
@@ -75,19 +83,28 @@ class RuntimeEvent:
         return f"assertion-site {self.name}"
 
 
+_CALL = EventKind.CALL
+_RETURN = EventKind.RETURN
+_FIELD_ASSIGN = EventKind.FIELD_ASSIGN
+_ASSERTION_SITE = EventKind.ASSERTION_SITE
+
+
 def current_thread_id() -> int:
     """The identifier used to slice the per-thread automata stores."""
-    return threading.get_ident()
+    return get_ident()
+
+
+# The factories below build events positionally, in field order (kind,
+# name, args, retval, op, target, scope, thread_id, stack): they run once
+# per captured event on the hook fast path, where CPython's keyword
+# argument binding in the generated ``__init__`` is a measurable share of
+# the cost.  tests/unit/core/test_events.py pins the field order.
 
 
 def call_event(name: str, args: Tuple[Any, ...], stack: Tuple[str, ...] = ()) -> RuntimeEvent:
     """A function-entry event."""
     return RuntimeEvent(
-        kind=EventKind.CALL,
-        name=name,
-        args=args,
-        thread_id=current_thread_id(),
-        stack=stack,
+        _CALL, name, args, None, None, None, {}, get_ident(), stack
     )
 
 
@@ -99,12 +116,7 @@ def return_event(
 ) -> RuntimeEvent:
     """A function-return event carrying the return value."""
     return RuntimeEvent(
-        kind=EventKind.RETURN,
-        name=name,
-        args=args,
-        retval=retval,
-        thread_id=current_thread_id(),
-        stack=stack,
+        _RETURN, name, args, retval, None, None, {}, get_ident(), stack
     )
 
 
@@ -118,13 +130,8 @@ def field_assign_event(
 ) -> RuntimeEvent:
     """A structure-field store event (``Struct.field``)."""
     return RuntimeEvent(
-        kind=EventKind.FIELD_ASSIGN,
-        name=f"{struct}.{field_name}",
-        retval=value,
-        op=op,
-        target=target,
-        thread_id=current_thread_id(),
-        stack=stack,
+        _FIELD_ASSIGN, f"{struct}.{field_name}", (), value, op, target, {},
+        get_ident(), stack,
     )
 
 
@@ -133,9 +140,6 @@ def assertion_site_event(
 ) -> RuntimeEvent:
     """An assertion-site event carrying the site's scope values."""
     return RuntimeEvent(
-        kind=EventKind.ASSERTION_SITE,
-        name=assertion,
-        scope=dict(scope or {}),
-        thread_id=current_thread_id(),
-        stack=stack,
+        _ASSERTION_SITE, assertion, (), None, None, None, dict(scope or {}),
+        get_ident(), stack,
     )

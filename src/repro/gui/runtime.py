@@ -95,16 +95,17 @@ def msg_send(receiver: Any, selector_name: str, *args: Any) -> Any:
         if implementation is None:
             raise DoesNotRecognize(receiver, selector_name)
         return implementation(receiver, *args)
-    hooks = interposition_table.hooks_for(selector_name)
+    phases = interposition_table.phase_hooks(selector_name)
     implementation = _lookup(type(receiver), selector_name)
     if implementation is None:
         raise DoesNotRecognize(receiver, selector_name)
-    if hooks is None:
+    if phases is None:
         return implementation(receiver, *args)
-    for hook in hooks:
+    send_hooks, return_hooks = phases
+    for hook in send_hooks:
         hook("send", receiver, selector_name, args, None)
     result = implementation(receiver, *args)
-    for hook in hooks:
+    for hook in return_hooks:
         hook("return", receiver, selector_name, args, result)
     return result
 

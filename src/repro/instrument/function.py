@@ -23,8 +23,9 @@ from typing import Any, Callable, List, Optional, Sequence
 from ..core.events import call_event, return_event
 from ..errors import InstrumentationError, TemporalAssertionError
 from ..runtime import faultinject as _fi
+from ..runtime.epoch import interest_epoch, interest_stats
 from ..runtime.faultinject import fault_site
-from .hooks import EventSink, contain_sink_fault
+from .hooks import EventSink, contain_sink_fault, split_by_kind
 
 _FP_CALLER = fault_site("function.dispatch")
 
@@ -35,36 +36,53 @@ def make_call_wrapper(
     """Wrap ``fn`` so every call emits CALL/RETURN events to ``sinks``.
 
     ``sinks`` is shared by reference: attaching/detaching after wrapping
-    takes effect immediately, so one wrapper serves a whole instrumentation
-    session.
+    takes effect at the next call, so one wrapper serves a whole
+    instrumentation session.  Like a callee-side hook point, the wrapper
+    caches which sinks want each kind — validated against the interest
+    epoch and a snapshot of ``sinks`` — and builds only the events some
+    sink consumes.
     """
+    # [epoch, sinks snapshot, CALL sinks, RETURN sinks]
+    cache: list = [-1, None, (), ()]
 
     @functools.wraps(fn)
     def wrapper(*args: Any, **kwargs: Any):
+        if cache[0] != interest_epoch.value or cache[1] != sinks:
+            cache[0] = interest_epoch.value
+            cache[1] = list(sinks)
+            cache[2], cache[3] = split_by_kind(sinks, event_name)
+        call_sinks = cache[2]
+        return_sinks = cache[3]
         event_args = args if not kwargs else args + tuple(kwargs.values())
-        call = call_event(event_name, event_args)
-        for sink in sinks:
-            try:
-                if _fi._active is not None:
-                    _fi.fault_point(_FP_CALLER)
-                sink(call)
-            except TemporalAssertionError:
-                raise
-            except Exception as exc:
-                if not contain_sink_fault(sink, "caller", exc):
+        if call_sinks:
+            call = call_event(event_name, event_args)
+            for sink in call_sinks:
+                try:
+                    if _fi._active is not None:
+                        _fi.fault_point(_FP_CALLER)
+                    sink(call)
+                except TemporalAssertionError:
                     raise
+                except Exception as exc:
+                    if not contain_sink_fault(sink, "caller", exc):
+                        raise
+        else:
+            interest_stats.hook_kind_skips += 1
         result = fn(*args, **kwargs)
-        ret = return_event(event_name, event_args, result)
-        for sink in sinks:
-            try:
-                if _fi._active is not None:
-                    _fi.fault_point(_FP_CALLER)
-                sink(ret)
-            except TemporalAssertionError:
-                raise
-            except Exception as exc:
-                if not contain_sink_fault(sink, "caller", exc):
+        if return_sinks:
+            ret = return_event(event_name, event_args, result)
+            for sink in return_sinks:
+                try:
+                    if _fi._active is not None:
+                        _fi.fault_point(_FP_CALLER)
+                    sink(ret)
+                except TemporalAssertionError:
                     raise
+                except Exception as exc:
+                    if not contain_sink_fault(sink, "caller", exc):
+                        raise
+        else:
+            interest_stats.hook_kind_skips += 1
         return result
 
     wrapper.__tesla_caller_wrapped__ = fn  # type: ignore[attr-defined]

@@ -7,7 +7,8 @@ time*: substrate functions are defined with :func:`instrumentable`, which
 registers a :class:`HookPoint` keyed by the function's event name.  An
 uninstrumented hook point costs one attribute load and a branch — the moral
 equivalent of the not-yet-linked hook call in an uninstrumented build —
-while an instrumented one synthesises CALL and RETURN events.
+while an instrumented one synthesises the CALL and RETURN events its sinks
+are interested in.
 
 Assertion sites are planted with :func:`tesla_site`, the stand-in for the
 ``__tesla_inline_assertion`` pseudo-function call that the instrumenter
@@ -31,7 +32,7 @@ the drain boundary (``drain.enqueue``) are contained here exactly like
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.events import (
     EventKind,
@@ -70,28 +71,61 @@ def contain_sink_fault(sink: EventSink, stage: str, exc: Exception) -> bool:
     return supervisor.contain(f"({stage})", stage, exc)
 
 
+def sink_wants(sink: EventSink, key: Tuple[EventKind, str]) -> bool:
+    """Whether ``sink`` consumes events with this dispatch key.
+
+    A sink advertising ``interested_in`` (the event translator) is asked;
+    anything else — test collectors, tracers — is assumed to want every
+    event.
+    """
+    probe = getattr(sink, "interested_in", None)
+    return probe is None or probe((key,))
+
+
+def split_by_kind(
+    sinks: Iterable[EventSink], name: str
+) -> Tuple[List[EventSink], List[EventSink]]:
+    """The sinks wanting ``(CALL, name)`` and ``(RETURN, name)`` events,
+    each list in attach order."""
+    call_key = (EventKind.CALL, name)
+    return_key = (EventKind.RETURN, name)
+    call_sinks: List[EventSink] = []
+    return_sinks: List[EventSink] = []
+    for sink in sinks:
+        if sink_wants(sink, call_key):
+            call_sinks.append(sink)
+        if sink_wants(sink, return_key):
+            return_sinks.append(sink)
+    return call_sinks, return_sinks
+
+
 class HookPoint:
     """One instrumentable function and its currently attached sinks.
 
     Beyond the raw sink list, a hook point caches which sinks are actually
-    *interested* in its event name (a sink advertising ``interested_in``
-    — the event translator — is asked; anything else is assumed
-    interested).  The cache is validated against the global
+    interested in each of its two dispatch keys, ``(CALL, name)`` and
+    ``(RETURN, name)``.  The cache is validated against the global
     :data:`~repro.runtime.epoch.interest_epoch` on every instrumented
-    call, so a hook whose sinks observe none of its events skips event
-    construction entirely, and attach/detach invalidate promptly.
+    call, so the wrapper builds only the events some sink will consume: a
+    hook whose automata watch only the return never builds the CALL
+    event, one whose sinks observe neither key skips event construction
+    entirely, and attach/detach invalidate promptly.
     """
 
-    __slots__ = ("name", "function", "sinks", "_keys", "_epoch", "_live_sinks")
+    __slots__ = (
+        "name", "function", "sinks", "_epoch",
+        "_live_sinks", "_call_sinks", "_return_sinks",
+    )
 
     def __init__(self, name: str, function: Callable) -> None:
         self.name = name
         self.function = function
         #: ``None`` when uninstrumented — the wrapper's fast-path check.
         self.sinks: Optional[List[EventSink]] = None
-        self._keys = ((EventKind.CALL, name), (EventKind.RETURN, name))
         self._epoch = -1
         self._live_sinks: List[EventSink] = []
+        self._call_sinks: List[EventSink] = []
+        self._return_sinks: List[EventSink] = []
 
     def attach(self, sink: EventSink) -> None:
         if self.sinks is None:
@@ -118,20 +152,23 @@ class HookPoint:
         interest_epoch.bump()
 
     def _refresh(self) -> List[EventSink]:
-        """Rebuild the interested-sink cache for the current epoch."""
+        """Rebuild the per-kind interested-sink caches for the current
+        epoch."""
         self._epoch = interest_epoch.value
-        live: List[EventSink] = []
-        if self.sinks is not None:
-            for sink in self.sinks:
-                probe = getattr(sink, "interested_in", None)
-                if probe is None or probe(self._keys):
-                    live.append(sink)
+        call_sinks, return_sinks = split_by_kind(self.sinks or (), self.name)
+        self._call_sinks = call_sinks
+        self._return_sinks = return_sinks
+        live = [
+            sink for sink in self.sinks or ()
+            if sink in call_sinks or sink in return_sinks
+        ]
         self._live_sinks = live
         interest_stats.hook_refreshes += 1
         return live
 
     def live_sinks(self) -> List[EventSink]:
-        """The attached sinks interested in this hook's events (cached)."""
+        """The attached sinks interested in either of this hook's events
+        (cached)."""
         if self._epoch != interest_epoch.value:
             return self._refresh()
         return self._live_sinks
@@ -203,36 +240,44 @@ def instrumentable(
                 return fn(*args, **kwargs)
             if point._epoch != interest_epoch.value:
                 point._refresh()
-            sinks = point._live_sinks
-            if not sinks:
+            if not point._live_sinks:
                 # Instrumented but uninterested: no automaton observes this
                 # event name, so skip event construction entirely.
                 interest_stats.hook_short_circuits += 1
                 return fn(*args, **kwargs)
+            # Per-kind interest: build only the events some sink consumes.
+            call_sinks = point._call_sinks
+            return_sinks = point._return_sinks
             event_args = args if not kwargs else args + tuple(kwargs.values())
-            call = call_event(event_name, event_args)
-            for sink in sinks:
-                try:
-                    if _fi._active is not None:
-                        _fi.fault_point(_FP_DISPATCH)
-                    sink(call)
-                except TemporalAssertionError:
-                    raise
-                except Exception as exc:
-                    if not contain_sink_fault(sink, "dispatch", exc):
+            if call_sinks:
+                call = call_event(event_name, event_args)
+                for sink in call_sinks:
+                    try:
+                        if _fi._active is not None:
+                            _fi.fault_point(_FP_DISPATCH)
+                        sink(call)
+                    except TemporalAssertionError:
                         raise
+                    except Exception as exc:
+                        if not contain_sink_fault(sink, "dispatch", exc):
+                            raise
+            else:
+                interest_stats.hook_kind_skips += 1
             result = fn(*args, **kwargs)
-            ret = return_event(event_name, event_args, result)
-            for sink in sinks:
-                try:
-                    if _fi._active is not None:
-                        _fi.fault_point(_FP_DISPATCH)
-                    sink(ret)
-                except TemporalAssertionError:
-                    raise
-                except Exception as exc:
-                    if not contain_sink_fault(sink, "dispatch", exc):
+            if return_sinks:
+                ret = return_event(event_name, event_args, result)
+                for sink in return_sinks:
+                    try:
+                        if _fi._active is not None:
+                            _fi.fault_point(_FP_DISPATCH)
+                        sink(ret)
+                    except TemporalAssertionError:
                         raise
+                    except Exception as exc:
+                        if not contain_sink_fault(sink, "dispatch", exc):
+                            raise
+            else:
+                interest_stats.hook_kind_skips += 1
             return result
 
         wrapper.__tesla_hook__ = point  # type: ignore[attr-defined]

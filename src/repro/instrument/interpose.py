@@ -26,7 +26,7 @@ from ..errors import TemporalAssertionError
 from ..runtime import faultinject as _fi
 from ..runtime.epoch import interest_epoch, interest_stats
 from ..runtime.faultinject import fault_site
-from .hooks import EventSink, contain_sink_fault
+from .hooks import EventSink, contain_sink_fault, sink_wants
 
 _FP_INTERPOSE = fault_site("interpose.dispatch")
 
@@ -35,35 +35,62 @@ _FP_INTERPOSE = fault_site("interpose.dispatch")
 RawHook = Callable[[str, Any, str, Tuple[Any, ...], Any], None]
 
 
-def _hook_interested(hook: RawHook, selector: str) -> bool:
-    """Whether a hook's sink still observes this selector's events.
+def _hook_phases(hook: RawHook, selector: str) -> Tuple[bool, bool]:
+    """Whether a hook's sink observes this selector's (send, return).
 
     TESLA event hooks carry their sink (``__tesla_sink__``, set by
-    :func:`tesla_method_hook`); a sink advertising ``interested_in`` is
-    asked about the selector's CALL/RETURN keys.  Raw hooks — trivial
-    hooks, tracers — have no sink and are always interested.
+    :func:`tesla_method_hook`); its interest in the selector's CALL key
+    decides the send phase and its RETURN key the return phase.  Raw
+    hooks — trivial hooks, tracers — have no sink and see both phases.
     """
     sink = getattr(hook, "__tesla_sink__", None)
     if sink is None:
-        return True
-    probe = getattr(sink, "interested_in", None)
-    if probe is None:
-        return True
-    return probe(
-        ((EventKind.CALL, selector), (EventKind.RETURN, selector))
+        return True, True
+    return (
+        sink_wants(sink, (EventKind.CALL, selector)),
+        sink_wants(sink, (EventKind.RETURN, selector)),
     )
+
+
+#: A resolved selector: the hooks to run on send and on return.
+PhaseHooks = Tuple[List[RawHook], List[RawHook]]
+
+
+class _Entry:
+    """One selector's cached verdict for the current epoch."""
+
+    __slots__ = ("live", "phases", "filtered", "kind_skips")
+
+    def __init__(
+        self,
+        live: Optional[List[RawHook]],
+        phases: Optional[PhaseHooks],
+        filtered: bool,
+        kind_skips: int,
+    ) -> None:
+        #: Hooks interested in either phase (``hooks_for``), or ``None``.
+        self.live = live
+        #: (send hooks, return hooks), or ``None`` with ``live``.
+        self.phases = phases
+        #: Hooks are installed but every one was filtered out.
+        self.filtered = filtered
+        #: TESLA hook calls (one per hook per phase) a message send skips
+        #: because the hook's sink does not want that phase.
+        self.kind_skips = kind_skips
 
 
 class InterpositionTable:
     """The global table of interposition hooks consulted on message send.
 
-    ``hooks_for`` answers are cached per selector and validated against the
+    Answers are cached per selector and per phase, validated against the
     global :data:`~repro.runtime.epoch.interest_epoch`: install/remove/
     clear each bump the epoch, so a removed hook — or a hook whose sink's
     automata were uninstalled — cannot keep receiving message sends off a
-    stale verdict.  Selectors whose every hook is a TESLA hook with an
-    uninterested sink resolve to ``None``, restoring the table-absent fast
-    path in the message dispatcher.
+    stale verdict.  The message dispatcher runs a TESLA hook only in the
+    phases its sink observes, so a selector watched only on return never
+    builds the send event; raw hooks run in both phases.  Selectors whose
+    every hook is a TESLA hook with an uninterested sink resolve to
+    ``None``, restoring the table-absent fast path.
     """
 
     __slots__ = ("hooks", "wildcard", "_epoch", "_cache")
@@ -74,8 +101,7 @@ class InterpositionTable:
         #: hooks invoked for *every* selector (figure 8's trace-everything).
         self.wildcard: Optional[List[RawHook]] = None
         self._epoch = -1
-        #: selector -> (hooks-or-None, all-hooks-filtered flag).
-        self._cache: Dict[str, Tuple[Optional[List[RawHook]], bool]] = {}
+        self._cache: Dict[str, _Entry] = {}
 
     def install(self, selector: str, hook: RawHook) -> None:
         if self.hooks is None:
@@ -107,7 +133,7 @@ class InterpositionTable:
         self.wildcard = None
         interest_epoch.bump()
 
-    def _compute(self, selector: str) -> Tuple[Optional[List[RawHook]], bool]:
+    def _compute(self, selector: str) -> _Entry:
         specific = None if self.hooks is None else self.hooks.get(selector)
         if self.wildcard is None:
             raw = specific
@@ -116,30 +142,49 @@ class InterpositionTable:
         else:
             raw = self.wildcard + specific
         if raw is None:
-            return None, False
-        live = [h for h in raw if _hook_interested(h, selector)]
+            return _Entry(None, None, False, 0)
+        send: List[RawHook] = []
+        ret: List[RawHook] = []
+        live: List[RawHook] = []
+        for hook in raw:
+            on_send, on_return = _hook_phases(hook, selector)
+            if on_send:
+                send.append(hook)
+            if on_return:
+                ret.append(hook)
+            if on_send or on_return:
+                live.append(hook)
         if not live:
-            return None, True
-        return live, False
+            return _Entry(None, None, True, 0)
+        skips = 2 * len(live) - len(send) - len(ret)
+        return _Entry(live, (send, ret), False, skips)
+
+    def _entry(self, selector: str) -> _Entry:
+        if self._epoch != interest_epoch.value:
+            self._epoch = interest_epoch.value
+            self._cache.clear()
+        entry = self._cache.get(selector)
+        if entry is None:
+            entry = self._cache[selector] = self._compute(selector)
+            interest_stats.interpose_refreshes += 1
+        if entry.filtered:
+            interest_stats.interpose_short_circuits += 1
+        return entry
 
     def hooks_for(self, selector: str) -> Optional[List[RawHook]]:
         """Every *interested* hook to run for one selector (wildcard +
         specific), or ``None`` when the message dispatcher can skip the
         interposition pass entirely."""
-        if self._epoch != interest_epoch.value:
-            self._epoch = interest_epoch.value
-            self._cache.clear()
-        cached = self._cache.get(selector, _UNCACHED)
-        if cached is _UNCACHED:
-            cached = self._cache[selector] = self._compute(selector)
-            interest_stats.interpose_refreshes += 1
-        result, filtered = cached
-        if filtered:
-            interest_stats.interpose_short_circuits += 1
-        return result
+        return self._entry(selector).live
 
-
-_UNCACHED = (None, None)
+    def phase_hooks(self, selector: str) -> Optional[PhaseHooks]:
+        """The hooks to run on send and on return for one selector — each
+        TESLA hook only in the phases its sink observes — or ``None``
+        when the message dispatcher can skip the interposition pass."""
+        entry = self._entry(selector)
+        if entry.kind_skips:
+            interest_stats.interpose_kind_skips += entry.kind_skips
+        return entry.phases
 
 
 #: The process-wide table, shared with the simulated Objective-C runtime.

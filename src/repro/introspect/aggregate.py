@@ -190,17 +190,22 @@ def format_shard_contention(
 class DispatchStats:
     """Effectiveness counters for the compiled event fast path.
 
-    The interest counters (``hook_*``/``interpose_*``) are process-global —
-    hook points and the interposition table are process-wide registries —
-    while the plan counters are summed over one runtime's class runtimes
-    across every store (global shards and per-thread stores).
+    The interest counters (``hook_*``/``interpose_*``) are process-global
+    — hook points and the interposition table are process-wide
+    registries — while the plan counters are summed over one runtime's
+    class runtimes across every store (global shards and per-thread
+    stores).  ``*_short_circuits`` count instrumented calls or message
+    sends that built no event at all; ``*_kind_skips`` count single
+    CALL/RETURN events not built because no sink wanted that kind.
     """
 
     compiled: bool
     epoch: int
     hook_short_circuits: int
+    hook_kind_skips: int
     hook_refreshes: int
     interpose_short_circuits: int
+    interpose_kind_skips: int
     interpose_refreshes: int
     plan_hits: int
     plan_misses: int
@@ -304,8 +309,10 @@ def dispatch_stats(runtime) -> DispatchStats:
         compiled=getattr(runtime, "compiled", False),
         epoch=interest_epoch.value,
         hook_short_circuits=interest_stats.hook_short_circuits,
+        hook_kind_skips=interest_stats.hook_kind_skips,
         hook_refreshes=interest_stats.hook_refreshes,
         interpose_short_circuits=interest_stats.interpose_short_circuits,
+        interpose_kind_skips=interest_stats.interpose_kind_skips,
         interpose_refreshes=interest_stats.interpose_refreshes,
         plan_hits=plan_hits,
         plan_misses=plan_misses,
@@ -390,9 +397,11 @@ def format_dispatch_stats(stats: DispatchStats) -> str:
     lines = [
         f"dispatch mode        {mode} (interest epoch {stats.epoch})",
         f"hook interest        {stats.hook_short_circuits} short-circuits, "
+        f"{stats.hook_kind_skips} kind skips, "
         f"{stats.hook_refreshes} cache refreshes",
         f"interpose interest   {stats.interpose_short_circuits} "
-        f"short-circuits, {stats.interpose_refreshes} cache refreshes",
+        f"short-circuits, {stats.interpose_kind_skips} kind skips, "
+        f"{stats.interpose_refreshes} cache refreshes",
         f"transition plans     {stats.plan_hits} hits / "
         f"{stats.plan_misses} misses ({stats.plan_hit_ratio:.1%} hit "
         f"ratio), {stats.plan_invalidations} epoch invalidations, "

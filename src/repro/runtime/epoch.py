@@ -3,12 +3,14 @@
 The compiled fast path (section 5.2's "do less work per event" family of
 optimisations) caches three kinds of derived state:
 
-* each :class:`~repro.instrument.hooks.HookPoint` caches which of its
-  attached sinks are actually interested in its event name, so a hook
-  whose events no automaton observes returns before constructing a
-  :class:`~repro.core.events.RuntimeEvent`;
+* each :class:`~repro.instrument.hooks.HookPoint` (and each caller-side
+  wrapper) caches which of its sinks are interested in its CALL key and
+  which in its RETURN key, so a hook builds only the
+  :class:`~repro.core.events.RuntimeEvent` values some automaton
+  observes;
 * the :class:`~repro.instrument.interpose.InterpositionTable` caches, per
-  selector, the hooks whose sinks still care about that selector;
+  selector and per phase, the hooks whose sinks still care about that
+  selector's send or return;
 * each :class:`~repro.runtime.store.ClassRuntime` caches compiled
   per-(class, event-key) transition plans.
 
@@ -59,8 +61,10 @@ class InterestStats:
 
     __slots__ = (
         "hook_short_circuits",
+        "hook_kind_skips",
         "hook_refreshes",
         "interpose_short_circuits",
+        "interpose_kind_skips",
         "interpose_refreshes",
     )
 
@@ -71,11 +75,19 @@ class InterestStats:
         #: Instrumented hook invocations that skipped event construction
         #: because no attached sink was interested in the event name.
         self.hook_short_circuits = 0
+        #: CALL or RETURN events a callee- or caller-side hook wrapper did
+        #: not build because no sink wanted that kind (callee invocations
+        #: that build neither count once in ``hook_short_circuits``).
+        self.hook_kind_skips = 0
         #: Hook-point interest-cache rebuilds (epoch misses).
         self.hook_refreshes = 0
         #: Message sends whose selector had hooks installed but no
         #: interested sink.
         self.interpose_short_circuits = 0
+        #: Message-send events a TESLA interposition hook did not build
+        #: because its sink did not want that phase's kind (``send`` is
+        #: CALL, ``return`` is RETURN).
+        self.interpose_kind_skips = 0
         #: Interposition-table per-selector cache rebuilds.
         self.interpose_refreshes = 0
 

@@ -411,9 +411,10 @@ def encode_batch(
             return _encode_fallback(slots)
         blob = None
         # Instance-dict subscripts with literal keys are the cheapest
-        # field access CPython offers (~2x faster here than attrgetter);
-        # RuntimeEvent is a plain (non-slots) dataclass, so every field
-        # lives in __dict__.
+        # field access CPython offers (~2x faster here than attrgetter).
+        # This depends on RuntimeEvent staying a plain, non-slots
+        # dataclass, so every field lives in the instance __dict__
+        # (pinned by tests/unit/core/test_events.py).
         d = event.__dict__
         if not d["scope"] and not d["stack"] and d["target"] is None:
             key = (

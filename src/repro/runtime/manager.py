@@ -33,7 +33,6 @@ sub-sequence in arrival order).
 
 from __future__ import annotations
 
-import threading
 import weakref
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -330,7 +329,6 @@ class TeslaRuntime:
         self._body_index: Dict[DispatchKey, List[str]] = {}
         #: Dispatch plans, one per key, built lazily from the indexes.
         self._key_plans: Dict[DispatchKey, _KeyPlan] = {}
-        self._thread_trackers = threading.local()
         #: Event counter, for the benchmarks' sanity reporting.
         self.events_processed = 0
         #: Deferred pipeline (DESIGN §5.4).  ``deferred=False`` keeps the
@@ -597,13 +595,6 @@ class TeslaRuntime:
             return self.global_store.shard_for(name).store
         return self.thread_stores.current()
 
-    def _thread_tracker(self) -> BoundTracker:
-        tracker = getattr(self._thread_trackers, "tracker", None)
-        if tracker is None:
-            tracker = BoundTracker()
-            self._thread_trackers.tracker = tracker
-        return tracker
-
     def class_runtime(self, name: str) -> ClassRuntime:
         cr = self._store_for(name).get(name)
         if cr is None:
@@ -715,7 +706,7 @@ class TeslaRuntime:
             # Capture timestamping (DESIGN §5.9): the monotonic stamp is
             # taken *here*, before any deferral, so clock guards measure
             # when the program did the thing, not when the drain ran.
-            object.__setattr__(event, "timestamp", self.clock.now())
+            event.timestamp = self.clock.now()
         elif event.timestamp > self._max_event_ts:
             self._max_event_ts = event.timestamp
         if self.drain is not None:
@@ -738,8 +729,9 @@ class TeslaRuntime:
                 self._run_plan(work, shard.store, shard.tracker, event,
                                plan.initiated, key)
         if plan.local is not None:
-            self._run_plan(plan.local, self.thread_stores.current(),
-                           self._thread_tracker(), event, plan.initiated, key)
+            store = self.thread_stores.current()
+            self._run_plan(plan.local, store, store.tracker, event,
+                           plan.initiated, key)
 
     def _dispatch_local(self, event: RuntimeEvent, key: DispatchKey) -> None:
         """Evaluate one event's thread-local share inline (deferred mode).
@@ -752,8 +744,9 @@ class TeslaRuntime:
         """
         plan = self._plan_for(key)
         if plan.local is not None:
-            self._run_plan(plan.local, self.thread_stores.current(),
-                           self._thread_tracker(), event, plan.initiated, key)
+            store = self.thread_stores.current()
+            self._run_plan(plan.local, store, store.tracker, event,
+                           plan.initiated, key)
 
     def dispatch_batch(
         self, events: Iterable[RuntimeEvent], include_local: bool = True
@@ -792,7 +785,7 @@ class TeslaRuntime:
             if self.stamp_capture:
                 now = self.clock.now()
                 for event in events:
-                    object.__setattr__(event, "timestamp", now)
+                    event.timestamp = now
             else:
                 for event in events:
                     if event.timestamp > self._max_event_ts:
@@ -862,7 +855,7 @@ class TeslaRuntime:
                     i = j
         if local_work:
             store = self.thread_stores.current()
-            tracker = self._thread_tracker()
+            tracker = store.tracker
             for work, event, initiated, key in local_work:
                 self._run_plan(work, store, tracker, event, initiated, key)
         return len(events)
@@ -1156,7 +1149,6 @@ class TeslaRuntime:
             self.drain.reset()
         self.global_store.reset()
         self.thread_stores.reset()
-        self._thread_trackers = threading.local()
         self.events_processed = 0
         self._max_event_ts = 0.0
         self.timer_checks = 0

@@ -54,6 +54,13 @@ class BoundTracker:
         #: and ``since_entry`` guards from (DESIGN §5.9).
         self.entry_ts: Dict[BoundId, float] = {}
 
+    def reset(self) -> None:
+        """Close every bound and forget its epochs."""
+        self.open.clear()
+        self.epoch.clear()
+        self.touched.clear()
+        self.entry_ts.clear()
+
     def begin(self, bound: BoundId, ts: float = 0.0) -> None:
         if self.open.get(bound):
             return  # re-entrant bound: ignore until cleanup
@@ -280,11 +287,16 @@ class ClassRuntime:
 
 
 class Store:
-    """One store context: a set of automata classes and their instances."""
+    """One store context: a set of automata classes, their instances and
+    the context's open temporal bounds."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = capacity
         self._classes: Dict[str, ClassRuntime] = {}
+        #: The context's bound tracker (lazy mode): owned here so the
+        #: dispatcher finds a thread's store and its tracker in one
+        #: thread-local lookup.
+        self.tracker = BoundTracker()
 
     def install(self, automaton: Automaton) -> ClassRuntime:
         if automaton.name in self._classes:
@@ -315,6 +327,7 @@ class Store:
     def reset(self) -> None:
         for runtime in self._classes.values():
             runtime.reset()
+        self.tracker.reset()
 
 
 class PerThreadStores:
@@ -444,7 +457,9 @@ class GlobalShard:
         self.index = index
         self.store = Store(capacity)
         self.lock = ShardLock()
-        self.tracker = BoundTracker()
+        #: The shard store's tracker, aliased for the dispatch hot path
+        #: (``Store.reset`` clears it in place, so the alias stays valid).
+        self.tracker = self.store.tracker
         #: Batched-ingestion invocations that touched this shard.
         self.batches = 0
 
@@ -530,7 +545,6 @@ class ShardedGlobalStore:
         for shard in self.shards:
             with shard.lock:
                 shard.store.reset()
-                shard.tracker = BoundTracker()
                 shard.batches = 0
             shard.lock.reset_counters()
 

@@ -640,7 +640,7 @@ class TestTimerChaos:
         from repro.runtime.manager import TeslaRuntime
 
         def stamped(event, ts):
-            object.__setattr__(event, "timestamp", ts)
+            event.timestamp = ts
             return event
 
         assertions = [

@@ -108,9 +108,9 @@ def assertions_of(specs: Tuple[ClassSpec, ...]):
 
 def stamped(event: RuntimeEvent, ts: float) -> RuntimeEvent:
     """Pre-stamp a capture timestamp, the way the journal decoder and the
-    ring record do.  ``timestamp`` is the one mutable-by-design slot of
-    the frozen event record."""
-    object.__setattr__(event, "timestamp", ts)
+    ring record do.  ``timestamp`` is the one field the runtime writes
+    after an event is built."""
+    event.timestamp = ts
     return event
 
 

@@ -1,5 +1,6 @@
-"""Unit tests for interest filtering: hook short-circuits, epoch bumps on
-attach/detach, and interposition-table cache invalidation."""
+"""Unit tests for interest filtering: hook short-circuits, per-kind
+skips, epoch bumps on attach/detach, and interposition-table cache
+invalidation."""
 
 from repro.core.dsl import (
     ANY,
@@ -10,6 +11,9 @@ from repro.core.dsl import (
     tesla_global,
     var,
 )
+from repro.core.events import EventKind
+from repro.gui.runtime import NSObject, msg_send, selector
+from repro.instrument.function import make_call_wrapper
 from repro.instrument.hooks import HookRegistry, instrumentable
 from repro.instrument.interpose import (
     interposition_table,
@@ -176,6 +180,172 @@ class TestInterposeInterest:
         assert interposition_table.hooks_for("wildSelector") == [trivial_hook]
         interposition_table.clear()
         assert interposition_table.hooks_for("wildSelector") is None
+
+
+class _KindSink:
+    """A recording sink that wants only the given event kinds."""
+
+    def __init__(self, *kinds):
+        self.kinds = kinds
+        self.events = []
+
+    def interested_in(self, keys):
+        return any(kind in self.kinds for kind, _ in keys)
+
+    def __call__(self, event):
+        self.events.append(event)
+
+
+class TestKindInterest:
+    def test_return_only_hook_builds_no_call_event(self):
+        """``_runtime_watching`` observes ``interest_watched`` only on
+        return (``fn(...) == 0``), so its CALL event is never built."""
+        registry = HookRegistry()
+
+        @instrumentable(registry=registry)
+        def interest_watched(c, v):
+            return 0
+
+        runtime = _runtime_watching(name="kind_ret_cls")
+        translator = EventTranslator(runtime)
+        registry.require("interest_watched").attach(translator)
+
+        interest_stats.reset()
+        interest_watched("c", "x")
+        assert translator.forwarded == 1
+        assert translator.dropped == 0  # the CALL never reached it
+        assert interest_stats.hook_kind_skips == 1
+        assert interest_stats.hook_short_circuits == 0
+
+    def test_live_sinks_keep_their_meaning(self):
+        registry = HookRegistry()
+
+        @instrumentable(registry=registry)
+        def interest_mixed():
+            return None
+
+        point = registry.require("interest_mixed")
+        calls = _KindSink(EventKind.CALL)
+        neither = _KindSink()
+        point.attach(calls)
+        point.attach(neither)
+        assert point.live_sinks() == [calls]
+
+    def test_caller_wrapper_builds_no_return_when_only_call_observed(self):
+        sink = _KindSink(EventKind.CALL)
+        wrapper = make_call_wrapper(lambda x: x + 1, "kind_callee", [sink])
+        interest_stats.reset()
+        assert wrapper(1) == 2
+        assert [e.kind for e in sink.events] == [EventKind.CALL]
+        assert interest_stats.hook_kind_skips == 1
+
+    def test_caller_wrapper_with_translator(self):
+        runtime = TeslaRuntime(policy=LogAndContinue())
+        runtime.install_assertion(
+            tesla_global(
+                call("kind_bound"),
+                returnfrom("kind_bound"),
+                previously(call("kind_caller_only")),
+                name="kind_caller_cls",
+            )
+        )
+        translator = EventTranslator(runtime)
+        wrapper = make_call_wrapper(
+            lambda: "ok", "kind_caller_only", [translator]
+        )
+        interest_stats.reset()
+        assert wrapper() == "ok"
+        assert translator.forwarded == 1
+        assert translator.dropped == 0
+        assert interest_stats.hook_kind_skips == 1
+
+    def test_new_return_interest_delivers_after_epoch_bump(self):
+        """Installing an automaton that newly observes a RETURN key starts
+        delivering it once the translator refreshes (bumping the epoch);
+        detaching the sink stops both kinds."""
+        registry = HookRegistry()
+
+        @instrumentable(registry=registry)
+        def kind_late(c, v):
+            return 0
+
+        runtime = TeslaRuntime(policy=LogAndContinue())
+        runtime.install_assertion(
+            tesla_global(
+                call("kind_bound"),
+                returnfrom("kind_bound"),
+                previously(call("kind_late")),
+                name="kind_late_call_cls",
+            )
+        )
+        translator = EventTranslator(runtime)
+        point = registry.require("kind_late")
+        point.attach(translator)
+        kind_late("c", "x")
+        assert (translator.forwarded, translator.dropped) == (1, 0)
+
+        runtime.install_assertion(
+            tesla_global(
+                call("kind_bound"),
+                returnfrom("kind_bound"),
+                previously(fn("kind_late", ANY("c"), var("v")) == 0),
+                name="kind_late_ret_cls",
+            )
+        )
+        kind_late("c", "x")
+        # Still cached: no epoch bump yet, so the return is not built.
+        assert (translator.forwarded, translator.dropped) == (2, 0)
+        before = interest_epoch.value
+        translator.refresh()
+        assert interest_epoch.value > before
+        kind_late("c", "x")
+        assert (translator.forwarded, translator.dropped) == (4, 0)
+
+        point.detach(translator)
+        kind_late("c", "x")
+        assert (translator.forwarded, translator.dropped) == (4, 0)
+
+
+class _Receiver(NSObject):
+    @selector("kindPing:")
+    def ping(self, value):
+        return value * 2
+
+
+class TestInterposePhases:
+    def test_raw_hooks_see_both_phases_beside_filtered_tesla_hook(self):
+        seen = []
+
+        def recording_hook(phase, receiver, sel, args, result):
+            seen.append((phase, result))
+
+        sink = _KindSink(EventKind.RETURN)
+        interposition_table.install("kindPing:", recording_hook)
+        interposition_table.install("kindPing:", tesla_method_hook(sink))
+        interposition_table.install_wildcard(trivial_hook)
+
+        interest_stats.reset()
+        assert msg_send(_Receiver(), "kindPing:", 21) == 42
+        assert seen == [("send", None), ("return", 42)]
+        assert [e.kind for e in sink.events] == [EventKind.RETURN]
+        assert sink.events[0].retval == 42
+        # One TESLA hook call skipped: its sink does not want the send.
+        assert interest_stats.interpose_kind_skips == 1
+        # The raw trivial hook runs in both phases; hooks_for still lists
+        # every hook interested in either phase.
+        send_hooks, return_hooks = interposition_table.phase_hooks(
+            "kindPing:"
+        )
+        assert trivial_hook in send_hooks and trivial_hook in return_hooks
+        assert recording_hook in send_hooks
+        assert len(interposition_table.hooks_for("kindPing:")) == 3
+
+    def test_uninterested_phases_resolve_to_fast_path(self):
+        sink = _KindSink()
+        interposition_table.install("kindPing:", tesla_method_hook(sink))
+        assert interposition_table.phase_hooks("kindPing:") is None
+        assert msg_send(_Receiver(), "kindPing:", 2) == 4
+        assert sink.events == []
 
 
 class TestTranslatorInterest:

@@ -31,7 +31,7 @@ from repro.runtime.update import DEADLINE_REASON, RATE_REASON
 
 
 def stamped(event, ts):
-    object.__setattr__(event, "timestamp", ts)
+    event.timestamp = ts
     return event
 
 
