@@ -225,11 +225,10 @@ class DispatchStats:
     max_batch: int = 0
     flush_seconds: float = 0.0
     last_flush_seconds: float = 0.0
-    #: tesla-jit counters (all zero unless the runtime was built with
-    #: ``codegen=True``).  ``gen_fallback_plans`` counts *plans* the
-    #: generator declined (cached as fallbacks), ``gen_fallback_hits``
-    #: counts events those plans carried through the interpreter.
-    codegen: bool = False
+    #: tesla-jit counters (all zero for ``compile=False`` runtimes).
+    #: ``gen_fallback_plans`` counts *plans* the generator declined
+    #: (cached as fallbacks), ``gen_fallback_hits`` counts events those
+    #: plans carried through the compiled plan walk.
     gen_hits: int = 0
     gen_misses: int = 0
     gen_fallback_plans: int = 0
@@ -318,7 +317,6 @@ def dispatch_stats(runtime) -> DispatchStats:
         plan_misses=plan_misses,
         plan_invalidations=plan_invalidations,
         cached_plans=cached_plans,
-        codegen=getattr(runtime, "codegen", False),
         gen_hits=gen_hits,
         gen_misses=gen_misses,
         gen_fallback_plans=gen_fallback_plans,
@@ -338,12 +336,12 @@ def codegen_report(runtime) -> Optional[dict]:
     """tesla-jit effectiveness: which dispatch keys generated, which fell
     back (and why), what elision bought, and what generation cost.
 
-    Returns ``None`` for runtimes built without ``codegen=True``.  Counts
+    Returns ``None`` for ``compile=False`` runtimes.  Counts
     are per *key label* (``kind:name``) aggregated over every class
     runtime holding a cached step for that key — a key observed by three
     classes that all generated shows ``3``.
     """
-    if not getattr(runtime, "codegen", False):
+    if not getattr(runtime, "compiled", False):
         return None
     generated: Dict[str, int] = {}
     fallbacks: Dict[str, dict] = {}
@@ -391,9 +389,7 @@ def governor_report(runtime) -> Optional[dict]:
 
 def format_dispatch_stats(stats: DispatchStats) -> str:
     """A printable summary of how well the dispatch caches are working."""
-    mode = "compiled" if stats.compiled else "interpreted"
-    if stats.codegen:
-        mode = "codegen (tesla-jit)"
+    mode = "compiled (tesla-jit)" if stats.compiled else "interpreted"
     lines = [
         f"dispatch mode        {mode} (interest epoch {stats.epoch})",
         f"hook interest        {stats.hook_short_circuits} short-circuits, "
@@ -407,7 +403,7 @@ def format_dispatch_stats(stats: DispatchStats) -> str:
         f"ratio), {stats.plan_invalidations} epoch invalidations, "
         f"{stats.cached_plans} plans resident",
     ]
-    if stats.codegen:
+    if stats.compiled:
         lines.append(
             f"generated steps      {stats.gen_hits} hits / "
             f"{stats.gen_misses} misses ({stats.gen_hit_ratio:.1%} hit "

@@ -68,7 +68,7 @@ class HealthReport:
     #: ``None`` unless the runtime proves installed batches.
     prove: Optional[dict] = None
     #: tesla-jit summary (DESIGN §5.7): per-key generated/fallback counts,
-    #: elision totals and generation cost; ``None`` unless ``codegen=True``.
+    #: elision totals and generation cost; ``None`` for ``compile=False``.
     codegen: Optional[dict] = None
     #: Overhead-governor summary (DESIGN §5.8): budget, measured spend
     #: ratios, per-class cost ranking with shedding-ladder state, recent

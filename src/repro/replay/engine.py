@@ -36,7 +36,6 @@ REPLAY_CONFIGS: Dict[str, Dict[str, Any]] = {
     "naive": dict(lazy=False, shards=1, compile=False),
     "lazy": dict(lazy=True, shards=1, compile=False),
     "compiled": dict(lazy=True, shards=5, compile=True),
-    "codegen": dict(lazy=True, shards=5, compile=True, codegen=True),
     "deferred": dict(lazy=True, shards=5, compile=True, deferred="manual"),
 }
 

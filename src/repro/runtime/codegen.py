@@ -1,9 +1,10 @@
 """tesla-jit: compile :class:`TransitionPlan` objects to generated Python.
 
-The compiled fast path (DESIGN §5.2) still *interprets* a chain of
+Walking a compiled plan (DESIGN §5.2) still *interprets* a chain of
 closures per event: ``plan.enabled`` probes each body triple, each triple
 calls a compiled matcher closure, and every match result is re-examined
-by ``tesla_update_state``.  This module goes one step further and emits
+by ``tesla_update_state``.  Every ``compile=True`` runtime therefore
+evaluates body events through this module instead, which emits
 specialized Python *source* per (automaton, dispatch-key) plan — matcher
 checks, bind extraction and transition application fused into a single
 ``exec``-compiled function with no per-step closure dispatch:
@@ -22,6 +23,11 @@ checks, bind extraction and transition application fused into a single
   dispatch overhead the deferred pipeline (DESIGN §5.4) pays 100k+ times
   a second.
 
+Each distinct generated function is ``compile()``d once per process
+(:data:`_CODE_CACHE`); a later runtime installing the same assertions
+only regenerates the source and ``exec``s the cached code object into a
+fresh namespace holding its own constants.
+
 Lint facts (DESIGN §5.5) feed the generator: under a lint-clean report,
 arity guards re-proven by ``arity_safe`` are simply never emitted, and
 transitions whose source state can never be occupied (outside the
@@ -33,12 +39,12 @@ The generator is deliberately *loud* about its limits: any plan it
 cannot specialize (an unknown :class:`Pattern` subclass, an exotic
 event expression) yields a :class:`GenerationFallback` carrying the
 reason, the caller falls back to the compiled interpreter, and the
-fallback is counted in ``dispatch_stats``.  A generated function also
-bails out to the interpreter at call time whenever fault injection is
-armed or the notification hub is in detailed mode — both paths need the
-interpreter's exact checkpoint/notification sequence, which the lean
-generated code deliberately omits (it emits only the always-on ERROR
-and OVERFLOW notifications).
+fallback is counted in ``dispatch_stats``.  Generated code has no fault
+points, so the runtime walks the compiled plans instead of calling it
+while fault injection is armed; and a generated function bails out to
+the interpreter at call time when the notification hub is in detailed
+mode, whose lifecycle notifications the lean generated code deliberately
+omits (it emits only the always-on ERROR and OVERFLOW notifications).
 
 Determinism contract: for one (automaton, key, facts) triple the
 generated source is byte-identical across runs and processes — all
@@ -53,6 +59,7 @@ change, mirroring the journal's ``golden.tjournal`` protocol).
 
 from __future__ import annotations
 
+from types import CodeType
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.ast import (
@@ -76,7 +83,6 @@ from ..core.patterns import (
     Var,
 )
 from ..errors import TemporalViolation
-from . import faultinject as _fi
 from .notify import Notification, NotificationKind
 from .plans import PlanKey, TransitionPlan
 from .update import (
@@ -89,7 +95,7 @@ from .update import (
 
 #: Bump on any change to the generated source layout (see the golden
 #: fixture's upgrade protocol in ``tests/unit/runtime/test_codegen.py``).
-CODEGEN_VERSION = 1
+CODEGEN_VERSION = 2
 
 #: Sentinel for "this symbol did not match" in generated code.  Distinct
 #: from ``None`` so generated locals can never be confused with a
@@ -650,7 +656,9 @@ def _emit_event_body(
     if not hoist_pending:
         em.emit(base, "if cr.pending:")
         em.emit(base + 1, "cr.pending = False")
-        em.emit(base + 1, "_mat(cr, hub, dict(cr.lazy_binding))")
+        em.emit(
+            base + 1, "_mat(cr, hub, dict(cr.lazy_binding), cr.lazy_entry_ts)"
+        )
 
     if not body:
         # Every body transition was elided (or the plan was empty): no
@@ -874,7 +882,7 @@ def generate_source(
     )
     em.lines.append(header)
     em.emit(0, "def step(cr, event, hub):")
-    em.emit(1, "if _fi._active is not None or hub.detailed:")
+    em.emit(1, "if hub.detailed:")
     em.emit(2, "return _interp(cr, event, hub, True, _plan)")
     em.emit(1, "if not cr.active:")
     em.emit(2, "return")
@@ -882,7 +890,7 @@ def generate_source(
     _emit_event_body(em, 1, automaton, key, body, symbol_plans, triple_consts)
     em.emit(0, "")
     em.emit(0, "def step_batch(cr, events, hub):")
-    em.emit(1, "if _fi._active is not None or hub.detailed:")
+    em.emit(1, "if hub.detailed:")
     em.emit(2, "for event in events:")
     em.emit(3, "_interp(cr, event, hub, True, _plan)")
     em.emit(2, "return")
@@ -891,7 +899,7 @@ def generate_source(
     em.emit(1, "_pool = cr.pool")
     em.emit(1, "if cr.pending:")
     em.emit(2, "cr.pending = False")
-    em.emit(2, "_mat(cr, hub, dict(cr.lazy_binding))")
+    em.emit(2, "_mat(cr, hub, dict(cr.lazy_binding), cr.lazy_entry_ts)")
     em.emit(1, "for event in events:")
     _emit_event_body(em, 2, automaton, key, body, symbol_plans, triple_consts,
                      hoist_pending=True)
@@ -899,7 +907,6 @@ def generate_source(
     namespace = dict(em.namespace)
     namespace.update(
         {
-            "_fi": _fi,
             "_interp": tesla_update_state,
             "_plan": plan,
             "_mat": _materialise,
@@ -923,6 +930,18 @@ def generate_source(
     )
 
 
+#: Process-wide ``(generated source, filename) -> code object`` cache.
+#: The determinism contract makes the source a complete key: every
+#: runtime value reaches the function through the ``exec`` namespace, so
+#: a later runtime installing the same assertions skips ``compile()``
+#: (the dominant warm-up cost) and only binds its own constants.
+_CODE_CACHE: Dict[Tuple[str, str], CodeType] = {}
+
+#: Bound on :data:`_CODE_CACHE`; a full cache is cleared, not evicted
+#: piecemeal (the replay engine's translation cache does the same).
+CODE_CACHE_LIMIT = 512
+
+
 def compile_plan_step(
     automaton: Automaton,
     plan: TransitionPlan,
@@ -934,11 +953,15 @@ def compile_plan_step(
     if generated.fallback_reason is not None:
         return GenerationFallback(generated.fallback_reason)
     namespace = generated.namespace
-    code = compile(
-        generated.source,
-        f"<tesla-jit {automaton.name} {plan.key[0].name}:{plan.key[1]}>",
-        "exec",
-    )
+    key_label = f"{plan.key[0].name}:{plan.key[1]}"
+    filename = f"<tesla-jit {automaton.name} {key_label}>"
+    cache_key = (generated.source, filename)
+    code = _CODE_CACHE.get(cache_key)
+    if code is None:
+        code = compile(generated.source, filename, "exec")
+        if len(_CODE_CACHE) >= CODE_CACHE_LIMIT:
+            _CODE_CACHE.clear()
+        _CODE_CACHE[cache_key] = code
     exec(code, namespace)
     return CompiledStep(
         step=namespace["step"],

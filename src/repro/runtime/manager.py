@@ -173,7 +173,6 @@ class TeslaRuntime:
         policy: Optional[ErrorPolicy] = None,
         shards: Optional[int] = None,
         compile: bool = True,
-        codegen: bool = False,
         failure_policy: Optional[FailurePolicy] = None,
         deferred: object = False,
         overflow_policy: str = "flush",
@@ -245,22 +244,15 @@ class TeslaRuntime:
             raise ValueError(
                 f"prove must be 'off', 'report' or 'prune', got {prove!r}"
             )
-        if codegen and not compile:
-            raise ValueError(
-                "codegen=True generates specialized code from compiled "
-                "transition plans; it requires compile=True"
-            )
         self.lazy = lazy
-        #: Whether dispatch uses compiled per-(class, key) transition plans
-        #: (the §5.2-style fast path) or the interpreted engine.  Both
-        #: produce identical verdicts; ``compile=False`` is the
-        #: paper-faithful baseline the benchmarks compare against.
+        #: Whether dispatch uses the compiled fast path or the interpreted
+        #: engine.  Compiled body dispatch runs tesla-jit's exec-generated
+        #: per-(class, key) step functions (DESIGN §5.7), falling back
+        #: (loudly, counted) to the compiled transition-plan walk for any
+        #: plan the generator can't specialize.  Both produce identical
+        #: verdicts; ``compile=False`` is the paper-faithful reference
+        #: interpreter the benchmarks compare against.
         self.compiled = compile
-        #: tesla-jit (DESIGN §5.7): body dispatch runs exec-generated
-        #: per-(class, key) step functions instead of the interpreted
-        #: plan walk, falling back (loudly, counted) to the compiled
-        #: interpreter for any plan the generator can't specialize.
-        self.codegen = codegen
         #: Memoized :class:`~repro.runtime.codegen.CodegenFacts` snapshot,
         #: keyed by interest epoch (installs both change lint facts and
         #: bump the epoch, so staleness rides the same invalidation).
@@ -819,7 +811,7 @@ class TeslaRuntime:
         # and with no init/cleanup the tracker state is constant across the
         # run, so one lazy join covers it.  Armed fault injection falls
         # back to per-event dispatch so fault streams are byte-identical.
-        batching = self.codegen and _fi._active is None
+        batching = self.compiled and _fi._active is None
         for index in sorted(per_shard):
             shard = self.global_store.shards[index]
             entries = per_shard[index]
@@ -881,15 +873,16 @@ class TeslaRuntime:
         *violation* policy speaking, not a monitor fault.
         """
         compiled = self.compiled
-        codegen = self.codegen
         supervisor = self.supervisor
         gov = self.governor
         if compiled:
             # One epoch read per (event, context); each class's plan_for
-            # is a dict probe plus an integer compare.
+            # and step_for is a dict probe plus an integer compare.
             epoch = interest_epoch.value
-        if codegen:
             facts = self._codegen_facts(epoch)
+        # Armed fault injection walks the compiled plans: their fault
+        # points are what the generated steps deliberately omit.
+        generated = compiled and _fi._active is None
         if self.lazy:
             # One epoch bump per distinct bound — "a per-context record of
             # common initialisation events" — independent of how many
@@ -933,19 +926,14 @@ class TeslaRuntime:
                 cr = store.get(name)
                 if self.lazy:
                     lazy_join_bound(cr, bound, tracker, governor=gov)
-                if codegen:
-                    entry = cr.step_for(key, epoch, facts)
-                    if entry is not None:
-                        entry.step(cr, event, self.hub)
-                    else:
-                        # Loud fallback: the generator declined this plan
-                        # (counted in gen_fallback_*); the compiled
-                        # interpreter carries the event instead.
-                        tesla_update_state(
-                            cr, event, self.hub, self.lazy,
-                            plan=cr.plan_for(key, epoch),
-                        )
+                entry = cr.step_for(key, epoch, facts) if generated else None
+                if entry is not None:
+                    entry.step(cr, event, self.hub)
                 else:
+                    # The reference interpreter, or the loud fallback: the
+                    # generator declined this plan (counted in
+                    # gen_fallback_*) or faults are armed, and the compiled
+                    # plan walk carries the event instead.
                     tesla_update_state(
                         cr, event, self.hub, self.lazy,
                         plan=cr.plan_for(key, epoch) if compiled else None,

@@ -36,7 +36,6 @@ def monitoring(
     lazy: bool = True,
     capacity: Optional[int] = None,
     compile: Optional[bool] = None,
-    codegen: Optional[bool] = None,
     failure_policy: Optional[FailurePolicy] = None,
     shards: Optional[int] = None,
     deferred: object = False,
@@ -58,12 +57,10 @@ def monitoring(
     callees; ``objc_selectors`` routes those names through the
     interposition table; ``lazy=False`` selects the pre-optimisation
     runtime (the figure 13 ablation); ``capacity`` bounds instance pools;
-    ``compile=False`` disables the compiled transition-plan fast path
-    (the dispatch-cost ablation measured by
-    ``benchmarks/bench_dispatch_fastpath.py``); ``codegen=True`` layers
-    tesla-jit on top of the compiled path — each transition plan is
-    specialized into generated Python (DESIGN §5.7), falling back to the
-    compiled interpreter per plan when specialization is unsupported;
+    ``compile=False`` disables the compiled fast path — tesla-jit's
+    generated step functions over compiled transition plans (DESIGN §5.7)
+    — and runs the reference interpreter instead (the dispatch-cost
+    ablation measured by ``benchmarks/bench_dispatch_fastpath.py``);
     ``failure_policy`` selects
     how faults *inside the monitor* are handled (fail-stop default,
     fail-open, callback, or quarantine — see
@@ -118,8 +115,6 @@ def monitoring(
         kwargs["capacity"] = capacity
     if compile is not None:
         kwargs["compile"] = compile
-    if codegen is not None:
-        kwargs["codegen"] = codegen
     if failure_policy is not None:
         kwargs["failure_policy"] = failure_policy
     if shards is not None:

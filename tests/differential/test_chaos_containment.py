@@ -150,15 +150,13 @@ def chaos_assertions(n_classes: int = 3):
 CONFIGS = [
     ("naive", dict(lazy=False, shards=1, compile=False)),
     ("sharded", dict(lazy=True, shards=5, compile=False)),
+    # The compiled rows normally run tesla-jit's generated steps; an armed
+    # injector routes them through the compiled plan walk instead, so
+    # every fault site stays reachable and the verdict/containment
+    # contract is unchanged.
     ("compiled", dict(lazy=True, shards=5, compile=True)),
     ("deferred", dict(lazy=True, shards=5, compile=True, deferred="manual")),
     ("deferred-bg", dict(lazy=True, shards=5, compile=True, deferred=True)),
-    # tesla-jit: an armed injector bypasses the generated fast path (the
-    # ``_fi._active`` top guard), so every fault site stays reachable and
-    # the verdict/containment contract is unchanged.
-    ("codegen", dict(lazy=True, shards=5, compile=True, codegen=True)),
-    ("deferred-codegen", dict(lazy=True, shards=5, compile=True,
-                              codegen=True, deferred="manual")),
     # Overhead governor armed (DESIGN §5.8).  The generous budget keeps
     # the ladder mostly quiet; what matters here is that the governor's
     # charge path runs on every dispatched class so its fault site is

@@ -9,8 +9,8 @@ streams:
 
 1. the live run's verdicts,
 2. the journal replayed offline through the reference interpreter
-   (``naive``), the compiled fast path (``compiled``) and the tesla-jit
-   generated-code path (``codegen``),
+   (``naive``) and the compiled fast path (``compiled``, tesla-jit's
+   generated steps),
 3. the LTL oracle (:mod:`repro.replay.ltl_oracle`), which evaluates the
    ``tesla_ltl_map`` reading of each assertion directly over the journal
    and shares none of the automaton machinery.
@@ -138,7 +138,7 @@ def check_agreement(name, specs, runtime, buf):
     assert len(journal.assertions) == len(specs)
     engine = ReplayEngine(journal)
 
-    for config in ("naive", "compiled", "codegen"):
+    for config in ("naive", "compiled"):
         result = engine.run(config)
         replayed = [
             result.classes[class_name(index)].as_tuple()

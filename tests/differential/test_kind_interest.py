@@ -21,8 +21,9 @@ and outside the bound.  The program then runs twice per configuration:
   drops the unobserved ones by key.
 
 The translator's forwarded stream, the verdicts, the violation reasons
-and (for the deferred configurations) the journal bytes must match, in
-synchronous, deferred and tesla-jit configurations alike.  The kind-skip
+and (for the deferred configuration) the journal bytes must match, in
+synchronous and deferred configurations alike (both compiled, so both
+run tesla-jit's generated steps).  The kind-skip
 counters must account for every event the filtered run did not build.
 """
 
@@ -60,9 +61,7 @@ MODES = ("none", "call", "return", "both", "sequence")
 
 CONFIGS: Dict[str, Dict[str, Any]] = {
     "sync": {},
-    "sync-codegen": {"codegen": True},
     "deferred": {"deferred": "manual"},
-    "deferred-codegen": {"deferred": "manual", "codegen": True},
 }
 
 _REGISTRY = HookRegistry()

@@ -12,10 +12,14 @@ every runtime configuration:
 * **naive sharded**: eager mode over the striped store;
 * **batched**: the striped store fed through
   :meth:`TeslaRuntime.dispatch_batch` in odd-sized chunks;
-* **compiled** / **compiled-naive**: the precompiled transition-plan
-  dispatch path (``compile=True``) in lazy-sharded and eager-single-lock
-  flavours — interpreted and compiled matchers must be observationally
-  identical.
+* **compiled** / **compiled-naive**: the compiled dispatch path
+  (``compile=True``: tesla-jit's generated step functions over compiled
+  transition plans, DESIGN §5.7) in lazy-sharded and eager-single-lock
+  flavours — interpreted and generated matchers must be observationally
+  identical;
+* **compiled-batched**: the compiled path fed through ``dispatch_batch``
+  in odd-sized chunks, which exercises the batch-per-key drain (one
+  generated ``step_batch`` call per same-key run).
 
 All configurations must agree on every class's accept count, error count,
 assertion-sites-reached count and final live-instance count.  The paper's
@@ -23,13 +27,6 @@ semantics ("an event cannot complete until its instrumentation hook has
 finished running") say these are pure functions of the per-class event
 order, which every configuration claims to preserve — this harness is the
 check that the claim survives lock striping and batching.
-
-Four tesla-jit configurations (**codegen**, **codegen-naive**,
-**codegen-batched**, **deferred-codegen**) extend the sweep to the
-generated-code dispatch path (DESIGN §5.7): specialized step functions,
-the per-plan interpreter fallback, and — via ``codegen-batched``'s
-odd-sized ``dispatch_batch`` chunks — the batch-per-key drain evaluation
-must all be observationally identical to the naive interpreter.
 
 Two deferred-pipeline configurations ride the same sweep (**deferred**:
 per-thread ring capture with explicit drains; **deferred-compiled-
@@ -112,11 +109,11 @@ def _automaton_for(index: int, bound: int, context: str):
 
 def build_runtime(
     specs: Tuple[ClassSpec, ...], lazy: bool, shards: int,
-    compile: bool = False, deferred: object = False, codegen: bool = False,
+    compile: bool = False, deferred: object = False,
 ):
     runtime = TeslaRuntime(
         lazy=lazy, shards=shards, policy=LogAndContinue(), compile=compile,
-        deferred=deferred, codegen=codegen,
+        deferred=deferred,
     )
     for index, (bound, context) in enumerate(specs):
         automaton, ast_context = _automaton_for(index, bound, context)
@@ -202,17 +199,11 @@ CONFIGS = [
     ("batched", dict(lazy=True, shards=5, compile=False)),
     ("compiled", dict(lazy=True, shards=5, compile=True)),
     ("compiled-naive", dict(lazy=False, shards=1, compile=True)),
+    ("compiled-batched", dict(lazy=True, shards=5, compile=True)),
     ("deferred", dict(lazy=True, shards=1, compile=False,
                       deferred="manual")),
     ("deferred-compiled-sharded", dict(lazy=True, shards=5, compile=True,
                                        deferred="manual")),
-    ("codegen", dict(lazy=True, shards=5, compile=True, codegen=True)),
-    ("codegen-naive", dict(lazy=False, shards=1, compile=True,
-                           codegen=True)),
-    ("codegen-batched", dict(lazy=True, shards=5, compile=True,
-                             codegen=True)),
-    ("deferred-codegen", dict(lazy=True, shards=5, compile=True,
-                              codegen=True, deferred="manual")),
 ]
 
 
@@ -322,8 +313,6 @@ MT_DEFERRED_CONFIGS = [
                                           deferred="manual")),
     ("mt-deferred-background", dict(lazy=True, shards=5, compile=True,
                                     deferred=True)),
-    ("mt-deferred-codegen", dict(lazy=True, shards=5, compile=True,
-                                 codegen=True, deferred="manual")),
 ]
 
 N_THREADS = 8

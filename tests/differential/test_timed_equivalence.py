@@ -4,9 +4,10 @@ Timed assertions (DESIGN §5.9) move part of the semantics off the event
 *order* and onto the event *timestamps*: clock guards filter transitions,
 deadlines expire without a successor event, sliding rate windows count
 occurrences per span of capture time.  Every layer that toucheds a trace —
-the naive interpreter, lazy instantiation, compiled transition plans, the
-tesla-jit generated path (which refuses timed automata and must fall back
-loudly, per plan), the deferred ring/drain pipeline and batched dispatch —
+the naive interpreter, lazy instantiation, the compiled path (whose
+tesla-jit generator refuses timed automata, so it must fall back loudly,
+per plan, to the compiled transition-plan walk), the deferred ring/drain
+pipeline and batched dispatch —
 therefore has a new way to diverge.  This module is the timed counterpart
 of ``test_mode_equivalence.py``:
 
@@ -20,7 +21,7 @@ of ``test_mode_equivalence.py``:
   and flush-time expiry may interleave deadline reports differently
   without changing the set of verdicts;
 * a journaling twin proves the capture timestamps survive the journal
-  byte-exactly and that replay (naive / compiled / codegen) and the
+  byte-exactly and that replay (naive / compiled) and the
   independent LTL oracle reproduce the live timed verdicts from the
   journal alone.
 
@@ -220,20 +221,20 @@ CONFIGS = [
     ("lazy", dict(lazy=True, shards=1, compile=False)),
     ("sharded", dict(lazy=True, shards=5, compile=False)),
     ("batched", dict(lazy=True, shards=5, compile=False)),
-    ("compiled", dict(lazy=True, shards=5, compile=True)),
     # tesla-jit refuses clock guards per plan and falls back to the
-    # compiled interpreter — this config proves the fallback is loud but
-    # semantically invisible.
-    ("codegen", dict(lazy=True, shards=5, compile=True, codegen=True)),
+    # compiled plan walk — the compiled rows prove the fallback is loud
+    # but semantically invisible, per event and per batch-per-key run.
+    ("compiled", dict(lazy=True, shards=5, compile=True)),
+    ("compiled-batched", dict(lazy=True, shards=5, compile=True)),
     ("deferred", dict(lazy=True, shards=1, compile=False,
                       deferred="manual")),
-    ("deferred-codegen", dict(lazy=True, shards=5, compile=True,
-                              codegen=True, deferred="manual")),
+    ("deferred-compiled", dict(lazy=True, shards=5, compile=True,
+                               deferred="manual")),
 ]
 
 
 def replay(name: str, runtime: TeslaRuntime, events: List[RuntimeEvent]):
-    if name == "batched":
+    if name.endswith("batched"):
         # Odd chunk size so batch edges fall mid-window; with
         # stamp_capture=False the pre-set stamps ride through unchanged.
         for start in range(0, len(events), 7):
@@ -310,7 +311,7 @@ def test_timed_journal_replays_to_live_verdicts(scenario):
         ]
 
         engine = ReplayEngine(journal)
-        for config in ("naive", "compiled", "codegen"):
+        for config in ("naive", "compiled"):
             result = engine.run(config)
             replayed = [
                 result.classes[class_name(index)].as_tuple()[:3]
@@ -395,7 +396,7 @@ class TestAcceptance:
             ]
 
             engine = ReplayEngine(journal)
-            for config in ("naive", "compiled", "codegen"):
+            for config in ("naive", "compiled"):
                 result = engine.run(config)
                 assert result.violations == {
                     "timed_cls0": [DEADLINE_REASON]

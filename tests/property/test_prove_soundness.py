@@ -99,7 +99,6 @@ CONFIGS = [
     ("compiled", dict(lazy=True, shards=5, compile=True)),
     ("deferred", dict(lazy=True, shards=1, compile=False,
                       deferred="manual")),
-    ("codegen", dict(lazy=True, shards=5, compile=True, codegen=True)),
 ]
 
 Op = Tuple[str, ...]

@@ -1,5 +1,6 @@
-"""Unit tests for tesla-jit: source generation, the per-class step
-cache, and the runtime fallback contract (DESIGN §5.7)."""
+"""Unit tests for tesla-jit: source generation, the process-wide code
+cache, the per-class step cache, and the runtime fallback contract
+(DESIGN §5.7)."""
 
 from __future__ import annotations
 
@@ -23,6 +24,8 @@ from repro.core.events import (
 )
 from repro.core.patterns import Pattern
 from repro.core.translate import translate
+from repro.runtime import codegen
+from repro.runtime.clock import FakeClock
 from repro.runtime.codegen import (
     CODEGEN_VERSION,
     CodegenFacts,
@@ -210,20 +213,122 @@ def _run(events, **kwargs):
     return runtime
 
 
+class TestCodeCache:
+    """Each distinct generated function is ``compile()``d once per
+    process; later runtimes only ``exec`` the cached code object into a
+    fresh namespace carrying their own constants."""
+
+    @staticmethod
+    def _steps(runtime, name="cg_cls"):
+        cr = runtime.class_runtime(name)
+        return {key: entry.step for key, entry in cr._gen.items()}
+
+    def test_fresh_runtimes_share_each_steps_code_object(self):
+        events = _trace()
+        first = self._steps(_run(events))
+        second = self._steps(_run(events))
+        assert first and first.keys() == second.keys()
+        for key, step in first.items():
+            assert step.__code__ is second[key].__code__, key
+            # Shared code, separate namespaces: each runtime's step binds
+            # its own plan and transition constants.
+            assert step.__globals__ is not second[key].__globals__, key
+
+    def test_one_compile_per_distinct_source(self, monkeypatch):
+        compiled_sources = []
+        real_compile = compile
+
+        def counting_compile(source, filename, mode, *args, **kwargs):
+            if filename.startswith("<tesla-jit "):
+                compiled_sources.append(source)
+            return real_compile(source, filename, mode, *args, **kwargs)
+
+        monkeypatch.setattr(codegen, "_CODE_CACHE", {})
+        monkeypatch.setattr(codegen, "compile", counting_compile,
+                            raising=False)
+        automaton = translate(_assertion(name="cg_once_cls"))
+        keys = [
+            (EventKind.RETURN, "cg_check"),
+            (EventKind.ASSERTION_SITE, automaton.name),
+        ]
+        for _ in range(3):
+            for key in keys:
+                _body_entry(automaton, key, _facts())
+        assert len(compiled_sources) == len(keys)
+        assert len(set(compiled_sources)) == len(keys)
+
+    def test_distinct_facts_give_distinct_code_objects(self):
+        automaton = translate(_assertion(name="cg_facts_cls"))
+        key = (EventKind.RETURN, "cg_check")
+        elided = _body_entry(automaton, key, _facts())
+        guarded = _body_entry(automaton, key, CodegenFacts.NONE)
+        assert elided.elided_guards > 0 and guarded.elided_guards == 0
+        assert elided.source != guarded.source
+        assert elided.step.__code__ is not guarded.step.__code__
+        assert (
+            _body_entry(automaton, key, _facts()).step.__code__
+            is elided.step.__code__
+        )
+
+    def test_cache_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(codegen, "_CODE_CACHE", {})
+        monkeypatch.setattr(codegen, "CODE_CACHE_LIMIT", 4)
+        key = (EventKind.RETURN, "cg_check")
+        for index in range(11):
+            automaton = translate(_assertion(name=f"cg_bound_cls{index}"))
+            entry = _body_entry(automaton, key, _facts())
+            assert entry.step is not None
+            assert len(codegen._CODE_CACHE) <= 4
+
+
 class TestRuntimeFallbackContract:
-    def test_codegen_requires_compile(self):
-        with pytest.raises(ValueError):
-            TeslaRuntime(compile=False, codegen=True)
+    def test_codegen_keyword_is_gone(self):
+        # Generated steps are every compiled runtime's path; there is no
+        # separate knob to turn them on.
+        with pytest.raises(TypeError):
+            TeslaRuntime(codegen=True)
 
     def test_codegen_matches_interpreters(self):
         events = _trace()
         naive = _run(events, compile=False)
-        compiled = _run(events, compile=True)
-        jitted = _run(events, compile=True, codegen=True)
-        assert _verdict(naive) == _verdict(compiled) == _verdict(jitted)
+        jitted = _run(events, compile=True)
+        assert _verdict(naive) == _verdict(jitted)
         cr = jitted.class_runtime("cg_cls")
         assert cr.gen_fallback_plans == 0
         assert cr.gen_hits > 0
+        assert naive.class_runtime("cg_cls").gen_cache_size == 0
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["sync", "batch"])
+    def test_materialised_instances_keep_bound_entry_time(self, batched):
+        """Generated steps stamp lazily materialised instances with the
+        bound-entry capture time, exactly as the interpreter does."""
+
+        def entry_stamps(compile):
+            clock = FakeClock()
+            runtime = TeslaRuntime(
+                lazy=True, shards=1, policy=LogAndContinue(),
+                compile=compile, clock=clock,
+            )
+            runtime.install_assertion(_assertion())
+            clock.advance(5.0)
+            runtime.handle_event(call_event("cg_bound", ()))
+            clock.advance(1.0)
+            checks = [
+                return_event("cg_check", ("c", f"val{v}"), 0)
+                for v in range(3)
+            ]
+            if batched:
+                runtime.dispatch_batch(checks)
+            else:
+                for event in checks:
+                    runtime.handle_event(event)
+            cr = runtime.class_runtime("cg_cls")
+            return sorted(i.entry_ts for i in cr.pool.live()), cr
+
+        reference, _ = entry_stamps(compile=False)
+        generated, cr = entry_stamps(compile=True)
+        assert cr.gen_hits + cr.gen_misses > 0
+        assert reference == generated == [5.0] * 4
 
     def test_detailed_hub_defers_to_interpreter(self):
         """An attached handler flips ``hub.detailed``: the generated step's
@@ -233,8 +338,7 @@ class TestRuntimeFallbackContract:
         seen = []
         compiled = _run(events, compile=True)
         jitted = TeslaRuntime(
-            lazy=True, shards=1, policy=LogAndContinue(),
-            compile=True, codegen=True,
+            lazy=True, shards=1, policy=LogAndContinue(), compile=True,
         )
         jitted.hub.add_handler(seen.append)
         jitted.install_assertion(_assertion())
@@ -248,20 +352,22 @@ class TestRuntimeFallbackContract:
         fault points stay reachable; a rate-0 injector must not change
         verdicts."""
         events = _trace()
-        compiled = _run(events, compile=True)
+        jitted = _run(events, compile=True)
         arm(FaultInjector(seed=3, rate=0.0))
         try:
-            jitted = _run(events, compile=True, codegen=True)
+            armed = _run(events, compile=True)
         finally:
             disarm()
-        assert _verdict(jitted) == _verdict(compiled)
+        assert _verdict(armed) == _verdict(jitted)
+        cr = armed.class_runtime("cg_cls")
+        assert cr.gen_hits + cr.gen_misses == 0
+        assert cr.plan_hits > 0
 
     def test_batch_drain_matches_sync_dispatch(self):
         events = _trace(rounds=8)
-        sync = _run(events, compile=True, codegen=True)
+        sync = _run(events, compile=True)
         batched = TeslaRuntime(
-            lazy=True, shards=1, policy=LogAndContinue(),
-            compile=True, codegen=True,
+            lazy=True, shards=1, policy=LogAndContinue(), compile=True,
         )
         batched.install_assertion(_assertion())
         for start in range(0, len(events), 16):
@@ -287,8 +393,7 @@ class TestRuntimeFallbackContract:
 
         def run(batched):
             runtime = TeslaRuntime(
-                lazy=True, shards=1, policy=LogAndContinue(),
-                compile=True, codegen=batched is not None and batched,
+                lazy=True, shards=1, policy=LogAndContinue(), compile=True,
             )
             runtime.install_assertion(weird)
             events = _trace(rounds=8)

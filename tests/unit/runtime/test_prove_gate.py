@@ -226,7 +226,7 @@ class TestCodegenWidening:
         assert facts.clean is False  # no lint report: no lint facts
 
     def test_runtime_facts_carry_prove_occupancy(self):
-        rt = TeslaRuntime(prove="report", compile=True, codegen=True)
+        rt = TeslaRuntime(prove="report", compile=True)
         rt.install_assertions([unprovable()])
         from repro.runtime.epoch import interest_epoch
 

@@ -289,7 +289,6 @@ class TestCodegenRefusal:
             clock=clock,
             lazy=True,
             compile=True,
-            codegen=True,
         )
         runtime.handle_event(call_event("td_bound", ()))
         runtime.handle_event(assertion_site_event("td_cls", {}))
