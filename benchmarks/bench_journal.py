@@ -14,6 +14,14 @@ pipeline it rides on, so this bench pins three numbers:
   debugging loop's latency.
 * **journal density** — bytes/event on disk for a representative trace.
 
+Those three come from a scalar trace, whose repeated event shapes hit
+the encoder's plain-shape blob cache almost every time.  Real kernel
+and GUI traces carry live objects instead (vnodes, views, geometry
+values), which the cache never holds, so a second **object trace** —
+default-repr objects, a frozen dataclass argument, site scopes holding
+an object — reports its own plain and journalled µs/event and record
+overhead as extra rows, with no bar of its own.
+
 Verdict equality between the recorded run, its replay, and the LTL
 oracle is asserted in the same run, so the overhead number is never
 bought with a recording that can't actually reproduce the verdicts.
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import dataclass
 
 from repro.bench import median_time
 from repro.core.dsl import (
@@ -103,6 +112,48 @@ def _trace(count):
     return events
 
 
+class _Vnode:
+    """A kernel-object stand-in that keeps ``object.__repr__``."""
+
+    def __init__(self, number):
+        self.number = number
+
+
+@dataclass(frozen=True)
+class _Point:
+    """A GUI geometry value: a frozen dataclass with a generated repr."""
+
+    x: float
+    y: float
+
+
+def _object_trace(count):
+    """The window of :func:`_trace` with object payloads: each body
+    event passes a frozen dataclass and a default-repr object, and each
+    site's scope holds an object; every other site names one that was
+    never passed, so it violates."""
+    vnodes = [_Vnode(i) for i in range(6)]
+    stray = _Vnode(-1)
+    events = [call_event(BOUND, ())]
+    for i in range(count):
+        events.append(
+            return_event(
+                f"jr_check{i % N_CLASSES}",
+                (_Point(float(i % 7), 0.5), vnodes[i % len(vnodes)]),
+                0,
+            )
+        )
+        if i % 50 == 49:
+            events.append(
+                assertion_site_event(
+                    f"jr_cls{i % N_CLASSES}",
+                    {"v": stray if i % 100 == 99 else vnodes[i % len(vnodes)]},
+                )
+            )
+    events.append(return_event(BOUND, (), 0))
+    return events
+
+
 def _verdict(runtime):
     rows = []
     for i in range(N_CLASSES):
@@ -124,24 +175,30 @@ def _run_trace(runtime, trace):
 
 def test_journal_record_and_replay(benchmark, results_dir, tmp_path):
     trace = _trace(N_EVENTS)
+    object_trace = _object_trace(N_EVENTS)
+    journal_path = {}
+
+    def samplers(events, tag):
+        def plain_run():
+            runtime = _runtime()
+            _run_trace(runtime, events)
+            return runtime
+
+        def journal_run():
+            path = tmp_path / f"bench-{tag}-{len(journal_path)}.tjournal"
+            runtime = _runtime(journal=str(path))
+            _run_trace(runtime, events)
+            runtime.close_journal()
+            journal_path[tag] = path
+            return runtime
+
+        return {
+            "plain": lambda: median_time(plain_run, repeats=1),
+            "journal": lambda: median_time(journal_run, repeats=1),
+        }
 
     def measure():
         # -- record-mode overhead vs plain deferred capture ---------------
-        def plain_run():
-            runtime = _runtime()
-            _run_trace(runtime, trace)
-            return runtime
-
-        journal_path = {}
-
-        def journal_run():
-            path = tmp_path / f"bench-{len(journal_path)}.tjournal"
-            runtime = _runtime(journal=str(path))
-            _run_trace(runtime, trace)
-            runtime.close_journal()
-            journal_path["last"] = path
-            return runtime
-
         # Interleaved GC-controlled min-of-samples (see conftest): the
         # journal side allocates ~40 bytes/event of record frames, so
         # sequential blocks would let collector pauses and clock drift
@@ -149,16 +206,19 @@ def test_journal_record_and_replay(benchmark, results_dir, tmp_path):
         # times the second of two back-to-back runs (median_time's
         # repeats=1 warms once untimed): the bar pins the steady-state
         # encode+append cost, not per-run setup like file creation.
-        best = interleaved_best(
-            {
-                "plain": lambda: median_time(plain_run, repeats=1),
-                "journal": lambda: median_time(journal_run, repeats=1),
-            },
-            repeats=REPEATS,
-        )
+        best = interleaved_best(samplers(trace, "scalar"), repeats=REPEATS)
         plain_us = best["plain"] * 1e6 / len(trace)
         journal_us = best["journal"] * 1e6 / len(trace)
-        path = journal_path["last"]
+        path = journal_path["scalar"]
+        # The object trace, timed the same way in its own interleaved
+        # phase so the scalar rows keep their method exactly.
+        best = interleaved_best(
+            samplers(object_trace, "object"), repeats=REPEATS
+        )
+        object_us = (
+            best["plain"] * 1e6 / len(object_trace),
+            best["journal"] * 1e6 / len(object_trace),
+        )
 
         # -- replay throughput --------------------------------------------
         replay_samples = []
@@ -170,12 +230,13 @@ def test_journal_record_and_replay(benchmark, results_dir, tmp_path):
         replay_rate = len(journal.slots) / sorted(replay_samples)[
             len(replay_samples) // 2
         ]
-        return plain_us, journal_us, path, journal, replay_rate
+        return plain_us, journal_us, object_us, path, journal, replay_rate
 
-    plain_us, journal_us, path, journal, replay_rate = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
+    (
+        plain_us, journal_us, object_us, path, journal, replay_rate
+    ) = benchmark.pedantic(measure, rounds=1, iterations=1)
     overhead = journal_us / plain_us
+    object_plain_us, object_journal_us = object_us
     density = journal.byte_size / max(1, len(journal.slots))
 
     # -- correctness in the same run: record → replay → oracle agree ------
@@ -195,6 +256,22 @@ def test_journal_record_and_replay(benchmark, results_dir, tmp_path):
         for o in (oracle[f"jr_cls{i}"] for i in range(N_CLASSES))
     ] == expected
 
+    # The object trace journals its payloads as opaque snapshots; replay
+    # must still reproduce the live verdicts, violations included (an
+    # object's snapshot matches only itself, as the object did live).
+    reference = _runtime()
+    _run_trace(reference, object_trace)
+    object_expected = _verdict(reference)
+    assert any(errors for _, errors, _ in object_expected)
+    object_journal = read_journal(journal_path["object"])
+    assert object_journal.clean_close
+    assert len(object_journal.slots) == len(object_trace)
+    result = ReplayEngine(object_journal).run("naive")
+    assert [
+        (v.accepts, v.errors, v.sites_reached)
+        for v in (result.classes[f"jr_cls{i}"] for i in range(N_CLASSES))
+    ] == object_expected
+
     lines = [
         "Trace journal: record overhead and offline replay",
         "-------------------------------------------------",
@@ -205,6 +282,14 @@ def test_journal_record_and_replay(benchmark, results_dir, tmp_path):
         f"{'journal density':<28}{density:>10.1f} bytes/event",
         f"{'journal size':<28}{journal.byte_size:>10d} bytes",
         f"{'events recorded':<28}{len(journal.slots):>10d}",
+        "",
+        "Object trace (default-repr objects, frozen dataclass, object "
+        "scopes; no bar)",
+        f"{'object plain capture':<28}{object_plain_us:>10.3f} us/event",
+        f"{'object journalled capture':<28}"
+        f"{object_journal_us:>10.3f} us/event",
+        f"{'object record overhead':<28}"
+        f"{object_journal_us / object_plain_us:>10.3f} x",
     ]
     emit(results_dir, "journal", "\n".join(lines))
 

@@ -37,7 +37,7 @@ byte is the record type:
        overhead otherwise — at the cost of coarser recovery: a damaged
        batch loses the batch, not one event.  Writers fall back to
        ``E`` records for non-contiguous slots.  The timestamp sits
-       outside the cached payload blobs: two events differing only in
+       outside the cached payload blob: two events differing only in
        capture time still share one cache entry.
 ``C``  the closing footer with final record/event counts.  Its absence
        marks a journal that was never cleanly closed (a crashed run) —
@@ -49,6 +49,13 @@ socket, a kernel object — is journalled as an :class:`Opaque` ``repr``
 snapshot and counted in ``stats()['opaque_values']``: replay can still
 *order and dispatch* such events, it just cannot compare their payloads
 by value.
+
+One flat writer, :func:`_write_value`, produces every value's bytes;
+event heads and ``object.__repr__`` snapshots are memoised, and a single
+blob cache serves repeated all-scalar events (see :func:`encode_batch`).
+The cache yields the plain writer's bytes for exact-type scalar
+payloads; a ``str`` or ``bytes`` subclass equal to a cached value is a
+known gap (ROADMAP.md).
 
 Changing any of this encoding requires bumping :data:`JOURNAL_VERSION`;
 ``tests/unit/runtime/test_journal_schema.py`` pins the golden bytes.
@@ -155,55 +162,87 @@ def _write_str(out: bytearray, text: str) -> None:
     out.extend(data)
 
 
-class _Encoder:
-    """One record body under construction; counts opaque fallbacks."""
+#: Default-repr snapshots, pre-encoded as opaque values: ``(cls,
+#: __module__, __qualname__, __name__, id(obj))`` → tag ‖ length ‖ text.
+#: ``object.__repr__`` prints ``module.qualname``, or the bare type name
+#: when the module is ``'builtins'``; with a ``str`` module its text is a
+#: pure function of that key, so an entry stays exact after a class is
+#: renamed, or after its object dies and the id is reused.  Only classes
+#: that keep ``object.__repr__`` and a ``str`` ``__module__`` qualify: a
+#: custom repr may read mutable state.  Cleared when full.
+_REPR_MEMO: Dict[tuple, bytes] = {}
+_REPR_MEMO_MAX = 4096
+_DEFAULT_REPR = object.__repr__
 
-    __slots__ = ("out", "opaque")
 
-    def __init__(self) -> None:
-        self.out = bytearray()
-        self.opaque = 0
+def _write_value(out: bytearray, value: Any) -> int:
+    """Append *value*'s tagged encoding to *out*; returns its opaque count.
 
-    def value(self, value: Any) -> None:
-        out = self.out
-        if value is None:
-            out.append(_T_NONE)
-        elif value is True:
-            out.append(_T_TRUE)
-        elif value is False:
-            out.append(_T_FALSE)
-        elif type(value) is int:
-            out.append(_T_INT)
-            _write_svarint(out, value)
-        elif type(value) is float:
-            out.append(_T_FLOAT)
-            out.extend(_F64.pack(value))
-        elif type(value) is str:
-            out.append(_T_STR)
-            _write_str(out, value)
-        elif type(value) is bytes:
-            out.append(_T_BYTES)
-            _write_uvarint(out, len(value))
-            out.extend(value)
-        elif type(value) is tuple or type(value) is list:
-            out.append(_T_TUPLE if type(value) is tuple else _T_LIST)
-            _write_uvarint(out, len(value))
-            for item in value:
-                self.value(item)
-        elif type(value) is dict:
-            out.append(_T_DICT)
-            _write_uvarint(out, len(value))
-            for key, item in value.items():
-                self.value(key)
-                self.value(item)
-        elif type(value) is Opaque:
-            # Re-journalling a decoded journal round-trips opaques as-is.
-            out.append(_T_OPAQUE)
-            _write_str(out, value.text)
-        else:
-            self.opaque += 1
-            out.append(_T_OPAQUE)
-            _write_str(out, repr(value))
+    Types are tested exactly, so bool (a subclass of int) and any other
+    subclass of a journallable type fall through to the right tag."""
+    if value is None:
+        out.append(_T_NONE)
+        return 0
+    if value is True:
+        out.append(_T_TRUE)
+        return 0
+    if value is False:
+        out.append(_T_FALSE)
+        return 0
+    cls = type(value)
+    if cls is int:
+        out.append(_T_INT)
+        _write_svarint(out, value)
+        return 0
+    if cls is float:
+        out.append(_T_FLOAT)
+        out += _F64.pack(value)
+        return 0
+    if cls is str:
+        out.append(_T_STR)
+        _write_str(out, value)
+        return 0
+    if cls is bytes:
+        out.append(_T_BYTES)
+        _write_uvarint(out, len(value))
+        out += value
+        return 0
+    if cls is tuple or cls is list:
+        out.append(_T_TUPLE if cls is tuple else _T_LIST)
+        _write_uvarint(out, len(value))
+        opaque = 0
+        for item in value:
+            opaque += _write_value(out, item)
+        return opaque
+    if cls is dict:
+        out.append(_T_DICT)
+        _write_uvarint(out, len(value))
+        opaque = 0
+        for key, item in value.items():
+            opaque += _write_value(out, key)
+            opaque += _write_value(out, item)
+        return opaque
+    if cls is Opaque:
+        # Re-journalling a decoded journal round-trips opaques as-is.
+        out.append(_T_OPAQUE)
+        _write_str(out, value.text)
+        return 0
+    module = getattr(cls, "__module__", None)
+    if cls.__repr__ is _DEFAULT_REPR and type(module) is str:
+        key = (cls, module, cls.__qualname__, cls.__name__, id(value))
+        blob = _REPR_MEMO.get(key)
+        if blob is None:
+            snapshot = bytearray((_T_OPAQUE,))
+            _write_str(snapshot, repr(value))
+            blob = bytes(snapshot)
+            if len(_REPR_MEMO) >= _REPR_MEMO_MAX:
+                _REPR_MEMO.clear()
+            _REPR_MEMO[key] = blob
+        out += blob
+    else:
+        out.append(_T_OPAQUE)
+        _write_str(out, repr(value))
+    return 1
 
 
 #: Scalar types that encode purely from (type, value) — safe to cache.
@@ -215,139 +254,106 @@ _SCALAR_TYPES = frozenset(
 )
 
 #: (thread id, kind, op, name, args, retval) → (blob, ret guard, args
-#: guard).  Real traces repeat a small set of event shapes (the same
-#: hooks firing with the same small value vocabulary), so on a hit the
-#: per-event encode cost collapses to one tuple build + one dict probe
-#: returning the fully pre-encoded thread-id + suffix bytes.  The key
-#: alone is ambiguous across numeric types (``1 == True == 1.0`` and
-#: they hash alike), so entries whose values carry numeric payloads keep
-#: a guard — the retval class and/or the original args tuple — that a
-#: hit must type-match before the cached bytes are trusted.  Only
-#: opaque-free suffixes are cached (an object's repr may change between
-#: occurrences).
+#: guard) for events with no target, scope or stack and a scalar
+#: payload.  On a hit the per-event encode cost is one tuple build and
+#: one dict probe returning the pre-encoded inner body.  The key alone
+#: is ambiguous across numeric types (``1 == True == 1.0`` and they hash
+#: alike), so entries whose values carry numeric payloads keep a guard —
+#: the retval class and/or the original args tuple — that a hit must
+#: type-match before the cached bytes are trusted.  Float zeros are
+#: never stored: ``-0.0 == 0.0`` with the same type, so no type guard
+#: could keep their signs apart.
 _SUFFIX_CACHE: Dict[tuple, Tuple[bytes, Optional[type], Optional[tuple]]] = {}
 _SUFFIX_CACHE_MAX = 4096
 
-#: Same idea for scope-carrying events (assertion sites): key grows a
-#: ``tuple(scope.items())`` tail, and the entry carries a third guard —
-#: the items tuple itself — when any scope key or value is numeric
-#: (``{1: x}`` and ``{True: x}`` hash alike).  Sites are a small share
-#: of a trace but pay the full per-event encode without this.
-_SCOPED_CACHE: Dict[
-    tuple, Tuple[bytes, Optional[type], Optional[tuple], Optional[tuple]]
-] = {}
+#: (thread id, kind, op, name) → encoded thread id ‖ kind ‖ op ‖ name.
+_HEAD_CACHE: Dict[tuple, bytes] = {}
 
-#: thread id → encoded zigzag varint (a handful per process).
-_TID_CACHE: Dict[int, bytes] = {}
+#: Encoded ``()``; the target, scope and stack of an event that has
+#: none of them (None, ``{}``, ``()``); and that tail after a None retval.
+_EMPTY_TUPLE = bytes((_T_TUPLE, 0))
+_EMPTY_TAIL = bytes((_T_NONE, _T_DICT, 0)) + _EMPTY_TUPLE
+_NONE_TAIL = bytes((_T_NONE,)) + _EMPTY_TAIL
 
 
-
-def _encode_suffix(event: RuntimeEvent, kind: int) -> Tuple[bytes, int]:
-    """Everything after the thread id: kind, op, name, payload values."""
-    enc = _Encoder()
-    out = enc.out
-    out.append(kind)
-    out.append(_OP_NONE if event.op is None else _OP_INDEX[event.op])
-    _write_str(out, event.name)
-    enc.value(tuple(event.args))
-    enc.value(event.retval)
-    enc.value(event.target)
-    enc.value(dict(event.scope))
-    enc.value(tuple(event.stack))
-    return bytes(out), enc.opaque
-
-
-def _encode_tid(tid: int) -> bytes:
-    buf = bytearray()
-    _write_svarint(buf, tid)
-    encoded = bytes(buf)
-    if len(_TID_CACHE) < 4096:
-        _TID_CACHE[tid] = encoded
-    return encoded
+def _encode_head(key: tuple) -> bytes:
+    tid, kind, op, name = key
+    kind_index = _KIND_INDEX.get(kind)
+    if kind_index is None:
+        raise JournalError(f"unjournallable event kind {kind!r}")
+    out = bytearray()
+    _write_svarint(out, tid)
+    out.append(kind_index)
+    out.append(_OP_NONE if op is None else _OP_INDEX[op])
+    _write_str(out, name)
+    if len(_HEAD_CACHE) >= _SUFFIX_CACHE_MAX:
+        _HEAD_CACHE.clear()
+    _HEAD_CACHE[key] = head = bytes(out)
+    return head
 
 
-def _encode_unseq(event: RuntimeEvent) -> Tuple[bytes, int]:
-    """One batch-inner event body: thread id + suffix, no seqno."""
-    kind = _KIND_INDEX.get(event.kind)
-    if kind is None:
-        raise JournalError(f"unjournallable event kind {event.kind!r}")
-    suffix, opaque = _encode_suffix(event, kind)
-    tid = event.thread_id
-    tid_bytes = _TID_CACHE.get(tid) or _encode_tid(tid)
-    return tid_bytes + suffix, opaque
+def _write_event(out: bytearray, event: RuntimeEvent) -> int:
+    """Append one seqno-less inner event body (thread id, kind, op, name,
+    args, retval, target, scope, stack) to *out*; returns its opaque
+    count.  The capture timestamp is the caller's to append."""
+    d = event.__dict__
+    key = (d["thread_id"], d["kind"], d["op"], d["name"])
+    out += _HEAD_CACHE.get(key) or _encode_head(key)
+    args = d["args"]
+    if args:
+        opaque = _write_value(
+            out, args if type(args) is tuple else tuple(args)
+        )
+    else:
+        out += _EMPTY_TUPLE
+        opaque = 0
+    retval = d["retval"]
+    target = d["target"]
+    scope = d["scope"]
+    stack = d["stack"]
+    if target is None and not scope and not stack:
+        if retval is None:
+            out += _NONE_TAIL
+        else:
+            opaque += _write_value(out, retval)
+            out += _EMPTY_TAIL
+        return opaque
+    opaque += _write_value(out, retval)
+    opaque += _write_value(out, target)
+    opaque += _write_value(out, scope if type(scope) is dict else dict(scope))
+    if stack:
+        return opaque + _write_value(
+            out, stack if type(stack) is tuple else tuple(stack)
+        )
+    out += _EMPTY_TUPLE
+    return opaque
 
 
 def _cache_blob(event: RuntimeEvent, key: tuple) -> Optional[bytes]:
     """Encode *event*'s inner body and cache it when the shape allows.
 
     Returns the blob when cached, None when the event must take the
-    uncached path (non-scalar values or opaque fallbacks)."""
+    uncached path (a non-scalar or float-zero value)."""
     scalars = _SCALAR_TYPES
+    numeric_args = False
     for value in event.args:
-        if value.__class__ not in scalars:
+        cls = type(value)
+        if cls not in scalars or (cls is float and value == 0.0):
             return None
+        if cls is int or cls is float or cls is bool:
+            numeric_args = True
     retval = event.retval
-    if retval.__class__ not in scalars:
+    cls = type(retval)
+    if cls not in scalars or (cls is float and retval == 0.0):
         return None
-    kind = _KIND_INDEX.get(event.kind)
-    if kind is None:
-        raise JournalError(f"unjournallable event kind {event.kind!r}")
-    suffix, opaque = _encode_suffix(event, kind)
-    if opaque:
-        return None
-    tid = event.thread_id
-    blob = (_TID_CACHE.get(tid) or _encode_tid(tid)) + suffix
-    ret_guard = retval.__class__ if isinstance(retval, (int, float)) else None
-    args_guard = (
-        event.args
-        if any(isinstance(value, (int, float)) for value in event.args)
-        else None
-    )
+    out = bytearray()
+    _write_event(out, event)
+    blob = bytes(out)
+    ret_guard = cls if cls is int or cls is float or cls is bool else None
     if len(_SUFFIX_CACHE) >= _SUFFIX_CACHE_MAX:
         _SUFFIX_CACHE.clear()
+    args_guard = event.args if numeric_args else None
     _SUFFIX_CACHE[key] = (blob, ret_guard, args_guard)
-    return blob
-
-
-def _cache_scoped_blob(
-    event: RuntimeEvent, key: tuple, items: tuple
-) -> Optional[bytes]:
-    """As :func:`_cache_blob` for scope-carrying events (sites)."""
-    scalars = _SCALAR_TYPES
-    for value in event.args:
-        if value.__class__ not in scalars:
-            return None
-    retval = event.retval
-    if retval.__class__ not in scalars:
-        return None
-    for k, v in items:
-        if k.__class__ not in scalars or v.__class__ not in scalars:
-            return None
-    kind = _KIND_INDEX.get(event.kind)
-    if kind is None:
-        raise JournalError(f"unjournallable event kind {event.kind!r}")
-    suffix, opaque = _encode_suffix(event, kind)
-    if opaque:
-        return None
-    tid = event.thread_id
-    blob = (_TID_CACHE.get(tid) or _encode_tid(tid)) + suffix
-    ret_guard = retval.__class__ if isinstance(retval, (int, float)) else None
-    args_guard = (
-        event.args
-        if any(isinstance(value, (int, float)) for value in event.args)
-        else None
-    )
-    scope_guard = (
-        items
-        if any(
-            isinstance(k, (int, float)) or isinstance(v, (int, float))
-            for k, v in items
-        )
-        else None
-    )
-    if len(_SCOPED_CACHE) >= _SUFFIX_CACHE_MAX:
-        _SCOPED_CACHE.clear()
-    _SCOPED_CACHE[key] = (blob, ret_guard, args_guard, scope_guard)
     return blob
 
 
@@ -355,10 +361,11 @@ def encode_event(seqno: int, event: RuntimeEvent) -> Tuple[bytes, int]:
     """Encode one slot as an ``E`` record body; returns (body, opaques)."""
     if seqno < 0:
         raise JournalError(f"journal seqnos are non-negative, got {seqno}")
-    inner, opaque = _encode_unseq(event)
-    head = bytearray((_REC_EVENT,))
-    _write_uvarint(head, seqno)
-    return bytes(head) + inner + _F64.pack(event.timestamp), opaque
+    body = bytearray((_REC_EVENT,))
+    _write_uvarint(body, seqno)
+    opaque = _write_event(body, event)
+    body += _F64.pack(event.timestamp)
+    return bytes(body), opaque
 
 
 def _encode_fallback(
@@ -386,11 +393,16 @@ def encode_batch(
     A batch whose seqnos form a contiguous ascending range — every
     drain-pass batch does, the merge is seqno-sorted over a gap-free
     counter — becomes one framed ``B`` record: the frame (length prefix
-    + CRC) and the base seqno are paid once, and the common event shape
-    (empty scope/stack, no target, scalar payload) resolves to a cached
-    pre-encoded blob, so steady-state cost per event is one dict probe
-    plus one byte concatenation.  Anything else falls back to per-event
-    ``E`` records.
+    + CRC) and the base seqno are paid once.  An event with no target,
+    scope or stack and a scalar payload resolves to a cached
+    pre-encoded blob (one dict probe plus one byte concatenation);
+    everything else is written straight into the record by
+    :func:`_write_event`, with memoised heads and default-repr
+    snapshots.  Both paths produce the same bytes for exact-type
+    scalar payloads; a hit only type-checks numeric values, so a
+    ``str``/``bytes`` subclass equal to a cached value gets the cached
+    bytes, not its opaque snapshot (a known gap, see ROADMAP.md).
+    Anything non-contiguous falls back to per-event ``E`` records.
     """
     if not isinstance(slots, list):
         slots = list(slots)
@@ -400,7 +412,8 @@ def encode_batch(
     base = slots[0][0]
     if base < 0 or slots[-1][0] - base + 1 != count:
         return _encode_fallback(slots)
-    cache = _SUFFIX_CACHE
+    probe = _SUFFIX_CACHE.get
+    pack = _F64.pack
     body = bytearray((_REC_BATCH,))
     _write_uvarint(body, count)
     _write_uvarint(body, base)
@@ -422,11 +435,7 @@ def encode_batch(
                 d["name"], d["args"], d["retval"],
             )
             try:
-                # Direct subscript, not .get(): the steady state is a
-                # hit, and the zero-cost try beats a bound-method call.
-                entry = cache[key]
-            except KeyError:
-                entry = None
+                entry = probe(key)
             except TypeError:  # unhashable payload: uncached path
                 entry = key = None
             if entry is not None:
@@ -446,51 +455,13 @@ def encode_batch(
                             break
             elif key is not None:
                 blob = _cache_blob(event, key)
-        elif not d["stack"] and d["target"] is None:
-            # Scope-carrying events (assertion sites): same cache idea
-            # with the scope snapshot folded into the key.
-            try:
-                items = tuple(d["scope"].items())
-                key = (
-                    d["thread_id"], d["kind"], d["op"],
-                    d["name"], d["args"], d["retval"], items,
-                )
-                entry = _SCOPED_CACHE[key]
-            except KeyError:
-                entry = None
-            except (TypeError, AttributeError):
-                entry = key = None
-            if entry is not None:
-                blob, ret_guard, args_guard, scope_guard = entry
-                if (
-                    ret_guard is not None
-                    and ret_guard is not d["retval"].__class__
-                ):
-                    blob = None
-                elif args_guard is not None and any(
-                    type(a) is not type(b)
-                    for a, b in zip(d["args"], args_guard)
-                ):
-                    blob = None
-                elif scope_guard is not None:
-                    for (ka, va), (kb, vb) in zip(items, scope_guard):
-                        if (
-                            type(ka) is not type(kb)
-                            or type(va) is not type(vb)
-                        ):
-                            blob = None
-                            break
-            elif key is not None:
-                blob = _cache_scoped_blob(event, key, items)
         if blob is None:
-            inner, opaque = _encode_unseq(event)
-            opaques += opaque
-            body += inner
+            opaques += _write_event(body, event)
         else:
             body += blob
         # Capture timestamp travels outside the cached blob so the blob
         # stays valid across events that differ only in capture time.
-        body += _F64.pack(d["timestamp"])
+        body += pack(d["timestamp"])
     frame = _U32.pack(len(body)) + body + _U32.pack(zlib.crc32(body))
     return frame, count, 1, opaques
 

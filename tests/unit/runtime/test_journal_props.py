@@ -1,10 +1,14 @@
 """Property tests for the durable trace journal (DESIGN §5.6).
 
-Three families of invariants:
+Four families of invariants:
 
 * **Round-trip identity** — encode/decode is the identity over the
   journallable value domain (and degrades to :class:`Opaque` snapshots,
   never silently, outside it).
+* **Writer equivalence** — the flat ``_write_value`` produces the same
+  bytes and opaque count as the reference encoder kept here, the batch
+  path produces the same inner bodies as per-event records, and the
+  default-repr memo never serves a stale snapshot.
 * **Ordering** — the on-disk record order preserves each producer
   thread's FIFO order and the global seqno order, across ring wraparound
   and overflow flushes.
@@ -16,7 +20,10 @@ Three families of invariants:
 
 from __future__ import annotations
 
+import gc
 import io
+import math
+import struct
 import threading
 
 import pytest
@@ -32,11 +39,14 @@ from repro.core.events import (
     return_event,
 )
 from repro.errors import JournalCorruption, JournalError
+from repro.runtime import journal as journal_mod
 from repro.runtime.journal import (
     JOURNAL_MAGIC,
     JournalWriter,
     Opaque,
+    _write_value,
     decode_event,
+    encode_batch,
     encode_event,
     read_journal,
 )
@@ -128,16 +138,16 @@ class TestRoundTrip:
 
 
 class TestBatchCache:
-    """``encode_batch`` pre-encodes repeated event shapes into blob
-    caches.  The caches key on value equality, and ``1 == True == 1.0``
-    hash alike — these tests pin that hash-equal but type-distinct
-    payloads never share cached bytes."""
+    """``encode_batch`` pre-encodes repeated event shapes into a blob
+    cache.  The cache keys on value equality, and ``1 == True == 1.0``
+    (and ``-0.0 == 0.0``) hash alike — these tests pin that hash-equal
+    but distinct payloads never share cached bytes."""
 
     @given(events=st.lists(_events, min_size=1, max_size=10))
     @settings(max_examples=100, deadline=None)
     def test_batch_round_trip_with_warm_cache(self, events):
         # Each event appears twice: the first occurrence populates the
-        # blob caches, the second must round-trip identically off a hit.
+        # blob cache, the second must round-trip identically off a hit.
         doubled = events + events
         slots = list(enumerate(doubled))
         buf = io.BytesIO()
@@ -198,6 +208,260 @@ class TestBatchCache:
                 assertion_site_event("a", {1: "x"}),
             ]
         )
+
+    def test_signed_zero_in_args_and_retval(self):
+        # -0.0 == 0.0 with the same type and hash, so no type guard can
+        # tell them apart: a cache hit must never serve one for the other.
+        events = [
+            return_event("f", (0.0,), 0.0),
+            return_event("f", (-0.0,), -0.0),
+            return_event("f", (0,), 0),
+            return_event("f", (-0.0,), -0.0),
+            return_event("f", (0.0,), 0.0),
+        ]
+        slots = list(enumerate(events))
+        buf = io.BytesIO()
+        writer = JournalWriter(buf)
+        writer.append_batch(slots)
+        writer.close()
+        got = read_journal(buf).events
+
+        def signs(event):
+            return [
+                (type(v), math.copysign(1.0, v))
+                for v in (*event.args, event.retval)
+            ]
+
+        assert [signs(e) for e in got] == [signs(e) for e in events]
+        for seqno, event in slots:
+            assert signs(decode_event(encode_event(seqno, event)[0])[1]) == (
+                signs(event)
+            )
+
+
+# -- writer equivalence --------------------------------------------------------
+
+
+def _uvarint_into(out, n):
+    while n >= 0x80:
+        out.append((n & 0x7F) | 0x80)
+        n >>= 7
+    out.append(n)
+
+
+def _reference_value(value):
+    """The recursive encoder ``_write_value`` replaced, kept as the oracle:
+    returns (bytes, opaque count) for one value."""
+    out = bytearray()
+    opaque = 0
+
+    def uvarint(n):
+        _uvarint_into(out, n)
+
+    def text(t):
+        data = t.encode("utf-8")
+        uvarint(len(data))
+        out.extend(data)
+
+    def encode(v):
+        nonlocal opaque
+        if v is None:
+            out.append(0x00)
+        elif v is True:
+            out.append(0x01)
+        elif v is False:
+            out.append(0x02)
+        elif type(v) is int:
+            out.append(0x03)
+            uvarint((v << 1) if v >= 0 else ((-v) << 1) - 1)
+        elif type(v) is float:
+            out.append(0x04)
+            out.extend(struct.pack("<d", v))
+        elif type(v) is str:
+            out.append(0x05)
+            text(v)
+        elif type(v) is bytes:
+            out.append(0x06)
+            uvarint(len(v))
+            out.extend(v)
+        elif type(v) is tuple or type(v) is list:
+            out.append(0x07 if type(v) is tuple else 0x08)
+            uvarint(len(v))
+            for item in v:
+                encode(item)
+        elif type(v) is dict:
+            out.append(0x09)
+            uvarint(len(v))
+            for key, item in v.items():
+                encode(key)
+                encode(item)
+        elif type(v) is Opaque:
+            out.append(0x7F)
+            text(v.text)
+        else:
+            opaque += 1
+            out.append(0x7F)
+            text(repr(v))
+
+    encode(value)
+    return bytes(out), opaque
+
+
+def _written(value):
+    out = bytearray()
+    opaque = _write_value(out, value)
+    return bytes(out), opaque
+
+
+class _Plain:
+    """Keeps ``object.__repr__``: its snapshots go through the memo."""
+
+
+class _OtherPlain:
+    """A second default-repr class, for id-reuse checks."""
+
+
+class _Custom:
+    """A custom repr: never memoised."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __repr__(self):
+        return f"_Custom({self.n})"
+
+
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-(2**64)),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.text(max_size=12),
+    st.binary(max_size=12),
+    st.text(max_size=12).map(Opaque),
+    st.builds(_Plain),
+    st.builds(_OtherPlain),
+    st.integers(min_value=-5, max_value=5).map(_Custom),
+)
+
+_hashable_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+    st.builds(_Plain),
+)
+
+_mixed_values = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_hashable_leaves, children, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+class TestFlatWriter:
+    @given(value=_mixed_values)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_encoder(self, value):
+        # Twice: the second pass reads default-repr snapshots back out
+        # of the memo the first pass filled.
+        assert _written(value) == _reference_value(value)
+        assert _written(value) == _reference_value(value)
+
+    def test_id_reuse_across_classes_gives_distinct_bytes(self):
+        # CPython usually hands a freed block straight to the next
+        # same-sized allocation; retry until an id is reused by an
+        # instance of the other class.
+        for _ in range(10_000):
+            first = _Plain()
+            assert _written(first) == _reference_value(first)
+            freed_id = id(first)
+            del first
+            second = _OtherPlain()
+            if id(second) == freed_id:
+                break
+        assert id(second) == freed_id, "allocator never reused an id"
+        got = _written(second)
+        assert got == _reference_value(second)
+        assert b"_OtherPlain object" in got[0]
+
+    def test_repr_patched_after_first_encode_is_honoured(self):
+        class Patchable:
+            pass
+
+        obj = Patchable()
+        assert _written(obj) == (_reference_value(obj)[0], 1)
+        Patchable.__repr__ = lambda self: "patched"
+        assert _written(obj) == _reference_value(obj)
+        assert b"patched" in _written(obj)[0]
+
+    def test_rename_under_builtins_module_is_honoured(self):
+        # object.__repr__ prints the bare type name, not the qualname,
+        # when the module is 'builtins'.
+        class Renamed:
+            pass
+
+        Renamed.__module__ = "builtins"
+        obj = Renamed()
+        assert _written(obj) == _reference_value(obj)
+        Renamed.__name__ = "Other"
+        got = _written(obj)
+        assert got == _reference_value(obj)
+        assert b"<Other object" in got[0]
+
+    def test_unhashable_module_is_snapshotted_unmemoised(self):
+        class Odd:
+            pass
+
+        Odd.__module__ = ["not", "a", "str"]
+        obj = Odd()
+        before = dict(journal_mod._REPR_MEMO)
+        assert _written(obj) == _reference_value(obj)
+        assert journal_mod._REPR_MEMO == before
+
+    def test_custom_repr_is_never_memoised(self):
+        obj = _Custom(1)
+        before = dict(journal_mod._REPR_MEMO)
+        _written(obj)
+        obj.n = 2
+        assert _written(obj) == _reference_value(obj)
+        assert journal_mod._REPR_MEMO == before
+
+    def test_repr_memo_stays_within_its_bound(self):
+        limit = journal_mod._REPR_MEMO_MAX
+        objects = [_Plain() for _ in range(limit + 10)]
+        for obj in objects:
+            assert _written(obj) == _reference_value(obj)
+            assert len(journal_mod._REPR_MEMO) <= limit
+        # Entries written before the clear are re-snapshotted exactly.
+        assert _written(objects[0]) == _reference_value(objects[0])
+
+    @given(events=st.lists(_events, min_size=1, max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_batch_inner_bodies_equal_event_records(self, events):
+        # Each event twice, so the second copy can come off a cache hit.
+        slots = list(enumerate(events + events, 5))
+        frame, count, records, _ = encode_batch(slots)
+        assert (count, records) == (len(slots), 1)
+        inner = bytearray()
+        for seqno, event in slots:
+            body, _ = encode_event(seqno, event)
+            prefix = bytearray((0x45,))
+            _uvarint_into(prefix, seqno)
+            assert body.startswith(prefix)
+            inner += body[len(prefix):]
+        header = bytearray((0x42,))
+        _uvarint_into(header, len(slots))
+        _uvarint_into(header, 5)
+        assert frame[4:-4] == bytes(header) + bytes(inner)
 
 
 # -- ordering ------------------------------------------------------------------
