@@ -5,13 +5,13 @@ TESLA's overhead; the deferred pipeline (DESIGN §5.4) attacks it by
 splitting *capture* from *evaluation*.  An application thread's cost per
 event drops to a seqno stamp plus one thread-local slot write, and the
 automaton work happens later, batched through ``dispatch_batch`` where
-each shard lock is taken once per drain rather than once per event.
+the global lock is taken once per drain rather than once per event.
 
 This bench pins down the three numbers that trade-off is made of:
 
 * **capture cost** — µs/event for ``handle_event`` on a deferred runtime
   (enqueue only, no sync keys in the loop) vs the same events dispatched
-  synchronously on the lazy/sharded/compiled runtime.  The acceptance
+  synchronously on the lazy/compiled runtime.  The acceptance
   bar: enqueue ≥ 2× faster than synchronous dispatch.
 * **drain throughput** — events/s through a flush of a large backlog,
   i.e. the rate the evaluation side must sustain to keep up.
@@ -74,7 +74,7 @@ def _assertions():
 
 def _runtime(**kwargs):
     runtime = TeslaRuntime(
-        policy=LogAndContinue(), lazy=True, shards=5, compile=True, **kwargs
+        policy=LogAndContinue(), lazy=True, compile=True, **kwargs
     )
     for assertion in _assertions():
         runtime.install_assertion(assertion)

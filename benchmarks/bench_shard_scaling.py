@@ -1,37 +1,43 @@
-"""Figure 12 revisited: lock-striped sharded store scaling, 1–16 threads.
+"""Figure 12 revisited: one global lock, per event vs batched, 1–16 threads.
 
 Figure 12 shows the global store's lock as TESLA's scalability cliff:
 every globally-scoped event "cannot complete until its instrumentation
-hook has finished running", and the seed reproduction funnelled all of
-them through one lock.  This bench sweeps worker threads over *disjoint*
-assertion classes — the workload lock striping is built for — in three
-configurations:
+hook has finished running", and libtesla funnels all of them through one
+lock.  This reproduction keeps that one lock; what it adds is
+``dispatch_batch``, which takes the lock once per batch and replays the
+batch in event order.  This bench sweeps worker threads over *disjoint*
+global assertion classes in two configurations:
 
-* ``single-lock``   — ``shards=1``, one event per ``handle_event`` call
-  (the seed's discipline);
-* ``sharded``       — ``shards=16``, still per-event dispatch;
-* ``sharded+batch`` — ``shards=16`` fed through ``dispatch_batch``, each
-  shard lock taken once per batch.
+* ``per-event``   — one ``handle_event`` call, and one lock round-trip,
+  per event (the paper's discipline);
+* ``batched``     — the same events fed through ``dispatch_batch`` in
+  batches of 64, one lock round-trip per batch.
 
 Two measurements come out:
 
 1. **End-to-end dispatch sweep.**  Substitution note (same caveat the
    fig. 12 bench records): CPython's GIL serialises the automaton math in
-   every configuration, so end-to-end the sweep shows parity-to-modest
+   both configurations, so end-to-end the sweep shows parity-to-modest
    gains rather than the paper's C-scale separation; the shape asserted
-   is "sharded never loses, batching wins".
-2. **Store-ingestion layer.**  The component this redesign actually
-   replaces — shard routing, lock round-trips and bound-state
-   bookkeeping, with the GIL-invariant automaton math excluded (the
-   fig. 12 precedent: measure the "explicit serialisation primitive" in
-   isolation).  Here the striped, batched store must beat the
-   one-lock-per-event baseline by ≥3× on 8 threads, which is the gain a
-   runtime without a GIL (the paper's C libtesla) would see end-to-end.
+   is "batching wins" on 8 threads.  Each point is the median of
+   ``REPEATS`` runs, the two configurations alternating, with the
+   interquartile range beside it.
+2. **Store-ingestion layer.**  The part batching changes — lock
+   round-trips and bound-state bookkeeping, with the GIL-invariant
+   automaton math excluded (the fig. 12 precedent: measure the "explicit
+   serialisation primitive" in isolation).  Here the batched lock must
+   beat the per-event lock by ≥3× on 8 threads.
+
+Smoke mode (``TESLA_BENCH_SMOKE=1``, used by CI) shrinks counts and skips
+the timing assertions while keeping every correctness assertion.
 """
 
 from __future__ import annotations
 
+import os
+import statistics
 import threading
+import time
 
 from repro.core.dsl import (
     ANY,
@@ -48,17 +54,17 @@ from repro.core.events import (
     call_event,
     return_event,
 )
-from repro.introspect.aggregate import format_shard_contention, shard_contention
 from repro.runtime.manager import TeslaRuntime
-from repro.runtime.store import ShardedGlobalStore
+from repro.runtime.store import GlobalStore
 
 from conftest import emit
 
+SMOKE = os.environ.get("TESLA_BENCH_SMOKE") == "1"
 THREAD_SWEEP = (1, 2, 4, 8, 16)
-CYCLES = 250           # init/check/site/cleanup cycles per thread
+CYCLES = 10 if SMOKE else 250      # init/check/site/cleanup cycles per thread
 BATCH = 64
-INGEST_EVENTS = 30_000  # per thread, ingestion-layer measurement
-SHARDS = 16
+INGEST_EVENTS = 640 if SMOKE else 30_000  # per thread, ingestion layer
+REPEATS = 1 if SMOKE else 7
 
 
 def sweep_assertion(index):
@@ -82,8 +88,6 @@ def event_stream(index, cycles=CYCLES):
 
 def run_threads(n_threads, make_worker):
     """Start n threads, time the span between start and finish barriers."""
-    import time
-
     barrier = threading.Barrier(n_threads + 1)
     threads = [
         threading.Thread(target=make_worker(tid, barrier))
@@ -100,9 +104,9 @@ def run_threads(n_threads, make_worker):
     return elapsed
 
 
-def dispatch_throughput(n_threads, shards, batch):
+def dispatch_throughput(n_threads, batch):
     """Events/second, disjoint classes, one class per thread."""
-    runtime = TeslaRuntime(shards=shards)
+    runtime = TeslaRuntime()
     for index in range(n_threads):
         runtime.install_assertion(sweep_assertion(index))
     streams = [event_stream(index) for index in range(n_threads)]
@@ -127,7 +131,7 @@ def dispatch_throughput(n_threads, shards, batch):
     for index in range(n_threads):
         cr = runtime.class_runtime(f"f12s_cls{index}")
         assert (cr.accepts, cr.errors) == (CYCLES, 0), "bench lost events"
-    return n_threads * len(streams[0]) / elapsed, runtime
+    return n_threads * len(streams[0]) / elapsed
 
 
 def _bound(index):
@@ -137,48 +141,23 @@ def _bound(index):
     )
 
 
-def ingest_single_lock(n_threads):
-    """The seed's serialisation discipline: one lock round-trip per event,
-    then the bound-state bookkeeping every global event performs."""
-    store = ShardedGlobalStore(shards=1)
-    shard = store.shards[0]
+def ingest_throughput(n_threads, batch):
+    """The global lock's ingestion cost: one lock round-trip per event
+    (``batch=1``) or per ``batch`` events, plus the bound-state
+    bookkeeping every global event performs."""
+    store = GlobalStore()
+    lock = store.lock
+    tracker = store.tracker
 
     def make_worker(tid, barrier):
         bound = _bound(tid)
         name = f"f12s_cls{tid}"
-        tracker = shard.tracker
-
-        def work():
-            barrier.wait()
-            for _ in range(INGEST_EVENTS):
-                with shard.lock:
-                    if tracker.open.get(bound):
-                        tracker.touched[bound].add(name)
-            barrier.wait()
-
-        return work
-
-    elapsed = run_threads(n_threads, make_worker)
-    return n_threads * INGEST_EVENTS / elapsed
-
-
-def ingest_striped_batched(n_threads, batch=BATCH):
-    """The sharded store's discipline: each event routed to its class's
-    shard, the shard lock amortised over one batch."""
-    store = ShardedGlobalStore(shards=SHARDS)
-
-    def make_worker(tid, barrier):
-        bound = _bound(tid)
-        name = f"f12s_cls{tid}"
-        shard = store.shard_for(name)
-        tracker = shard.tracker
 
         def work():
             barrier.wait()
             done = 0
             while done < INGEST_EVENTS:
-                with shard.lock:
-                    shard.batches += 1
+                with lock:
                     for _ in range(batch):
                         if tracker.open.get(bound):
                             tracker.touched[bound].add(name)
@@ -191,95 +170,83 @@ def ingest_striped_batched(n_threads, batch=BATCH):
     return n_threads * INGEST_EVENTS / elapsed
 
 
-def test_shard_scaling_shape(benchmark, results_dir):
-    # The ingest_* functions return throughput directly, so take the
-    # median of throughputs rather than using median_time.
-    def median_throughput(fn, repeats=3):
-        samples = sorted(fn() for _ in range(repeats))
-        return samples[repeats // 2]
+def alternating(samplers, repeats=REPEATS):
+    """Run each sampler once untimed (plan building and step generation),
+    then ``repeats`` times, alternating which goes first; returns
+    ``{label: (median, q1, q3)}``."""
+    labels = list(samplers)
+    for label in labels:
+        samplers[label]()
+    samples = {label: [] for label in labels}
+    for round_ in range(repeats):
+        order = labels if round_ % 2 == 0 else labels[::-1]
+        for label in order:
+            samples[label].append(samplers[label]())
+    out = {}
+    for label, values in samples.items():
+        if len(values) >= 2:
+            q1, _, q3 = statistics.quantiles(values, n=4)
+        else:
+            q1 = q3 = values[0]
+        out[label] = (statistics.median(values), q1, q3)
+    return out
 
+
+def _row(label, stats, unit):
+    median, q1, q3 = stats
+    return f"{label}  {median:.0f} {unit}  [{q1:.0f}–{q3:.0f}]"
+
+
+def test_single_lock_scaling_shape(benchmark, results_dir):
     def run_fixed():
         sweep = {}
         for n_threads in THREAD_SWEEP:
-            single, _ = dispatch_throughput(n_threads, shards=1, batch=None)
-            sharded, _ = dispatch_throughput(
-                n_threads, shards=SHARDS, batch=None
+            sweep[n_threads] = alternating(
+                {
+                    "per-event": lambda: dispatch_throughput(n_threads, None),
+                    "batched": lambda: dispatch_throughput(n_threads, BATCH),
+                }
             )
-            batched, runtime = dispatch_throughput(
-                n_threads, shards=SHARDS, batch=BATCH
-            )
-            sweep[n_threads] = (single, sharded, batched, runtime)
-        ingest_single = median_throughput(lambda: ingest_single_lock(8))
-        ingest_striped = median_throughput(lambda: ingest_striped_batched(8))
-        return sweep, ingest_single, ingest_striped
+        ingest = alternating(
+            {
+                "per-event": lambda: ingest_throughput(8, 1),
+                "batched": lambda: ingest_throughput(8, BATCH),
+            }
+        )
+        return sweep, ingest
 
-    sweep, ingest_single, ingest_striped = benchmark.pedantic(
-        run_fixed, rounds=1, iterations=1
-    )
+    sweep, ingest = benchmark.pedantic(run_fixed, rounds=1, iterations=1)
 
     lines = [
-        f"Figure 12 sweep: disjoint global classes, {CYCLES} cycles/thread,"
-        f" {SHARDS} shards, batch={BATCH} (events/sec)"
+        f"Figure 12 sweep: disjoint global classes, one global lock, "
+        f"{CYCLES} cycles/thread, batch={BATCH} "
+        f"(events/sec, median [IQR] of {REPEATS} alternating runs)"
     ]
-    for n_threads, (single, sharded, batched, _) in sweep.items():
+    for n_threads, rows in sweep.items():
+        single, batched = rows["per-event"], rows["batched"]
+        lines.append(_row(f"per-event {n_threads}T", single, "ev/s"))
         lines.append(
-            f"single-lock {n_threads}T  {single:.0f} ev/s"
+            _row(f"batched {n_threads}T", batched, "ev/s")
+            + f"   ({batched[0] / single[0]:.2f}x)"
         )
-        lines.append(
-            f"sharded {n_threads}T  {sharded:.0f} ev/s"
-            f"   ({sharded / single:.2f}x)"
-        )
-        lines.append(
-            f"sharded+batch {n_threads}T  {batched:.0f} ev/s"
-            f"   ({batched / single:.2f}x)"
-        )
-    ratio = ingest_striped / ingest_single
+    ratio = ingest["batched"][0] / ingest["per-event"][0]
     lines.append("")
     lines.append(
-        "store-ingestion layer, 8 threads (lock + shard routing + bound "
+        "store-ingestion layer, 8 threads (global lock + bound "
         "bookkeeping; automaton math excluded — GIL-invariant):"
     )
-    lines.append(f"ingest single-lock per-event  {ingest_single:.0f} ev/s")
-    lines.append(f"ingest striped batched  {ingest_striped:.0f} ev/s")
+    lines.append(_row("ingest per-event", ingest["per-event"], "ev/s"))
+    lines.append(_row("ingest batched", ingest["batched"], "ev/s"))
     lines.append(f"ingest speedup  {ratio:.2f} x")
-    lines.append("")
-    lines.append("per-shard contention, 8-thread batched end-to-end run:")
-    lines.append(
-        format_shard_contention(shard_contention(sweep[8][3]))
-    )
     emit(results_dir, "shard_scaling", "\n".join(lines))
 
-    # Shape claims.  End-to-end (GIL-serialised; see module docstring):
-    # striping never loses and batching wins on the contended runs.
-    single8, sharded8, batched8, _ = sweep[8]
-    assert sharded8 > single8 * 0.7, (sharded8, single8)
+    if SMOKE:
+        return
+    # Shape claim, end to end (GIL-serialised; see module docstring):
+    # batching wins on the contended 8-thread run.
+    single8 = sweep[8]["per-event"][0]
+    batched8 = sweep[8]["batched"][0]
     assert batched8 > single8 * 0.9, (batched8, single8)
-    # The acceptance claim: the serialisation layer the sharded store
-    # replaces is ≥3× faster striped+batched on 8 threads.
-    assert ratio >= 3.0, (ingest_striped, ingest_single, ratio)
-
-
-def test_contention_counters_under_load(results_dir):
-    """Contended acquisitions are visible through introspection when many
-    threads share one shard, and vanish when classes are disjoint."""
-    from repro.runtime.notify import LogAndContinue
-
-    # Interleaved threads sharing one global bound can produce spurious
-    # per-interleaving verdicts (same caveat as the fig. 12 bench), so
-    # this run logs rather than raises; the subject here is the counters.
-    runtime = TeslaRuntime(shards=1, policy=LogAndContinue())
-    runtime.install_assertion(sweep_assertion(0))
-    events = event_stream(0, cycles=100)
-
-    def make_worker(tid, barrier):
-        def work():
-            barrier.wait()
-            for event in events:
-                runtime.handle_event(event)
-            barrier.wait()
-
-        return work
-
-    run_threads(4, make_worker)
-    rows = shard_contention(runtime)
-    assert sum(row.acquisitions for row in rows) >= 4 * len(events)
+    # The ingestion bar: one lock round-trip per batch is ≥3× cheaper
+    # than one per event on 8 threads.
+    assert ratio >= 3.0, (ingest, ratio)

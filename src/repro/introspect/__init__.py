@@ -9,14 +9,11 @@ instrumentation points.
 from .aggregate import (
     AggregationRow,
     DispatchStats,
-    ShardContentionRow,
     StackAggregator,
     codegen_report,
     dispatch_stats,
     format_dispatch_stats,
-    format_shard_contention,
     governor_report,
-    shard_contention,
 )
 from .coverage import AssertionCoverage, CoverageReport, coverage_report
 from .health import HealthReport, format_health, health_report
@@ -26,14 +23,11 @@ from .weights import WeightedEdge, WeightedGraph, to_dot, weighted_graph
 __all__ = [
     "AggregationRow",
     "DispatchStats",
-    "ShardContentionRow",
     "StackAggregator",
     "codegen_report",
     "dispatch_stats",
     "format_dispatch_stats",
-    "format_shard_contention",
     "governor_report",
-    "shard_contention",
     "AssertionCoverage",
     "CoverageReport",
     "coverage_report",

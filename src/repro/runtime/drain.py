@@ -6,7 +6,7 @@ into verdicts: a *drain pass* collects every ring's published slots,
 sorts the combined batch by global sequence number (recovering an
 interleaving consistent with each thread's program order) and feeds it to
 :meth:`~repro.runtime.manager.TeslaRuntime.dispatch_batch` — the same
-shard-grouped ingestion the synchronous runtime uses, so sharding,
+batched ingestion the synchronous runtime offers, so the global lock,
 compiled plans, supervision and quarantine all compose unchanged.
 
 Two drain modes:
@@ -225,7 +225,7 @@ class DrainController:
 
     def _drain_pass(self, park: bool = False) -> int:
         """One merge-and-dispatch round: collect every ring, sort by
-        seqno, feed the shard dispatcher.  Returns slots consumed (the
+        seqno, feed the batched dispatcher.  Returns slots consumed (the
         pass made progress) — 0 means every ring was empty.
 
         ``park=True`` is the background drainer calling: anything that

@@ -18,17 +18,12 @@ only visits the classes actually touched during the bound.  This is the
 change that took the paper's microbenchmarks from ~100× to <7× overhead
 (figure 13).
 
-Global-context serialisation is *lock-striped* (figure 12's scalability
-fix): automata classes hash stably onto the shards of a
-:class:`~repro.runtime.store.ShardedGlobalStore`, and one event acquires
-each affected shard's lock exactly once.  Every piece of a class's work —
-bound entry, body events, cleanup — happens under its own shard's lock,
-so per-class event ordering is exactly the paper's; classes on different
-shards never contend.  :meth:`TeslaRuntime.dispatch_batch` amortises the
-locking further: a batch of events is grouped by shard and each shard
-lock is taken once per batch, preserving intra-batch event order per
-class (a class lives on exactly one shard, and each shard replays its
-sub-sequence in arrival order).
+Global-context serialisation is the paper's single lock (figure 12): every
+global-context class lives in one :class:`~repro.runtime.store.GlobalStore`,
+and an event with global work takes its lock once, so global event order
+is exactly the paper's.  :meth:`TeslaRuntime.dispatch_batch` amortises the
+locking: it takes the lock once per batch and replays the batch in event
+order, so a batch reports exactly what per-event dispatch would.
 """
 
 from __future__ import annotations
@@ -56,8 +51,8 @@ from .store import (
     BoundTracker,
     ClassRuntime,
     DispatchKey,
+    GlobalStore,
     PerThreadStores,
-    ShardedGlobalStore,
     Store,
 )
 from .update import (
@@ -102,7 +97,7 @@ def _dispatch_keys_of(automaton: Automaton) -> Dict[str, Set[DispatchKey]]:
 
 
 class _ContextPlan:
-    """One dispatch key's work within one context (a global shard, or the
+    """One dispatch key's work within one context (the global store, or the
     calling thread's local store)."""
 
     __slots__ = ("init_names", "init_bounds", "body", "cleanup_names",
@@ -121,26 +116,41 @@ class _ContextPlan:
 
 
 class _KeyPlan:
-    """Everything one dispatch key triggers, pre-split by shard.
+    """Everything one dispatch key triggers, pre-split by context.
 
     Computed once per key and cached — the indexes never change after
     installation, so dispatch does no per-event index walking.
     """
 
-    __slots__ = ("shard_work", "local", "initiated")
+    __slots__ = ("glob", "local", "initiated")
 
     def __init__(
         self,
-        shard_work: Tuple[Tuple[int, _ContextPlan], ...],
+        glob: Optional[_ContextPlan],
         local: Optional[_ContextPlan],
         initiated: frozenset,
     ) -> None:
-        self.shard_work = shard_work
+        self.glob = glob
         self.local = local
         self.initiated = initiated
 
 
-_EMPTY_PLAN = _KeyPlan((), None, frozenset())
+_EMPTY_PLAN = _KeyPlan(None, None, frozenset())
+
+
+def _violating_index(
+    events: List[RuntimeEvent], start: int, stop: int,
+    exc: TemporalAssertionError,
+) -> int:
+    """Index of the event in ``events[start:stop]`` that raised ``exc``
+    (a batch-per-key run reports its violation against the event it
+    judged), or the run's last index if the violation names none."""
+    culprit = exc.violation.event
+    for index in range(start, stop):
+        if events[index] is culprit:
+            return index
+    return stop - 1
+
 
 #: Every constructed runtime, for test hygiene (see ``reset_all_runtimes``).
 _live_runtimes: "weakref.WeakSet[TeslaRuntime]" = weakref.WeakSet()
@@ -152,12 +162,11 @@ def live_runtimes() -> List["TeslaRuntime"]:
 
 
 def reset_all_runtimes() -> None:
-    """Reset every live runtime: expunge instances, close bounds, zero
-    shard contention counters.
+    """Reset every live runtime: expunge instances and close bounds.
 
-    The shard layer's analogue of the instrumentation registries'
-    ``detach_all`` — test fixtures call it so automata state and per-shard
-    epoch trackers never leak across tests.
+    The runtime layer's analogue of the instrumentation registries'
+    ``detach_all`` — test fixtures call it so automata state and bound
+    trackers never leak across tests.
     """
     for runtime in live_runtimes():
         runtime.reset()
@@ -171,7 +180,6 @@ class TeslaRuntime:
         lazy: bool = True,
         capacity: int = DEFAULT_CAPACITY,
         policy: Optional[ErrorPolicy] = None,
-        shards: Optional[int] = None,
         compile: bool = True,
         failure_policy: Optional[FailurePolicy] = None,
         deferred: object = False,
@@ -197,10 +205,6 @@ class TeslaRuntime:
             raise ValueError(
                 f"capacity is the per-class instance pool size; it must be "
                 f">= 1, got {capacity!r}"
-            )
-        if shards is not None and shards < 1:
-            raise ValueError(
-                f"shards must be >= 1 (or None to auto-size), got {shards!r}"
             )
         if ring_capacity < 1:
             raise ValueError(
@@ -309,9 +313,8 @@ class TeslaRuntime:
         #: supervisor sheds or re-arms a class (weak: translators die with
         #: their instrumentation session).
         self._translators: "weakref.WeakSet" = weakref.WeakSet()
-        #: Lock-striped global store; ``shards=1`` gives the paper's exact
-        #: single-lock semantics, ``None`` picks min(32, 4×cpu_count).
-        self.global_store = ShardedGlobalStore(capacity, shards)
+        #: The global store: every global-context class behind one lock.
+        self.global_store = GlobalStore(capacity)
         self.thread_stores = PerThreadStores(capacity)
         self.automata: Dict[str, Automaton] = {}
         self.contexts: Dict[str, Context] = {}
@@ -393,10 +396,6 @@ class TeslaRuntime:
         #: skip hook weaving and site attachment.
         self.prove_elided: Set[str] = set()
         _live_runtimes.add(self)
-
-    @property
-    def shard_count(self) -> int:
-        return self.global_store.shard_count
 
     # -- supervision -----------------------------------------------------------
 
@@ -584,7 +583,7 @@ class TeslaRuntime:
 
     def _store_for(self, name: str) -> Store:
         if self.contexts[name] is Context.GLOBAL:
-            return self.global_store.shard_for(name).store
+            return self.global_store.store
         return self.thread_stores.current()
 
     def class_runtime(self, name: str) -> ClassRuntime:
@@ -630,7 +629,7 @@ class TeslaRuntime:
         return plan
 
     def _build_plan(self, key: DispatchKey) -> _KeyPlan:
-        shard_plans: Dict[int, _ContextPlan] = {}
+        glob = _ContextPlan()
         local = _ContextPlan()
         # Quarantined classes are shed at plan-build time: the supervisor's
         # change hook clears ``_key_plans``, so a trip or re-arm takes
@@ -644,13 +643,7 @@ class TeslaRuntime:
             shed = shed | gov.demoted
 
         def context_plan(name: str) -> _ContextPlan:
-            if self.contexts[name] is Context.GLOBAL:
-                index = self.global_store.shard_index(name)
-                plan = shard_plans.get(index)
-                if plan is None:
-                    plan = shard_plans[index] = _ContextPlan()
-                return plan
-            return local
+            return glob if self.contexts[name] is Context.GLOBAL else local
 
         init_names = [
             name
@@ -676,10 +669,10 @@ class TeslaRuntime:
             if bound not in plan.cleanup_bounds:
                 plan.cleanup_bounds.append(bound)
 
-        if not shard_plans and local.empty():
+        if glob.empty() and local.empty():
             return _EMPTY_PLAN
         return _KeyPlan(
-            shard_work=tuple(sorted(shard_plans.items())),
+            glob=None if glob.empty() else glob,
             local=None if local.empty() else local,
             initiated=frozenset(init_names),
         )
@@ -715,10 +708,10 @@ class TeslaRuntime:
             self._govern(1)
         key = (event.kind, event.name)
         plan = self._plan_for(key)
-        for index, work in plan.shard_work:
-            shard = self.global_store.shards[index]
-            with shard.lock:
-                self._run_plan(work, shard.store, shard.tracker, event,
+        if plan.glob is not None:
+            gs = self.global_store
+            with gs.lock:
+                self._run_plan(plan.glob, gs.store, gs.tracker, event,
                                plan.initiated, key)
         if plan.local is not None:
             store = self.thread_stores.current()
@@ -743,32 +736,31 @@ class TeslaRuntime:
     def dispatch_batch(
         self, events: Iterable[RuntimeEvent], include_local: bool = True
     ) -> int:
-        """Batched event ingestion: each shard lock is taken once.
+        """Batched event ingestion: the global lock is taken once.
 
-        Events are grouped by the shards they affect; each shard then
-        replays its sub-sequence, in arrival order, under a single lock
-        acquisition.  Because a class lives on exactly one shard, every
-        class still observes its events in exactly the order they appear
-        in the batch; only *cross-class* interleaving across shards is
-        relaxed, which is unobservable (unrelated assertions share no
-        state).  Thread-local work is replayed afterwards, in order, with
-        no locking — its serialisation is implicit within the calling
-        thread.
+        The batch is replayed in one pass, in event order, holding the
+        global lock from the first event with global work to the end of
+        the batch.  Each event runs its global share and then its
+        thread-local share, exactly as :meth:`handle_event` does, so every
+        observable stream — violation order across classes included — is
+        the one per-event dispatch produces.
 
         Under a fail-stop policy a violation raises mid-batch and the
         remaining events are not processed, exactly as if the same events
-        had been dispatched one at a time.  Returns the number of events
-        ingested.
+        had been dispatched one at a time (``events_processed`` then counts
+        up to and including the violating event).  Returns the number of
+        events ingested.
 
         ``include_local=False`` is the drain pass calling: thread-local
         work was already evaluated inline at capture time on the owning
-        thread, so only the shard (global-context) share runs here.  An
-        external caller in deferred mode first flushes the rings so the
-        explicit batch cannot overtake events captured before it.
+        thread, so only the global share runs here.  An external caller in
+        deferred mode first flushes the rings so the explicit batch cannot
+        overtake events captured before it.
         """
         if self.drain is not None and include_local:
             self.drain.flush()
         events = list(events)
+        n = len(events)
         if include_local:
             # External batch entry: same capture-stamping contract as
             # handle_event.  The drain's internal passes come through with
@@ -782,75 +774,69 @@ class TeslaRuntime:
                 for event in events:
                     if event.timestamp > self._max_event_ts:
                         self._max_event_ts = event.timestamp
-        self.events_processed += len(events)
-        self.supervisor.advance(len(events))
-        if self.governor is not None and events:
-            self._govern(len(events))
-        per_shard: Dict[
-            int, List[Tuple[_ContextPlan, RuntimeEvent, frozenset, DispatchKey]]
-        ] = {}
-        local_work: List[
-            Tuple[_ContextPlan, RuntimeEvent, frozenset, DispatchKey]
-        ] = []
-        for event in events:
-            key = (event.kind, event.name)
-            plan = self._plan_for(key)
-            for index, work in plan.shard_work:
-                per_shard.setdefault(index, []).append(
-                    (work, event, plan.initiated, key)
-                )
-            if include_local and plan.local is not None:
-                local_work.append((plan.local, event, plan.initiated, key))
-        # Batch-per-key fast path (tesla-jit): consecutive entries in a
-        # shard's sub-sequence that share a dispatch key, touch exactly one
-        # class and carry no init/cleanup work can be evaluated by that
-        # class's generated ``step_batch`` in ONE call, amortising the
-        # per-event dispatch overhead of the drain.  Restricting runs to
-        # single-class pure-body work keeps every observable stream exact:
-        # with one class there is no cross-class interleaving to reorder,
-        # and with no init/cleanup the tracker state is constant across the
-        # run, so one lazy join covers it.  Armed fault injection falls
+        # Batch-per-key fast path (tesla-jit): a run of consecutive
+        # same-key events whose whole share is one class's pure-body work
+        # is evaluated by that class's generated ``step_batch`` in ONE
+        # call, amortising the per-event dispatch overhead of the drain.
+        # With one class there is no cross-class interleaving to reorder,
+        # and with no init/cleanup the tracker state is constant across
+        # the run, so one lazy join covers it.  Armed fault injection falls
         # back to per-event dispatch so fault streams are byte-identical.
         batching = self.compiled and _fi._active is None
-        for index in sorted(per_shard):
-            shard = self.global_store.shards[index]
-            entries = per_shard[index]
-            with shard.lock:
-                shard.batches += 1
-                if not batching:
-                    for work, event, initiated, key in entries:
-                        self._run_plan(work, shard.store, shard.tracker,
-                                       event, initiated, key)
+        gs = self.global_store
+        lock = None
+        local_store = None
+        i = 0
+        try:
+            self.supervisor.advance(n)
+            if self.governor is not None and events:
+                self._govern(n)
+            while i < n:
+                event = events[i]
+                key = (event.kind, event.name)
+                plan = self._plan_for(key)
+                glob = plan.glob
+                local = plan.local if include_local else None
+                if glob is None and local is None:
+                    i += 1
                     continue
-                i, n = 0, len(entries)
-                while i < n:
-                    work, event, initiated, key = entries[i]
-                    if (work.init_names or work.cleanup_names
-                            or len(work.body) != 1):
-                        self._run_plan(work, shard.store, shard.tracker,
-                                       event, initiated, key)
-                        i += 1
-                        continue
-                    j = i + 1
-                    while (j < n and entries[j][3] == key
-                           and entries[j][0] is work
-                           and entries[j][2] == initiated):
-                        j += 1
-                    if j - i > 1:
-                        self._run_body_batch(
-                            work, shard.store, shard.tracker,
-                            [e[1] for e in entries[i:j]], initiated, key,
-                        )
-                    else:
-                        self._run_plan(work, shard.store, shard.tracker,
-                                       event, initiated, key)
-                    i = j
-        if local_work:
-            store = self.thread_stores.current()
-            tracker = store.tracker
-            for work, event, initiated, key in local_work:
-                self._run_plan(work, store, tracker, event, initiated, key)
-        return len(events)
+                if glob is not None and lock is None:
+                    lock = gs.lock
+                    lock.acquire()
+                if local is not None and local_store is None:
+                    local_store = self.thread_stores.current()
+                if batching and (glob is None or local is None):
+                    work = glob or local
+                    if (len(work.body) == 1 and not work.init_names
+                            and not work.cleanup_names):
+                        j = i + 1
+                        while (j < n and events[j].kind is key[0]
+                               and events[j].name == key[1]):
+                            j += 1
+                        if j - i > 1:
+                            store = gs.store if work is glob else local_store
+                            try:
+                                self._run_body_batch(
+                                    work, store, store.tracker, events[i:j],
+                                    plan.initiated, key,
+                                )
+                            except TemporalAssertionError as exc:
+                                i = _violating_index(events, i, j, exc)
+                                raise
+                            i = j
+                            continue
+                if glob is not None:
+                    self._run_plan(glob, gs.store, gs.tracker, event,
+                                   plan.initiated, key)
+                if local is not None:
+                    self._run_plan(local, local_store, local_store.tracker,
+                                   event, plan.initiated, key)
+                i += 1
+        finally:
+            if lock is not None:
+                lock.release()
+            self.events_processed += min(i + 1, n)
+        return n
 
     def _run_plan(
         self,
@@ -861,8 +847,8 @@ class TeslaRuntime:
         initiated: frozenset,
         key: DispatchKey,
     ) -> None:
-        """One context's share of one event (caller holds the shard lock
-        for global contexts; thread-local contexts need none).
+        """One context's share of one event (caller holds the global lock
+        for the global context; thread-local contexts need none).
 
         Every per-class unit of work runs inside a containment boundary:
         a fault in one class's matchers, plans or pool is routed through
@@ -994,7 +980,8 @@ class TeslaRuntime:
         key: DispatchKey,
     ) -> None:
         """One class's pure-body share of a run of same-key events, in one
-        generated ``step_batch`` call (caller holds the shard lock).
+        generated ``step_batch`` call (caller holds the global lock when
+        ``store`` is the global store).
 
         Only reached for runs with no init/cleanup work and exactly one
         body class (``dispatch_batch`` enforces this), so the tracker's
@@ -1063,9 +1050,9 @@ class TeslaRuntime:
         supervisor = self.supervisor
         for name in self._timed_classes:
             if self.contexts[name] is Context.GLOBAL:
-                shard = self.global_store.shard_for(name)
-                with shard.lock:
-                    cr = shard.store.get(name)
+                gs = self.global_store
+                with gs.lock:
+                    cr = gs.store.get(name)
                     if cr is None:
                         continue
                     try:

@@ -2,14 +2,14 @@
 
 The paper's hot path is synchronous: "an event cannot complete until its
 instrumentation hook has finished running", so instrumented-thread latency
-is bounded by automaton work plus a shard lock round-trip.  The deferred
+is bounded by automaton work plus a global-lock round-trip.  The deferred
 pipeline (DESIGN §5.4) splits *capture* from *evaluation* the way
 stream-runtime checkers do: an application thread appending an event pays
 one sequence-number stamp and one slot write into a thread-local,
 preallocated :class:`EventRing` — no locks, no event-key planning, no
 automaton work — and a drain pass (:mod:`repro.runtime.drain`) later
 merges every thread's ring by global sequence number and replays the
-merged stream through the ordinary shard dispatch in batches.
+merged stream through the ordinary batched dispatch.
 
 Verdict equivalence rests on two properties this module owns:
 

@@ -401,7 +401,7 @@ class Supervisor:
             QuarantineState.PERMANENT,
         ):
             # Faults from an already-shed class (e.g. mid-flight events on
-            # another shard) do not re-trip it.
+            # another thread) do not re-trip it.
             return False
         if record is not None and record.state is QuarantineState.PROBATION:
             # One strike on probation: immediate re-trip, longer cooldown.

@@ -351,7 +351,7 @@ def lazy_join_bound(
     Opening a bound is one epoch bump on the context's tracker; a class
     only picks the bound up here, on its first relevant event inside the
     epoch.  The caller must hold whatever lock serialises ``cr`` (the
-    owning shard's lock for global classes; nothing for thread-local
+    global store's lock for global classes; nothing for thread-local
     ones) — ``tracker`` is always the same context's as ``cr``.
 
     ``governor`` is the overhead governor's 1-in-N sampling gate (DESIGN

@@ -37,7 +37,6 @@ def monitoring(
     capacity: Optional[int] = None,
     compile: Optional[bool] = None,
     failure_policy: Optional[FailurePolicy] = None,
-    shards: Optional[int] = None,
     deferred: object = False,
     overflow_policy: Optional[str] = None,
     ring_capacity: Optional[int] = None,
@@ -64,8 +63,8 @@ def monitoring(
     ``failure_policy`` selects
     how faults *inside the monitor* are handled (fail-stop default,
     fail-open, callback, or quarantine — see
-    :mod:`repro.runtime.supervisor`); ``shards`` sets the global store's
-    lock-stripe count.
+    :mod:`repro.runtime.supervisor`).  Global-context assertions share
+    the runtime's one global-store lock, as in the paper's libtesla.
 
     ``deferred`` moves evaluation off the instrumented threads (DESIGN
     §5.4): ``True`` captures events into per-thread ring buffers drained
@@ -117,8 +116,6 @@ def monitoring(
         kwargs["compile"] = compile
     if failure_policy is not None:
         kwargs["failure_policy"] = failure_policy
-    if shards is not None:
-        kwargs["shards"] = shards
     if deferred:
         kwargs["deferred"] = deferred
     if overflow_policy is not None:

@@ -70,9 +70,9 @@ def clean_global_state():
     mac_framework.unregister_all()
     procfs_unmount()
     NSCursor.reset_stack()
-    # Runtime-level global registries: every live TeslaRuntime's sharded
-    # store keeps instances, per-shard bound-tracker epochs and contention
-    # counters; expunge them all so no automata state crosses tests.
+    # Runtime-level global registries: every live TeslaRuntime's stores
+    # keep instances and bound-tracker epochs; expunge them all so no
+    # automata state crosses tests.
     reset_all_runtimes()
     # A leaked armed fault injector would make every later test chaotic.
     disarm()

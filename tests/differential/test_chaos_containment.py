@@ -9,7 +9,7 @@ never correctness.  This module is that experiment:
 * a small deterministic application built on real instrumentation hooks
   (:func:`instrumentable` bounds/checks plus :func:`tesla_site` sites);
 * a baseline pass with no monitoring and no injection;
-* monitored passes across the naive / sharded / compiled / deferred
+* monitored passes across the naive / lazy / compiled / deferred
   runtime configurations with a seeded :class:`FaultInjector` armed —
   per-site at rate 1.0 for boundary coverage, then a combined ~10k-event
   trace;
@@ -148,21 +148,21 @@ def chaos_assertions(n_classes: int = 3):
 
 
 CONFIGS = [
-    ("naive", dict(lazy=False, shards=1, compile=False)),
-    ("sharded", dict(lazy=True, shards=5, compile=False)),
+    ("naive", dict(lazy=False, compile=False)),
+    ("lazy", dict(lazy=True, compile=False)),
     # The compiled rows normally run tesla-jit's generated steps; an armed
     # injector routes them through the compiled plan walk instead, so
     # every fault site stays reachable and the verdict/containment
     # contract is unchanged.
-    ("compiled", dict(lazy=True, shards=5, compile=True)),
-    ("deferred", dict(lazy=True, shards=5, compile=True, deferred="manual")),
-    ("deferred-bg", dict(lazy=True, shards=5, compile=True, deferred=True)),
+    ("compiled", dict(lazy=True, compile=True)),
+    ("deferred", dict(lazy=True, compile=True, deferred="manual")),
+    ("deferred-bg", dict(lazy=True, compile=True, deferred=True)),
     # Overhead governor armed (DESIGN §5.8).  The generous budget keeps
     # the ladder mostly quiet; what matters here is that the governor's
     # charge path runs on every dispatched class so its fault site is
     # reachable — and that a faulting governor trips (fail-safe) without
     # ever perturbing the application or the containment accounting.
-    ("governed", dict(lazy=True, shards=5, compile=True,
+    ("governed", dict(lazy=True, compile=True,
                       overhead_budget=0.9)),
 ]
 
@@ -299,7 +299,6 @@ class TestCombinedChaos:
                     policy=LogAndContinue(),
                     failure_policy=policy,
                     lazy=True,
-                    shards=1,
                 ) as runtime:
                     run_app(ops)
                     return tuple(
@@ -346,7 +345,6 @@ class TestThreadedChaos:
                 policy=LogAndContinue(),
                 failure_policy=FailOpen(),
                 lazy=True,
-                shards=5,
             ) as runtime:
                 threads = [
                     threading.Thread(target=worker, args=(index,))
@@ -383,7 +381,6 @@ class TestDeferredChaos:
                     policy=LogAndContinue(),
                     failure_policy=FailOpen(),
                     lazy=True,
-                    shards=5,
                     deferred="manual",
                 ) as runtime:
                     result = run_app(ops)
@@ -430,7 +427,6 @@ class TestDeferredChaos:
                 policy=LogAndContinue(),
                 failure_policy=FailOpen(),
                 lazy=True,
-                shards=5,
                 compile=True,
                 deferred=True,
             ) as runtime:
@@ -471,7 +467,6 @@ class TestGovernorChaos:
             policy=LogAndContinue(),
             failure_policy=FailOpen(),
             lazy=True,
-            shards=5,
             compile=True,
             **kwargs,
         ) as runtime:
@@ -520,7 +515,6 @@ class TestGovernorChaos:
                 policy=LogAndContinue(),
                 failure_policy=FailOpen(),
                 lazy=True,
-                shards=5,
                 compile=True,
                 overhead_budget=0.01,
             ) as runtime:

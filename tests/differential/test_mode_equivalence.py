@@ -1,4 +1,4 @@
-"""Differential stress-test harness: naive ≡ lazy ≡ sharded ≡ batched.
+"""Differential stress-test harness: naive ≡ lazy ≡ batched ≡ compiled.
 
 The same randomized event trace — arbitrary interleavings of bound
 entry/exit, body events and assertion sites over several assertion
@@ -6,17 +6,14 @@ classes in both global and per-thread contexts — is replayed through
 every runtime configuration:
 
 * **naive** (``lazy=False``): the paper's first implementation, eager
-  wildcard materialisation, single-lock global store (``shards=1``);
-* **lazy** (``lazy=True``): the §5.2.2 optimisation, single lock;
-* **sharded**: lazy mode over the lock-striped global store;
-* **naive sharded**: eager mode over the striped store;
-* **batched**: the striped store fed through
-  :meth:`TeslaRuntime.dispatch_batch` in odd-sized chunks;
+  wildcard materialisation;
+* **lazy** (``lazy=True``): the §5.2.2 optimisation;
+* **batched**: lazy mode fed through :meth:`TeslaRuntime.dispatch_batch`
+  in odd-sized chunks;
 * **compiled** / **compiled-naive**: the compiled dispatch path
   (``compile=True``: tesla-jit's generated step functions over compiled
-  transition plans, DESIGN §5.7) in lazy-sharded and eager-single-lock
-  flavours — interpreted and generated matchers must be observationally
-  identical;
+  transition plans, DESIGN §5.7) in lazy and eager flavours —
+  interpreted and generated matchers must be observationally identical;
 * **compiled-batched**: the compiled path fed through ``dispatch_batch``
   in odd-sized chunks, which exercises the batch-per-key drain (one
   generated ``step_batch`` call per same-key run).
@@ -26,11 +23,14 @@ assertion-sites-reached count and final live-instance count.  The paper's
 semantics ("an event cannot complete until its instrumentation hook has
 finished running") say these are pure functions of the per-class event
 order, which every configuration claims to preserve — this harness is the
-check that the claim survives lock striping and batching.
+check that the claim survives batching and compilation.  Batched dispatch
+promises more: the whole violation stream, in order across classes and
+contexts, and the first fail-stop violation are exactly per-event
+dispatch's.
 
 Two deferred-pipeline configurations ride the same sweep (**deferred**:
-per-thread ring capture with explicit drains; **deferred-compiled-
-sharded**: the same over the striped store with compiled plans), and a
+per-thread ring capture with explicit drains; **deferred-compiled**: the
+same with compiled plans), and a
 *replay oracle* extends the check to real concurrency: randomized
 8-thread traces are captured through the rings, the merged (seqno-sorted)
 dispatch sequence is recorded, and that exact sequence is replayed
@@ -65,6 +65,7 @@ from repro.core.events import (
     return_event,
 )
 from repro.core.translate import translate_all
+from repro.errors import TemporalAssertionError
 from repro.runtime.manager import TeslaRuntime
 from repro.runtime.notify import LogAndContinue
 
@@ -108,12 +109,12 @@ def _automaton_for(index: int, bound: int, context: str):
 
 
 def build_runtime(
-    specs: Tuple[ClassSpec, ...], lazy: bool, shards: int,
-    compile: bool = False, deferred: object = False,
+    specs: Tuple[ClassSpec, ...], lazy: bool,
+    compile: bool = False, deferred: object = False, fail_stop: bool = False,
 ):
     runtime = TeslaRuntime(
-        lazy=lazy, shards=shards, policy=LogAndContinue(), compile=compile,
-        deferred=deferred,
+        lazy=lazy, policy=None if fail_stop else LogAndContinue(),
+        compile=compile, deferred=deferred,
     )
     for index, (bound, context) in enumerate(specs):
         automaton, ast_context = _automaton_for(index, bound, context)
@@ -192,18 +193,14 @@ def scenarios(draw):
 
 
 CONFIGS = [
-    ("naive", dict(lazy=False, shards=1, compile=False)),
-    ("lazy", dict(lazy=True, shards=1, compile=False)),
-    ("sharded", dict(lazy=True, shards=5, compile=False)),
-    ("naive-sharded", dict(lazy=False, shards=5, compile=False)),
-    ("batched", dict(lazy=True, shards=5, compile=False)),
-    ("compiled", dict(lazy=True, shards=5, compile=True)),
-    ("compiled-naive", dict(lazy=False, shards=1, compile=True)),
-    ("compiled-batched", dict(lazy=True, shards=5, compile=True)),
-    ("deferred", dict(lazy=True, shards=1, compile=False,
-                      deferred="manual")),
-    ("deferred-compiled-sharded", dict(lazy=True, shards=5, compile=True,
-                                       deferred="manual")),
+    ("naive", dict(lazy=False, compile=False)),
+    ("lazy", dict(lazy=True, compile=False)),
+    ("batched", dict(lazy=True, compile=False)),
+    ("compiled", dict(lazy=True, compile=True)),
+    ("compiled-naive", dict(lazy=False, compile=True)),
+    ("compiled-batched", dict(lazy=True, compile=True)),
+    ("deferred", dict(lazy=True, compile=False, deferred="manual")),
+    ("deferred-compiled", dict(lazy=True, compile=True, deferred="manual")),
 ]
 
 
@@ -251,7 +248,7 @@ def test_all_modes_agree(scenario):
 @given(scenarios())
 def test_violation_streams_agree(scenario):
     """Not just counts: the per-class sequence of violation reasons must
-    match between the single-lock and sharded/batched configurations."""
+    match across every configuration."""
     specs, ops = scenario
     events = events_of(ops)
     streams = {}
@@ -267,6 +264,59 @@ def test_violation_streams_agree(scenario):
     baseline = streams["naive"]
     for name, got in streams.items():
         assert got == baseline, f"{name} violation stream diverged"
+
+
+def _violation_order(runtime: TeslaRuntime, events: List[RuntimeEvent]):
+    """The whole violation stream: (class, index of the judged event)."""
+    where = {id(event): i for i, event in enumerate(events)}
+    return [
+        (violation.automaton, where.get(id(violation.event)))
+        for violation in runtime.hub.policy.violations
+    ]
+
+
+def _first_fail_stop(runtime, events, batched):
+    """Drive to the first fail-stop violation: (class, event index,
+    events_processed), or None for a clean trace."""
+    where = {id(event): i for i, event in enumerate(events)}
+    try:
+        replay("batched" if batched else "per-event", runtime, events)
+    except TemporalAssertionError as exc:
+        violation = exc.violation
+        return (
+            violation.automaton,
+            where.get(id(violation.event)),
+            runtime.events_processed,
+        )
+    return None
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(scenarios())
+def test_batched_dispatch_is_per_event_dispatch(scenario):
+    """``dispatch_batch`` replays in event order: over mixed global and
+    per-thread classes it reports the same violations in the same order
+    as per-event dispatch, and under fail-stop raises the same first
+    violation after the same number of events."""
+    specs, ops = scenario
+    events = events_of(ops)
+    for compile in (False, True):
+        orders = {}
+        firsts = {}
+        for batched in (False, True):
+            runtime = build_runtime(specs, lazy=True, compile=compile)
+            replay("batched" if batched else "per-event", runtime, events)
+            orders[batched] = _violation_order(runtime, events)
+            runtime = build_runtime(
+                specs, lazy=True, compile=compile, fail_stop=True
+            )
+            firsts[batched] = _first_fail_stop(runtime, events, batched)
+        assert orders[True] == orders[False], (compile, specs, ops)
+        assert firsts[True] == firsts[False], (compile, specs, ops)
 
 
 def test_known_interleaving_regression():
@@ -304,14 +354,13 @@ def test_known_interleaving_regression():
 # -- the replay oracle: real concurrency vs the naive interpreter --------------
 
 #: Deferred flavours the multi-thread oracle sweeps: deterministic manual
-#: drains, the compiled+sharded fast path, and the background drainer
-#: racing the producers for real.
+#: drains, the compiled fast path, and the background drainer racing the
+#: producers for real.
 MT_DEFERRED_CONFIGS = [
-    ("mt-deferred", dict(lazy=True, shards=1, compile=False,
-                         deferred="manual")),
-    ("mt-deferred-compiled-sharded", dict(lazy=True, shards=5, compile=True,
-                                          deferred="manual")),
-    ("mt-deferred-background", dict(lazy=True, shards=5, compile=True,
+    ("mt-deferred", dict(lazy=True, compile=False, deferred="manual")),
+    ("mt-deferred-compiled", dict(lazy=True, compile=True,
+                                  deferred="manual")),
+    ("mt-deferred-background", dict(lazy=True, compile=True,
                                     deferred=True)),
 ]
 
@@ -403,7 +452,7 @@ def test_deferred_multithread_matches_naive_replay_of_merged_trace(scenario):
         seqnos = [seqno for seqno, _ in log]
         assert seqnos == sorted(seqnos)
         assert len(seqnos) == len(set(seqnos)) == stats["events_drained"]
-        reference = build_runtime(specs, lazy=False, shards=1, compile=False)
+        reference = build_runtime(specs, lazy=False, compile=False)
         for _, event in log:
             reference.handle_event(event)
         expected = verdict(reference, len(specs))
@@ -426,10 +475,10 @@ def test_deferred_multithread_violation_streams_match_replay(scenario):
     must match the naive replay of the merged trace."""
     specs, thread_ops = scenario
     runtime = build_runtime(
-        specs, lazy=True, shards=5, compile=True, deferred="manual"
+        specs, lazy=True, compile=True, deferred="manual"
     )
     log = capture_concurrently(runtime, thread_ops)
-    reference = build_runtime(specs, lazy=False, shards=1, compile=False)
+    reference = build_runtime(specs, lazy=False, compile=False)
     for _, event in log:
         reference.handle_event(event)
 

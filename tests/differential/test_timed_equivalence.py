@@ -217,19 +217,16 @@ def timed_scenarios(draw):
 
 
 CONFIGS = [
-    ("naive", dict(lazy=False, shards=1, compile=False)),
-    ("lazy", dict(lazy=True, shards=1, compile=False)),
-    ("sharded", dict(lazy=True, shards=5, compile=False)),
-    ("batched", dict(lazy=True, shards=5, compile=False)),
+    ("naive", dict(lazy=False, compile=False)),
+    ("lazy", dict(lazy=True, compile=False)),
+    ("batched", dict(lazy=True, compile=False)),
     # tesla-jit refuses clock guards per plan and falls back to the
     # compiled plan walk — the compiled rows prove the fallback is loud
     # but semantically invisible, per event and per batch-per-key run.
-    ("compiled", dict(lazy=True, shards=5, compile=True)),
-    ("compiled-batched", dict(lazy=True, shards=5, compile=True)),
-    ("deferred", dict(lazy=True, shards=1, compile=False,
-                      deferred="manual")),
-    ("deferred-compiled", dict(lazy=True, shards=5, compile=True,
-                               deferred="manual")),
+    ("compiled", dict(lazy=True, compile=True)),
+    ("compiled-batched", dict(lazy=True, compile=True)),
+    ("deferred", dict(lazy=True, compile=False, deferred="manual")),
+    ("deferred-compiled", dict(lazy=True, compile=True, deferred="manual")),
 ]
 
 

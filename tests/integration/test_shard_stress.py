@@ -1,4 +1,4 @@
-"""Multi-threaded stress tests for the lock-striped sharded global store.
+"""Multi-threaded stress tests for the single-lock global store.
 
 Two regimes, both with 8 worker threads:
 
@@ -8,15 +8,17 @@ Two regimes, both with 8 worker threads:
   errors, zero lost transitions.
 * **overlapping** — every thread hammers the *same* four classes inside
   one shared global bound, each thread with its own binding values.  The
-  shard locks must serialise per-class state well enough that every
+  global lock must serialise per-class state well enough that every
   (check, site) pair lands: zero errors, one accept per distinct binding.
 
-Threads are joined with a bounded timeout; a deadlock (e.g. a lock
-ordering cycle between shards) fails the test rather than hanging CI.
+Threads are joined with a bounded timeout; a deadlock (e.g. a lock held
+across a batch that re-enters dispatch) fails the test rather than
+hanging CI.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 from repro.core.dsl import (
@@ -26,6 +28,7 @@ from repro.core.dsl import (
     previously,
     returnfrom,
     tesla_global,
+    tesla_within,
     var,
 )
 from repro.core.events import (
@@ -33,7 +36,6 @@ from repro.core.events import (
     call_event,
     return_event,
 )
-from repro.introspect.aggregate import shard_contention
 from repro.runtime.manager import TeslaRuntime
 
 N_THREADS = 8
@@ -97,7 +99,7 @@ class TestDisjointClasses:
         return work
 
     def test_disjoint_verdicts_are_deterministic(self):
-        runtime = TeslaRuntime(shards=8)
+        runtime = TeslaRuntime()
         for index in range(N_THREADS):
             runtime.install_assertion(disjoint_assertion(index))
         errors = []
@@ -111,12 +113,10 @@ class TestDisjointClasses:
             assert cr.errors == 0
             assert cr.sites_reached == self.ITERS
             assert len(cr.pool) == 0  # every bound closed cleanly
-        rows = shard_contention(runtime)
-        assert sum(row.acquisitions for row in rows) > 0
 
     def test_disjoint_batched_dispatch(self):
         """Same workload fed through ``dispatch_batch`` per iteration."""
-        runtime = TeslaRuntime(shards=8)
+        runtime = TeslaRuntime()
         for index in range(N_THREADS):
             runtime.install_assertion(disjoint_assertion(index))
         errors = []
@@ -155,7 +155,7 @@ class TestOverlappingClasses:
     N_CLASSES = 4
 
     def test_shared_classes_lose_nothing(self):
-        runtime = TeslaRuntime(shards=8, capacity=4096)
+        runtime = TeslaRuntime(capacity=4096)
         for index in range(self.N_CLASSES):
             runtime.install_assertion(shared_assertion(index))
         runtime.handle_event(call_event("stress_shared_bound", ()))
@@ -199,3 +199,84 @@ class TestOverlappingClasses:
             assert cr.accepts == bindings, (index, cr.accepts)
             assert cr.pool.overflows == 0
             assert len(cr.pool) == 0
+
+
+class TestMixedBatches:
+    """Batches mixing shared global classes with a per-thread class: the
+    batch holds the global lock across its thread-local work too, so
+    eight threads switching every few microseconds must neither deadlock
+    nor lose a transition in either context."""
+
+    ITERS = 40
+    N_CLASSES = 4
+
+    def test_mixed_batches_lose_nothing(self):
+        runtime = TeslaRuntime(capacity=4096)
+        for index in range(self.N_CLASSES):
+            runtime.install_assertion(shared_assertion(index))
+        runtime.install_assertion(
+            tesla_within(
+                "stress_local_bound",
+                previously(fn("stress_local_check", ANY("c"), var("v")) == 0),
+                name="stress_local_cls",
+            )
+        )
+        runtime.handle_event(call_event("stress_shared_bound", ()))
+        errors = []
+        local_runtimes = [None] * N_THREADS
+
+        def worker(tid):
+            def work():
+                try:
+                    for i in range(self.ITERS):
+                        value = f"t{tid}i{i}"
+                        batch = [call_event("stress_local_bound", ())]
+                        for index in range(self.N_CLASSES):
+                            batch.append(
+                                return_event(
+                                    f"stress_shared_check{index}",
+                                    ("c", value),
+                                    0,
+                                )
+                            )
+                            batch.append(
+                                assertion_site_event(
+                                    f"stress_shared_cls{index}",
+                                    {"v": value},
+                                )
+                            )
+                        batch += [
+                            return_event(
+                                "stress_local_check", ("c", value), 0
+                            ),
+                            assertion_site_event(
+                                "stress_local_cls", {"v": value}
+                            ),
+                            return_event("stress_local_bound", (), 0),
+                        ]
+                        runtime.dispatch_batch(batch)
+                    local_runtimes[tid] = runtime.class_runtime(
+                        "stress_local_cls"
+                    )
+                except BaseException as exc:
+                    errors.append((tid, exc))
+
+            return work
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads([worker(t) for t in range(N_THREADS)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        runtime.handle_event(return_event("stress_shared_bound", (), 0))
+        bindings = N_THREADS * self.ITERS
+        for index in range(self.N_CLASSES):
+            cr = runtime.class_runtime(f"stress_shared_cls{index}")
+            assert cr.errors == 0, (index, cr.errors)
+            assert cr.sites_reached == bindings, (index, cr.sites_reached)
+            assert cr.accepts == bindings, (index, cr.accepts)
+            assert len(cr.pool) == 0
+        for tid, local in enumerate(local_runtimes):
+            assert (local.accepts, local.errors) == (self.ITERS, 0), tid

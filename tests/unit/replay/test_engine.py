@@ -144,7 +144,7 @@ class TestInputs:
     def test_custom_config_dict_and_background_coercion(self):
         journal = read_journal(record_journal(VIOLATING_OPS))
         engine = ReplayEngine(journal)
-        result = engine.run(dict(lazy=False, shards=3, deferred=True))
+        result = engine.run(dict(lazy=False, deferred=True))
         assert result.config == "custom"
         assert result.classes["eng.cls"].errors == 1
 

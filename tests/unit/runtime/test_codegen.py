@@ -205,7 +205,7 @@ def _verdict(runtime, name="cg_cls"):
 
 def _run(events, **kwargs):
     runtime = TeslaRuntime(
-        lazy=True, shards=1, policy=LogAndContinue(), **kwargs
+        lazy=True, policy=LogAndContinue(), **kwargs
     )
     runtime.install_assertion(_assertion())
     for event in events:
@@ -306,7 +306,7 @@ class TestRuntimeFallbackContract:
         def entry_stamps(compile):
             clock = FakeClock()
             runtime = TeslaRuntime(
-                lazy=True, shards=1, policy=LogAndContinue(),
+                lazy=True, policy=LogAndContinue(),
                 compile=compile, clock=clock,
             )
             runtime.install_assertion(_assertion())
@@ -338,7 +338,7 @@ class TestRuntimeFallbackContract:
         seen = []
         compiled = _run(events, compile=True)
         jitted = TeslaRuntime(
-            lazy=True, shards=1, policy=LogAndContinue(), compile=True,
+            lazy=True, policy=LogAndContinue(), compile=True,
         )
         jitted.hub.add_handler(seen.append)
         jitted.install_assertion(_assertion())
@@ -367,7 +367,7 @@ class TestRuntimeFallbackContract:
         events = _trace(rounds=8)
         sync = _run(events, compile=True)
         batched = TeslaRuntime(
-            lazy=True, shards=1, policy=LogAndContinue(), compile=True,
+            lazy=True, policy=LogAndContinue(), compile=True,
         )
         batched.install_assertion(_assertion())
         for start in range(0, len(events), 16):
@@ -393,7 +393,7 @@ class TestRuntimeFallbackContract:
 
         def run(batched):
             runtime = TeslaRuntime(
-                lazy=True, shards=1, policy=LogAndContinue(), compile=True,
+                lazy=True, policy=LogAndContinue(), compile=True,
             )
             runtime.install_assertion(weird)
             events = _trace(rounds=8)

@@ -89,8 +89,6 @@ class TestNumericKnobValidation:
     BAD_KNOBS = [
         (dict(capacity=0), "capacity"),
         (dict(capacity=-3), "capacity"),
-        (dict(shards=0), "shards"),
-        (dict(shards=-1), "shards"),
         (dict(ring_capacity=0), "ring_capacity"),
         (dict(ring_capacity=-8), "ring_capacity"),
         (dict(drain_interval=0.0), "drain_interval"),
@@ -118,6 +116,20 @@ class TestNumericKnobValidation:
             with monitoring(
                 [tesla_within("m", previously(call("f")), name="knob-test")],
                 **kwargs,
+            ):
+                pass  # pragma: no cover - construction must raise
+
+    def test_shards_keyword_is_gone(self):
+        # The global store is one lock, as in the paper; there is no
+        # stripe count left to choose.
+        from repro.session import monitoring
+
+        with pytest.raises(TypeError):
+            TeslaRuntime(shards=1)
+        with pytest.raises(TypeError):
+            with monitoring(
+                [tesla_within("m", previously(call("f")), name="shard-test")],
+                shards=1,
             ):
                 pass  # pragma: no cover - construction must raise
 
@@ -157,7 +169,6 @@ class TestNumericKnobValidation:
     def test_valid_edge_values_accepted(self):
         runtime = TeslaRuntime(
             capacity=1,
-            shards=1,
             ring_capacity=1,
             drain_interval=1e-6,
             overflow_policy="flush",

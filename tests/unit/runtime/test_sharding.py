@@ -1,11 +1,13 @@
-"""Unit tests for the lock-striped sharded global store.
+"""Unit tests for batched dispatch over the single-lock global store.
 
-Covers shard-assignment stability, the ``shards=1`` degenerate case
-(today's single-lock behaviour), batched dispatch ordering guarantees and
-the per-shard contention counters surfaced through introspection.
+``dispatch_batch`` promises exactly what per-event dispatch would do: the
+same verdicts, the same violation stream in the same order (across
+classes and across the global / thread-local split), and under fail-stop
+the same first violation after the same number of events — while taking
+the global lock once per batch.
 """
 
-import os
+import threading
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.core.dsl import (
     previously,
     returnfrom,
     tesla_global,
+    tesla_within,
     var,
 )
 from repro.core.events import (
@@ -24,14 +27,32 @@ from repro.core.events import (
     return_event,
 )
 from repro.errors import TemporalAssertionError
-from repro.introspect.aggregate import format_shard_contention, shard_contention
 from repro.runtime.manager import TeslaRuntime
 from repro.runtime.notify import LogAndContinue
-from repro.runtime.store import (
-    ShardedGlobalStore,
-    default_shard_count,
-    shard_index_for,
-)
+
+
+class CountingLock:
+    """A re-entrant lock that counts acquisitions (test instrumentation)."""
+
+    def __init__(self):
+        self._lock = threading.RLock()
+        self.acquisitions = 0
+
+    def acquire(self, *args, **kwargs):
+        got = self._lock.acquire(*args, **kwargs)
+        if got:
+            self.acquisitions += 1
+        return got
+
+    def release(self):
+        self._lock.release()
+
+    def __enter__(self):
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc):
+        self.release()
 
 
 def global_assertion(index):
@@ -44,104 +65,9 @@ def global_assertion(index):
     )
 
 
-def clean_pass(runtime, index, value="v1"):
-    runtime.handle_event(call_event(f"shard_sys{index}", ()))
-    runtime.handle_event(return_event(f"shard_check{index}", ("c", value), 0))
-    runtime.handle_event(
-        assertion_site_event(f"shard_cls{index}", {"v": value})
-    )
-    runtime.handle_event(return_event(f"shard_sys{index}", (), 0))
-
-
-class TestShardAssignment:
-    def test_assignment_is_stable_across_calls(self):
-        for name in ("a", "mac_socket_check_poll", "x" * 64):
-            assert shard_index_for(name, 16) == shard_index_for(name, 16)
-
-    def test_assignment_is_hashseed_independent(self):
-        # CRC-32, not hash(): the documented contract is that the mapping
-        # is identical in every process regardless of PYTHONHASHSEED.
-        import zlib
-
-        for name in ("cls0", "cls1", "φ-unicode"):
-            assert shard_index_for(name, 8) == zlib.crc32(
-                name.encode("utf-8")
-            ) % 8
-
-    def test_assignment_spreads_classes(self):
-        used = {shard_index_for(f"class-{i}", 8) for i in range(64)}
-        assert len(used) > 4  # 64 names over 8 shards must spread widely
-
-    def test_store_and_standalone_agree(self):
-        store = ShardedGlobalStore(shards=8)
-        for i in range(16):
-            name = f"agree-{i}"
-            assert store.shard_index(name) == shard_index_for(name, 8)
-            assert store.shard_for(name) is store.shards[store.shard_index(name)]
-
-    def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedGlobalStore(shards=0)
-        with pytest.raises(ValueError):
-            TeslaRuntime(shards=-1)
-
-    def test_default_shard_count_formula(self):
-        assert default_shard_count() == min(32, 4 * (os.cpu_count() or 1))
-        assert TeslaRuntime().shard_count == default_shard_count()
-
-
-class TestSingleShardDegeneration:
-    """``shards=1`` must reproduce the single-lock global store exactly."""
-
-    def test_one_shard_holds_every_class(self):
-        runtime = TeslaRuntime(shards=1)
-        for i in range(5):
-            runtime.install_assertion(global_assertion(i))
-        assert runtime.shard_count == 1
-        shard = runtime.global_store.shards[0]
-        assert shard.store.names == sorted(f"shard_cls{i}" for i in range(5))
-
-    @pytest.mark.parametrize("lazy", [True, False])
-    def test_verdicts_match_multi_shard(self, lazy):
-        verdicts = {}
-        for shards in (1, 8):
-            runtime = TeslaRuntime(
-                lazy=lazy, shards=shards, policy=LogAndContinue()
-            )
-            for i in range(4):
-                runtime.install_assertion(global_assertion(i))
-            clean_pass(runtime, 0)
-            clean_pass(runtime, 1)
-            # Class 2: the site names a value never checked — a violation.
-            runtime.handle_event(call_event("shard_sys2", ()))
-            runtime.handle_event(return_event("shard_check2", ("c", "v1"), 0))
-            runtime.handle_event(
-                assertion_site_event("shard_cls2", {"v": "other"})
-            )
-            runtime.handle_event(return_event("shard_sys2", (), 0))
-            verdicts[shards] = [
-                (cr.accepts, cr.errors)
-                for cr in (
-                    runtime.class_runtime(f"shard_cls{i}") for i in range(4)
-                )
-            ]
-        assert verdicts[1] == verdicts[8]
-        assert verdicts[1][0] == (1, 0)
-        assert verdicts[1][2] == (0, 1)
-
-    def test_single_shard_site_violation_still_raises(self):
-        runtime = TeslaRuntime(shards=1)
-        runtime.install_assertion(global_assertion(9))
-        runtime.handle_event(call_event("shard_sys9", ()))
-        with pytest.raises(TemporalAssertionError):
-            runtime.handle_event(
-                assertion_site_event("shard_cls9", {"v": "vX"})
-            )
-
-
 class TestBatchDispatch:
-    def make_runtime(self, n_classes=4, shards=8):
-        runtime = TeslaRuntime(shards=shards, policy=LogAndContinue())
+    def make_runtime(self, n_classes=4):
+        runtime = TeslaRuntime(policy=LogAndContinue())
         for i in range(n_classes):
             runtime.install_assertion(global_assertion(i))
         return runtime
@@ -198,23 +124,19 @@ class TestBatchDispatch:
         cr = runtime.class_runtime("shard_cls0")
         assert cr.errors == 1
 
-    def test_batch_takes_each_shard_lock_once(self):
+    def test_batch_takes_global_lock_once(self):
         runtime = self.make_runtime()
+        lock = CountingLock()
+        runtime.global_store.lock = lock
         events = []
         for i in range(4):
             events.extend(self.batch_for(i, "v"))
-        before = {
-            shard.index: shard.lock.acquisitions
-            for shard in runtime.global_store.shards
-        }
         runtime.dispatch_batch(events)
-        for shard in runtime.global_store.shards:
-            grew = shard.lock.acquisitions - before[shard.index]
-            if shard.store.names:
-                assert grew == 1, (shard.index, grew)
-                assert shard.batches == 1
-            else:
-                assert grew == 0
+        assert lock.acquisitions == 1
+        # Per-event dispatch takes it once per event with global work.
+        for event in self.batch_for(0, "w"):
+            runtime.handle_event(event)
+        assert lock.acquisitions == 5
 
     def test_empty_batch_is_a_noop(self):
         runtime = self.make_runtime()
@@ -223,7 +145,7 @@ class TestBatchDispatch:
 
     @pytest.mark.parametrize("lazy", [True, False])
     def test_batch_equivalence_in_both_modes(self, lazy):
-        runtime = TeslaRuntime(lazy=lazy, shards=8, policy=LogAndContinue())
+        runtime = TeslaRuntime(lazy=lazy, policy=LogAndContinue())
         runtime.install_assertion(global_assertion(0))
         runtime.dispatch_batch(self.batch_for(0, "v1"))
         runtime.dispatch_batch(self.batch_for(0, "v2"))
@@ -231,30 +153,102 @@ class TestBatchDispatch:
         assert (cr.accepts, cr.errors) == (2, 0)
 
 
-class TestContentionCounters:
-    def test_counters_flow_through_introspection(self):
-        runtime = TeslaRuntime(shards=8)
-        for i in range(3):
-            runtime.install_assertion(global_assertion(i))
-        for i in range(3):
-            clean_pass(runtime, i)
-        rows = shard_contention(runtime)
-        assert len(rows) == 8
-        populated = [row for row in rows if row.classes]
-        assert populated, "no shard reported resident classes"
-        assert sum(row.acquisitions for row in rows) > 0
-        # Single-threaded dispatch never waits.
-        assert all(row.contended == 0 for row in rows)
-        table = format_shard_contention(rows)
-        assert "shard_cls0" in table
-        assert "acquire" in table
+def thread_assertion(index):
+    """One per-thread class with its own bound and check function."""
+    return tesla_within(
+        f"local_sys{index}",
+        previously(fn(f"local_check{index}", ANY("c"), var("v")) == 0),
+        name=f"local_cls{index}",
+    )
 
-    def test_reset_zeroes_contention_state(self):
-        runtime = TeslaRuntime(shards=4)
-        runtime.install_assertion(global_assertion(7))
-        clean_pass(runtime, 7)
-        runtime.reset()
-        rows = shard_contention(runtime)
-        assert all(row.acquisitions == 0 for row in rows)
-        assert all(row.batches == 0 for row in rows)
-        assert all(row.pool_population == 0 for row in rows)
+
+def reversed_global_sites():
+    """Four global classes whose unchecked sites fire in order 3, 2, 1, 0."""
+    assertions = [global_assertion(i) for i in range(4)]
+    events = [call_event(f"shard_sys{i}", ()) for i in range(4)]
+    events += [
+        assertion_site_event(f"shard_cls{i}", {"v": "unchecked"})
+        for i in (3, 2, 1, 0)
+    ]
+    events += [return_event(f"shard_sys{i}", (), 0) for i in range(4)]
+    return assertions, events
+
+
+def thread_local_before_global():
+    """A per-thread violation at event 2, then a global one at event 5."""
+    assertions = [global_assertion(0), thread_assertion(0)]
+    events = [
+        call_event("shard_sys0", ()),
+        call_event("local_sys0", ()),
+        assertion_site_event("local_cls0", {"v": "unchecked"}),
+        return_event("shard_check0", ("c", "ok"), 0),
+        assertion_site_event("shard_cls0", {"v": "ok"}),
+        assertion_site_event("shard_cls0", {"v": "unchecked"}),
+        return_event("local_sys0", (), 0),
+        return_event("shard_sys0", (), 0),
+    ]
+    return assertions, events
+
+
+TRACES = {
+    "global-reverse": (
+        reversed_global_sites,
+        [("shard_cls3", 4), ("shard_cls2", 5), ("shard_cls1", 6),
+         ("shard_cls0", 7)],
+    ),
+    "local-then-global": (
+        thread_local_before_global,
+        [("local_cls0", 2), ("shard_cls0", 5)],
+    ),
+}
+
+
+def run_trace(build, batched, policy=None):
+    assertions, events = build()
+    runtime = TeslaRuntime(policy=policy)
+    for assertion in assertions:
+        runtime.install_assertion(assertion)
+    where = {id(event): i for i, event in enumerate(events)}
+    raised = None
+    try:
+        if batched:
+            runtime.dispatch_batch(events)
+        else:
+            for event in events:
+                runtime.handle_event(event)
+    except TemporalAssertionError as exc:
+        raised = exc.violation
+    return runtime, where, raised
+
+
+class TestOrderedBatch:
+    """A batch is replayed in event order, not grouped by context."""
+
+    @pytest.mark.parametrize("trace", sorted(TRACES))
+    def test_violation_stream_matches_per_event(self, trace):
+        build, expected = TRACES[trace]
+        streams = {}
+        for batched in (False, True):
+            runtime, where, _ = run_trace(build, batched, LogAndContinue())
+            streams[batched] = [
+                (v.automaton, where[id(v.event)])
+                for v in runtime.hub.policy.violations
+            ]
+        assert streams[False] == expected
+        assert streams[True] == streams[False]
+
+    @pytest.mark.parametrize("trace", sorted(TRACES))
+    def test_fail_stop_first_violation_matches_per_event(self, trace):
+        build, expected = TRACES[trace]
+        outcomes = {}
+        for batched in (False, True):
+            runtime, where, violation = run_trace(build, batched)
+            assert violation is not None
+            outcomes[batched] = (
+                violation.automaton,
+                where[id(violation.event)],
+                runtime.events_processed,
+            )
+        first_class, first_index = expected[0]
+        assert outcomes[False] == (first_class, first_index, first_index + 1)
+        assert outcomes[True] == outcomes[False]

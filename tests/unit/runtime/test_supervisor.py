@@ -299,7 +299,7 @@ class TestRuntimeQuarantine:
         assert runtime.observes((EventKind.RETURN, "check"))
         # …but the dispatch plan for the key is empty while shed.
         plan = runtime._plan_for((EventKind.RETURN, "check"))
-        assert plan.shard_work == () and plan.local is None
+        assert plan.glob is None and plan.local is None
 
     def test_probation_rearm_restores_dispatch(self):
         runtime = self.quarantine_runtime("q4", cooldown=10, probation_ticks=5)
