@@ -86,50 +86,40 @@ class TestNumericKnobValidation:
     """Nonsense numeric knobs must fail loudly at construction, not as a
     confusing crash deep inside pool/ring construction (or silently)."""
 
+    # (kwargs, knob named in the error, error type).  ``shards=`` went
+    # with the lock-striped global store: the keyword itself is refused.
     BAD_KNOBS = [
-        (dict(capacity=0), "capacity"),
-        (dict(capacity=-3), "capacity"),
-        (dict(ring_capacity=0), "ring_capacity"),
-        (dict(ring_capacity=-8), "ring_capacity"),
-        (dict(drain_interval=0.0), "drain_interval"),
-        (dict(drain_interval=-0.5), "drain_interval"),
-        (dict(overflow_policy="bogus"), "overflow_policy"),
-        (dict(overhead_budget=0.0), "overhead_budget"),
-        (dict(overhead_budget=-0.1), "overhead_budget"),
-        (dict(overhead_budget=1.5), "overhead_budget"),
+        (dict(capacity=0), "capacity", ValueError),
+        (dict(capacity=-3), "capacity", ValueError),
+        (dict(shards=0), "shards", TypeError),
+        (dict(shards=-1), "shards", TypeError),
+        (dict(ring_capacity=0), "ring_capacity", ValueError),
+        (dict(ring_capacity=-8), "ring_capacity", ValueError),
+        (dict(drain_interval=0.0), "drain_interval", ValueError),
+        (dict(drain_interval=-0.5), "drain_interval", ValueError),
+        (dict(overflow_policy="bogus"), "overflow_policy", ValueError),
+        (dict(overhead_budget=0.0), "overhead_budget", ValueError),
+        (dict(overhead_budget=-0.1), "overhead_budget", ValueError),
+        (dict(overhead_budget=1.5), "overhead_budget", ValueError),
     ]
 
     @pytest.mark.parametrize(
-        "kwargs, knob", BAD_KNOBS, ids=[k for _, k in BAD_KNOBS]
+        "kwargs, knob, error", BAD_KNOBS, ids=[k for _, k, _ in BAD_KNOBS]
     )
-    def test_runtime_rejects(self, kwargs, knob):
-        with pytest.raises(ValueError, match=knob):
+    def test_runtime_rejects(self, kwargs, knob, error):
+        with pytest.raises(error, match=knob):
             TeslaRuntime(**kwargs)
 
     @pytest.mark.parametrize(
-        "kwargs, knob", BAD_KNOBS, ids=[k for _, k in BAD_KNOBS]
+        "kwargs, knob, error", BAD_KNOBS, ids=[k for _, k, _ in BAD_KNOBS]
     )
-    def test_monitoring_mirrors_rejection(self, kwargs, knob):
+    def test_monitoring_mirrors_rejection(self, kwargs, knob, error):
         from repro.session import monitoring
 
-        with pytest.raises(ValueError, match=knob):
+        with pytest.raises(error, match=knob):
             with monitoring(
                 [tesla_within("m", previously(call("f")), name="knob-test")],
                 **kwargs,
-            ):
-                pass  # pragma: no cover - construction must raise
-
-    def test_shards_keyword_is_gone(self):
-        # The global store is one lock, as in the paper; there is no
-        # stripe count left to choose.
-        from repro.session import monitoring
-
-        with pytest.raises(TypeError):
-            TeslaRuntime(shards=1)
-        with pytest.raises(TypeError):
-            with monitoring(
-                [tesla_within("m", previously(call("f")), name="shard-test")],
-                shards=1,
             ):
                 pass  # pragma: no cover - construction must raise
 

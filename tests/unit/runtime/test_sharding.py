@@ -65,6 +65,27 @@ def global_assertion(index):
     )
 
 
+class TestShardAssignment:
+    """Class-to-shard routing is gone: every global class lives in the
+    runtime's one store, and a shard count is refused."""
+
+    def test_every_global_class_shares_one_store(self):
+        runtime = TeslaRuntime(policy=LogAndContinue())
+        runtime.install_assertions([global_assertion(i) for i in range(6)])
+        store = runtime.global_store.store
+        assert runtime.global_store.all_stores() == [store]
+        for i in range(6):
+            assert runtime.class_runtime(f"shard_cls{i}") is store.get(
+                f"shard_cls{i}"
+            )
+
+    def test_invalid_shard_count_rejected(self):
+        with pytest.raises(TypeError, match="shards"):
+            TeslaRuntime(shards=0)
+        with pytest.raises(TypeError, match="shards"):
+            TeslaRuntime(shards=-1)
+
+
 class TestBatchDispatch:
     def make_runtime(self, n_classes=4):
         runtime = TeslaRuntime(policy=LogAndContinue())
