@@ -25,10 +25,6 @@ the compiled fast path adds on top of the lazy runtime:
   shows that warm-up cost separately, for a first runtime and for a
   second one that finds every step in the process-wide code cache.
 
-* **batch-per-key drain** — the same compiled runtime fed per event
-  (``handle_event``) and through ``dispatch_batch``, whose same-key runs
-  are evaluated by one generated ``step_batch`` call each.
-
 Smoke mode (``TESLA_BENCH_SMOKE=1``, used by CI) shrinks iteration counts
 and skips the timing-ratio assertions while keeping every correctness
 assertion — an import error or verdict divergence still fails fast.
@@ -314,119 +310,3 @@ def test_dispatch_throughput(benchmark, results_dir):
         # The acceptance bar: >= 2x single-thread dispatch throughput.
         assert speedup >= 2.0, speedup
 
-
-# -- part C: batch-per-key drain evaluation (tesla-jit) -----------------------
-#
-# The drain hands ``dispatch_batch`` long runs of same-key events (one
-# producer thread looping through the same instrumented call dominates a
-# ring).  For a single-class key with no init/cleanup work the generated
-# ``step_batch`` evaluates the whole run in ONE call — one cache probe,
-# one lazy join, one containment boundary — instead of paying the full
-# per-event dispatch ladder that ``handle_event`` pays.
-
-BATCH_ROUNDS = 2 if SMOKE else 30
-BATCH_RUN = 64  # consecutive same-key events per run, drain-realistic
-BATCH_CHUNK = 256  # events per dispatch_batch call
-BATCH_BOUND = "fpb_syscall"
-N_BATCH_CLASSES = 3
-
-
-def _batch_assertions():
-    """Single-class keys (each check observed by exactly one class): the
-    shape the batch-per-key fast path accepts."""
-    return [
-        tesla_global(
-            call(BATCH_BOUND),
-            returnfrom(BATCH_BOUND),
-            previously(fn(f"fpb_check{i}", ANY("c"), var("v")) == 0),
-            name=f"fpb_cls{i}",
-        )
-        for i in range(N_BATCH_CLASSES)
-    ]
-
-
-def _batch_trace(rounds):
-    events = []
-    for round_no in range(rounds):
-        events.append(call_event(BATCH_BOUND, ()))
-        for i in range(N_BATCH_CLASSES):
-            for k in range(BATCH_RUN):
-                events.append(
-                    return_event(
-                        f"fpb_check{i}", ("c", f"val{k % N_VALUES}"), 0
-                    )
-                )
-            for v in range(N_VALUES):
-                events.append(
-                    assertion_site_event(f"fpb_cls{i}", {"v": f"val{v}"})
-                )
-        events.append(return_event(BATCH_BOUND, (), 0))
-    return events
-
-
-def _batch_verdict(runtime):
-    out = []
-    for i in range(N_BATCH_CLASSES):
-        cr = runtime.class_runtime(f"fpb_cls{i}")
-        out.append((cr.accepts, cr.errors, cr.sites_reached))
-    return out
-
-
-def _build_batch(events, batched):
-    runtime = TeslaRuntime(lazy=True, policy=LogAndContinue())
-    for assertion in _batch_assertions():
-        runtime.install_assertion(assertion)
-
-    def replay():
-        if batched:
-            for start in range(0, len(events), BATCH_CHUNK):
-                runtime.dispatch_batch(events[start:start + BATCH_CHUNK])
-        else:
-            for event in events:
-                runtime.handle_event(event)
-
-    return runtime, replay
-
-
-def test_batch_drain_throughput(benchmark, results_dir):
-    events = _batch_trace(BATCH_ROUNDS)
-
-    def measure():
-        per_event, replay_e = _build_batch(events, batched=False)
-        batched, replay_b = _build_batch(events, batched=True)
-        best = interleaved_best(
-            {
-                "per-event": lambda: time_once(replay_e),
-                "batched": lambda: time_once(replay_b),
-            },
-            repeats=REPEATS,
-        )
-        return per_event, best["per-event"], batched, best["batched"]
-
-    per_event, per_event_s, batched, batched_s = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-    speedup = per_event_s / batched_s
-    stats = dispatch_stats(batched)
-    lines = [
-        "Dispatch fast path (c): batch-per-key drain evaluation",
-        "------------------------------------------------------",
-        f"({N_BATCH_CLASSES} classes, runs of {BATCH_RUN} same-key events, "
-        f"{len(events)} events/replay, {BATCH_CHUNK}-event batches)",
-        f"{'configuration':<24}{'events/s':>12}",
-        f"{'per event (step)':<24}{len(events) / per_event_s:>12.0f}",
-        f"{'batched (step_batch)':<24}{len(events) / batched_s:>12.0f}",
-        f"{'batched/per event':<24}{speedup:>12.2f}",
-        "",
-        format_dispatch_stats(stats),
-    ]
-    emit(results_dir, "dispatch_fastpath_batch", "\n".join(lines))
-
-    assert _batch_verdict(batched) == _batch_verdict(per_event)
-    assert all(accepts > 0 for accepts, _, _ in _batch_verdict(batched))
-    assert stats.gen_fallback_plans == 0
-    if not SMOKE:
-        # Evaluating a same-key run in one generated call must clearly
-        # beat paying the dispatch ladder once per event (1.85-1.90x
-        # measured on a 2-vCPU AMD EPYC VM).
-        assert speedup >= 1.5, speedup

@@ -12,7 +12,7 @@ an event is fully evaluated before the instrumented call returns) or
 with flushes at synchronization points keeping verdicts exact).
 """
 
-from .drain import DRAINER_THREAD_NAME, OVERFLOW_POLICIES, DrainController
+from .drain import DRAINER_THREAD_NAME, DrainController
 from .faultinject import (
     FaultInjector,
     InjectedFault,
@@ -64,7 +64,6 @@ from .update import handle_cleanup, handle_init, lazy_join_bound, tesla_update_s
 
 __all__ = [
     "DRAINER_THREAD_NAME",
-    "OVERFLOW_POLICIES",
     "DrainController",
     "DEFAULT_RING_CAPACITY",
     "EventRing",

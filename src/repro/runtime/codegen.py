@@ -17,11 +17,10 @@ checks, bind extraction and transition application fused into a single
   (``frozenset`` state update + transition counting, no function calls);
 * multi-match and clone-producing cases delegate to
   :func:`_instance_slow_step`, which reuses the interpreter's own
-  ``_step``/dedupe/clone machinery so verdicts stay bit-identical;
-* a batch variant ``step_batch(cr, events, hub)`` evaluates an entire
-  drain sub-batch for one key in one call, amortizing the per-event
-  dispatch overhead the deferred pipeline (DESIGN §5.4) pays 100k+ times
-  a second.
+  ``_step``/dedupe/clone machinery so verdicts stay bit-identical.
+
+Every event, synchronous or drained in a batch, is evaluated by the one
+per-event ``step(cr, event, hub)``.
 
 Each distinct generated function is ``compile()``d once per process
 (:data:`_CODE_CACHE`); a later runtime installing the same assertions
@@ -94,8 +93,9 @@ from .update import (
 )
 
 #: Bump on any change to the generated source layout (see the golden
-#: fixture's upgrade protocol in ``tests/unit/runtime/test_codegen.py``).
-CODEGEN_VERSION = 2
+#: fixture's upgrade protocol in
+#: ``tests/unit/runtime/test_codegen_golden.py``).
+CODEGEN_VERSION = 3
 
 #: Sentinel for "this symbol did not match" in generated code.  Distinct
 #: from ``None`` so generated locals can never be confused with a
@@ -186,14 +186,13 @@ class GenerationFallback:
     """Why a plan could not be specialized (stored in the step cache so
     the decision is made once per key, not per event).
 
-    ``step``/``step_batch`` are ``None`` class attributes so cache
-    consumers discriminate with one attribute load, no isinstance.
+    ``step`` is a ``None`` class attribute so cache consumers
+    discriminate with one attribute load, no isinstance.
     """
 
     __slots__ = ("reason",)
 
     step = None
-    step_batch = None
 
     def __init__(self, reason: str) -> None:
         self.reason = reason
@@ -229,12 +228,11 @@ class GeneratedSource:
 
 
 class CompiledStep:
-    """An ``exec``-compiled plan: the fused per-event function and its
-    batch variant, plus the generation accounting."""
+    """An ``exec``-compiled plan: the fused per-event function plus the
+    generation accounting."""
 
     __slots__ = (
         "step",
-        "step_batch",
         "source",
         "elided_guards",
         "elided_transitions",
@@ -243,13 +241,11 @@ class CompiledStep:
     def __init__(
         self,
         step,
-        step_batch,
         source: str,
         elided_guards: int,
         elided_transitions: int,
     ) -> None:
         self.step = step
-        self.step_batch = step_batch
         self.source = source
         self.elided_guards = elided_guards
         self.elided_transitions = elided_transitions
@@ -641,24 +637,16 @@ def _emit_event_body(
     body: List[Tuple[int, Transition, int]],
     symbol_plans: Dict[int, _SymbolPlan],
     triple_consts: List[Tuple[str, str, str, str, bool]],
-    hoist_pending: bool = False,
 ) -> None:
-    """Emit the per-event evaluation (prologue, instance walk, endgame)
-    at indentation ``base`` — shared between ``step`` and the event loop
-    of ``step_batch``.  ``hoist_pending=True`` skips the lazy-materialise
-    check (the batch variant performs it once before its event loop:
-    ``cr.pending`` is only ever set by a lazy join, which the dispatcher
-    runs before ``step_batch``, never during it)."""
+    """Emit the per-event evaluation (lazy materialise, prologue,
+    instance walk, endgame) at indentation ``base``."""
     kind = key[0]
     is_site_key = kind is EventKind.ASSERTION_SITE
     strict = automaton.strict
 
-    if not hoist_pending:
-        em.emit(base, "if cr.pending:")
-        em.emit(base + 1, "cr.pending = False")
-        em.emit(
-            base + 1, "_mat(cr, hub, dict(cr.lazy_binding), cr.lazy_entry_ts)"
-        )
+    em.emit(base, "if cr.pending:")
+    em.emit(base + 1, "cr.pending = False")
+    em.emit(base + 1, "_mat(cr, hub, dict(cr.lazy_binding), cr.lazy_entry_ts)")
 
     if not body:
         # Every body transition was elided (or the plan was empty): no
@@ -815,7 +803,7 @@ def generate_source(
     plan: TransitionPlan,
     facts: Optional[CodegenFacts] = None,
 ) -> GeneratedSource:
-    """Generate specialized step/step_batch source for one plan.
+    """Generate the specialized ``step`` source for one plan.
 
     Returns a :class:`GeneratedSource`; an unspecializable plan yields
     one with ``fallback_reason`` set and no source.
@@ -888,21 +876,6 @@ def generate_source(
     em.emit(2, "return")
     em.emit(1, "_pool = cr.pool")
     _emit_event_body(em, 1, automaton, key, body, symbol_plans, triple_consts)
-    em.emit(0, "")
-    em.emit(0, "def step_batch(cr, events, hub):")
-    em.emit(1, "if hub.detailed:")
-    em.emit(2, "for event in events:")
-    em.emit(3, "_interp(cr, event, hub, True, _plan)")
-    em.emit(2, "return")
-    em.emit(1, "if not cr.active:")
-    em.emit(2, "return")
-    em.emit(1, "_pool = cr.pool")
-    em.emit(1, "if cr.pending:")
-    em.emit(2, "cr.pending = False")
-    em.emit(2, "_mat(cr, hub, dict(cr.lazy_binding), cr.lazy_entry_ts)")
-    em.emit(1, "for event in events:")
-    _emit_event_body(em, 2, automaton, key, body, symbol_plans, triple_consts,
-                     hoist_pending=True)
 
     namespace = dict(em.namespace)
     namespace.update(
@@ -965,7 +938,6 @@ def compile_plan_step(
     exec(code, namespace)
     return CompiledStep(
         step=namespace["step"],
-        step_batch=namespace["step_batch"],
         source=generated.source,
         elided_guards=generated.elided_guards,
         elided_transitions=generated.elided_transitions,

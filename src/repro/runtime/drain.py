@@ -31,11 +31,10 @@ draining on the application thread therefore surfaces exactly where the
 synchronous runtime would have raised it; one raised on the background
 drainer is parked and re-raised at the next synchronization point.
 
-**Backpressure.**  A full ring never drops.  ``overflow_policy="flush"``
-(default) turns the producer into the drainer for one pass — an inline
-flush, paying the synchronous cost it had been deferring;
-``overflow_policy="block"`` parks the producer until the background
-drainer makes room (requiring ``deferred=True``).
+**Backpressure.**  A full ring never drops: its producer becomes the
+drainer for one pass — an inline flush, paying the synchronous cost it
+had been deferring.  With a background drainer running, that pass simply
+serialises with the drainer's on the drain lock.
 
 **Fault containment.**  The drain boundary carries its own fault points
 (``drain.enqueue``, ``drain.merge``, ``drain.flush``) and routes faults
@@ -57,7 +56,7 @@ from . import faultinject as _fi
 from .faultinject import fault_site
 from .ringbuf import DEFAULT_RING_CAPACITY, EventRing, SeqnoSource, Slot
 
-__all__ = ["DRAINER_THREAD_NAME", "DrainController", "OVERFLOW_POLICIES"]
+__all__ = ["DRAINER_THREAD_NAME", "DrainController"]
 
 _FP_ENQUEUE = fault_site("drain.enqueue")
 _FP_MERGE = fault_site("drain.merge")
@@ -67,8 +66,6 @@ _FP_TIMER = fault_site("drain.timer")
 #: Name every background drainer thread carries, so test hygiene can spot
 #: a leaked one by inspecting ``threading.enumerate()``.
 DRAINER_THREAD_NAME = "tesla-drainer"
-
-OVERFLOW_POLICIES = ("flush", "block")
 
 
 def _slot_seqno(slot: Slot) -> int:
@@ -82,25 +79,12 @@ class DrainController:
         self,
         runtime,
         ring_capacity: int = DEFAULT_RING_CAPACITY,
-        overflow_policy: str = "flush",
         background: bool = True,
         drain_interval: float = 0.002,
         journal=None,
     ) -> None:
-        if overflow_policy not in OVERFLOW_POLICIES:
-            raise ValueError(
-                f"overflow_policy must be one of {OVERFLOW_POLICIES}, "
-                f"got {overflow_policy!r}"
-            )
-        if overflow_policy == "block" and not background:
-            raise ValueError(
-                "overflow_policy='block' needs the background drainer "
-                "(deferred=True); deterministic mode would deadlock on a "
-                "full ring — use overflow_policy='flush'"
-            )
         self.runtime = runtime
         self.ring_capacity = ring_capacity
-        self.overflow_policy = overflow_policy
         self.background = background
         self.drain_interval = drain_interval
         self._seqnos = SeqnoSource()
@@ -110,8 +94,6 @@ class DrainController:
         #: Serialises drain passes: one merge-and-dispatch at a time, so
         #: the dispatched stream is a clean seqno-sorted concatenation.
         self._drain_lock = threading.RLock()
-        #: Producers parked under ``overflow_policy="block"``.
-        self._space = threading.Condition(threading.Lock())
         self._wake = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._thread_lock = threading.Lock()
@@ -136,7 +118,6 @@ class DrainController:
         self.flushes = 0
         self.sync_flushes = 0
         self.inline_flushes = 0
-        self.backpressure_waits = 0
         self.max_batch = 0
         self.flush_seconds = 0.0
         self.last_flush_seconds = 0.0
@@ -183,31 +164,9 @@ class DrainController:
             self._wake.set()
 
     def _overflow(self, ring: EventRing) -> None:
-        """Backpressure on a full ring: block for the drainer or become
-        the drainer for one pass.  Never drops."""
+        """Backpressure on a full ring: become the drainer for one pass.
+        Never drops."""
         ring.overflows += 1
-        if self.overflow_policy == "block":
-            thread = self._thread
-            if thread is not None and thread.is_alive() and not self._stop:
-                self.backpressure_waits += 1
-                self._wake.set()
-                with self._space:
-                    while (
-                        ring.full
-                        and self._thread is not None
-                        and self._thread.is_alive()
-                        and not self._stop
-                        # A parked error halts the drainer until the next
-                        # sync point delivers it; waiting on it would
-                        # livelock — fall through to the inline flush.
-                        and not self._pending_errors
-                    ):
-                        self._space.wait(timeout=0.05)
-                        self._wake.set()
-                if not ring.full:
-                    return
-            # Drainer gone (stopped, or never started): fall through to an
-            # inline flush rather than deadlocking the producer.
         self.inline_flushes += 1
         self._drain_pass()
         if ring.full:
@@ -285,7 +244,6 @@ class DrainController:
             # as synchronous dispatch, later events are not processed.
             # Never contained.
             self.events_drained += taken
-            self._notify_space()
             raise
         except Exception as exc:
             # The batch was already consumed from the rings; a contained
@@ -293,7 +251,6 @@ class DrainController:
             # pipeline keeps moving.
             self.events_lost_to_faults += taken
             if not self._contain("drain", exc):
-                self._notify_space()
                 raise
         else:
             self.events_drained += taken
@@ -311,9 +268,7 @@ class DrainController:
                 except Exception as exc:
                     gov.trip()
                     if not self._contain("governor", exc):
-                        self._notify_space()
                         raise
-        self._notify_space()
         return taken
 
     def drain(self) -> int:
@@ -381,11 +336,6 @@ class DrainController:
             return False
         return supervisor.contain("(drain)", stage, exc)
 
-    def _notify_space(self) -> None:
-        if self.overflow_policy == "block":
-            with self._space:
-                self._space.notify_all()
-
     # -- the background drainer --------------------------------------------------
 
     def _ensure_drainer(self) -> None:
@@ -428,7 +378,6 @@ class DrainController:
             thread.join(timeout=5.0)
         with self._thread_lock:
             self._thread = None
-        self._notify_space()
 
     # -- maintenance -------------------------------------------------------------
 
@@ -443,7 +392,6 @@ class DrainController:
                 dropped += ring.discard()
             self.events_discarded += dropped
             self._pending_errors.clear()
-        self._notify_space()
         return dropped
 
     def reset(self) -> None:
@@ -469,7 +417,6 @@ class DrainController:
         self.flushes = 0
         self.sync_flushes = 0
         self.inline_flushes = 0
-        self.backpressure_waits = 0
         self.max_batch = 0
         self.flush_seconds = 0.0
         self.last_flush_seconds = 0.0
@@ -484,7 +431,6 @@ class DrainController:
         return {
             "journal": journal,
             "background": self.background,
-            "overflow_policy": self.overflow_policy,
             "drainer_alive": self.drainer_alive,
             "queue_depth": sum(row["depth"] for row in ring_rows),
             "rings": ring_rows,
@@ -496,7 +442,6 @@ class DrainController:
             "flushes": self.flushes,
             "sync_flushes": self.sync_flushes,
             "inline_flushes": self.inline_flushes,
-            "backpressure_waits": self.backpressure_waits,
             "max_batch": self.max_batch,
             "flush_seconds": self.flush_seconds,
             "last_flush_seconds": self.last_flush_seconds,

@@ -38,7 +38,7 @@ from ..core.translate import translate_all
 from ..errors import ContextError, TemporalAssertionError
 from . import faultinject as _fi
 from .clock import as_clock
-from .drain import OVERFLOW_POLICIES, DrainController
+from .drain import DrainController
 from .epoch import interest_epoch
 from .governor import OverheadGovernor
 from .journal import JournalWriter
@@ -138,20 +138,6 @@ class _KeyPlan:
 _EMPTY_PLAN = _KeyPlan(None, None, frozenset())
 
 
-def _violating_index(
-    events: List[RuntimeEvent], start: int, stop: int,
-    exc: TemporalAssertionError,
-) -> int:
-    """Index of the event in ``events[start:stop]`` that raised ``exc``
-    (a batch-per-key run reports its violation against the event it
-    judged), or the run's last index if the violation names none."""
-    culprit = exc.violation.event
-    for index in range(start, stop):
-        if events[index] is culprit:
-            return index
-    return stop - 1
-
-
 #: Every constructed runtime, for test hygiene (see ``reset_all_runtimes``).
 _live_runtimes: "weakref.WeakSet[TeslaRuntime]" = weakref.WeakSet()
 
@@ -183,7 +169,6 @@ class TeslaRuntime:
         compile: bool = True,
         failure_policy: Optional[FailurePolicy] = None,
         deferred: object = False,
-        overflow_policy: str = "flush",
         ring_capacity: int = DEFAULT_RING_CAPACITY,
         drain_interval: float = 0.002,
         lint: str = "warn",
@@ -215,11 +200,6 @@ class TeslaRuntime:
             raise ValueError(
                 f"drain_interval is the background drainer's period in "
                 f"seconds; it must be > 0, got {drain_interval!r}"
-            )
-        if overflow_policy not in OVERFLOW_POLICIES:
-            raise ValueError(
-                f"overflow_policy must be one of {OVERFLOW_POLICIES}, "
-                f"got {overflow_policy!r}"
             )
         if overhead_budget is not None and not (
             0.0 < overhead_budget <= 1.0
@@ -349,7 +329,6 @@ class TeslaRuntime:
             DrainController(
                 self,
                 ring_capacity=ring_capacity,
-                overflow_policy=overflow_policy,
                 background=(deferred is True),
                 drain_interval=drain_interval,
                 journal=self.journal,
@@ -435,14 +414,11 @@ class TeslaRuntime:
             if not self.supervisor.contain("(governor)", "governor", exc):
                 raise
 
-    def _charge(
-        self, gov: OverheadGovernor, name: str, seconds: float,
-        events: int = 1,
-    ) -> None:
+    def _charge(self, gov: OverheadGovernor, name: str, seconds: float) -> None:
         """Attribute measured evaluation time to a class's cost ledger,
         with the same trip-and-contain fail-safety as ``_govern``."""
         try:
-            gov.charge(name, seconds, events)
+            gov.charge(name, seconds)
         except TemporalAssertionError:
             raise
         except Exception as exc:
@@ -741,7 +717,8 @@ class TeslaRuntime:
         The batch is replayed in one pass, in event order, holding the
         global lock from the first event with global work to the end of
         the batch.  Each event runs its global share and then its
-        thread-local share, exactly as :meth:`handle_event` does, so every
+        thread-local share through the one per-event path,
+        :meth:`_run_plan`, exactly as :meth:`handle_event` does, so every
         observable stream — violation order across classes included — is
         the one per-event dispatch produces.
 
@@ -774,68 +751,34 @@ class TeslaRuntime:
                 for event in events:
                     if event.timestamp > self._max_event_ts:
                         self._max_event_ts = event.timestamp
-        # Batch-per-key fast path (tesla-jit): a run of consecutive
-        # same-key events whose whole share is one class's pure-body work
-        # is evaluated by that class's generated ``step_batch`` in ONE
-        # call, amortising the per-event dispatch overhead of the drain.
-        # With one class there is no cross-class interleaving to reorder,
-        # and with no init/cleanup the tracker state is constant across
-        # the run, so one lazy join covers it.  Armed fault injection falls
-        # back to per-event dispatch so fault streams are byte-identical.
-        batching = self.compiled and _fi._active is None
         gs = self.global_store
         lock = None
         local_store = None
-        i = 0
+        i = -1  # index of the event being dispatched
         try:
             self.supervisor.advance(n)
             if self.governor is not None and events:
                 self._govern(n)
-            while i < n:
-                event = events[i]
+            for i, event in enumerate(events):
                 key = (event.kind, event.name)
                 plan = self._plan_for(key)
                 glob = plan.glob
-                local = plan.local if include_local else None
-                if glob is None and local is None:
-                    i += 1
-                    continue
-                if glob is not None and lock is None:
-                    lock = gs.lock
-                    lock.acquire()
-                if local is not None and local_store is None:
-                    local_store = self.thread_stores.current()
-                if batching and (glob is None or local is None):
-                    work = glob or local
-                    if (len(work.body) == 1 and not work.init_names
-                            and not work.cleanup_names):
-                        j = i + 1
-                        while (j < n and events[j].kind is key[0]
-                               and events[j].name == key[1]):
-                            j += 1
-                        if j - i > 1:
-                            store = gs.store if work is glob else local_store
-                            try:
-                                self._run_body_batch(
-                                    work, store, store.tracker, events[i:j],
-                                    plan.initiated, key,
-                                )
-                            except TemporalAssertionError as exc:
-                                i = _violating_index(events, i, j, exc)
-                                raise
-                            i = j
-                            continue
                 if glob is not None:
+                    if lock is None:
+                        lock = gs.lock
+                        lock.acquire()
                     self._run_plan(glob, gs.store, gs.tracker, event,
                                    plan.initiated, key)
+                local = plan.local if include_local else None
                 if local is not None:
+                    if local_store is None:
+                        local_store = self.thread_stores.current()
                     self._run_plan(local, local_store, local_store.tracker,
                                    event, plan.initiated, key)
-                i += 1
         finally:
             if lock is not None:
                 lock.release()
-            self.events_processed += min(i + 1, n)
+            self.events_processed += i + 1
         return n
 
     def _run_plan(
@@ -969,56 +912,6 @@ class TeslaRuntime:
                 finally:
                     if gov is not None:
                         self._charge(gov, name, gov.now() - t0)
-
-    def _run_body_batch(
-        self,
-        work: _ContextPlan,
-        store: Store,
-        tracker: BoundTracker,
-        events: List[RuntimeEvent],
-        initiated: frozenset,
-        key: DispatchKey,
-    ) -> None:
-        """One class's pure-body share of a run of same-key events, in one
-        generated ``step_batch`` call (caller holds the global lock when
-        ``store`` is the global store).
-
-        Only reached for runs with no init/cleanup work and exactly one
-        body class (``dispatch_batch`` enforces this), so the tracker's
-        bound state is constant across the run and a single lazy join
-        covers every event.  Containment granularity widens from per-event
-        to per-run: a monitor fault mid-batch forfeits the rest of the run
-        for this class, which the supervisor attributes exactly as before.
-        """
-        epoch = interest_epoch.value
-        facts = self._codegen_facts(epoch)
-        supervisor = self.supervisor
-        gov = self.governor
-        for name, bound in work.body:
-            if name in initiated:
-                continue
-            t0 = gov.now() if gov is not None else 0.0
-            try:
-                cr = store.get(name)
-                if self.lazy:
-                    lazy_join_bound(cr, bound, tracker, governor=gov)
-                entry = cr.step_for(key, epoch, facts)
-                if entry is not None:
-                    entry.step_batch(cr, events, self.hub)
-                else:
-                    plan = cr.plan_for(key, epoch)
-                    for event in events:
-                        tesla_update_state(
-                            cr, event, self.hub, self.lazy, plan=plan
-                        )
-            except TemporalAssertionError:
-                raise
-            except Exception as exc:
-                if not supervisor.contain(name, "body", exc):
-                    raise
-            finally:
-                if gov is not None:
-                    self._charge(gov, name, gov.now() - t0, len(events))
 
     # -- maintenance --------------------------------------------------------------
 

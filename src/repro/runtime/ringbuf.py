@@ -16,10 +16,8 @@ Verdict equivalence rests on two properties this module owns:
 * **per-thread FIFO** — a ring is single-producer (its owning thread) and
   its consumer always takes slots in append order, so the merged stream
   preserves each thread's program order exactly;
-* **no loss, no duplication** — a full ring never drops: the producer
-  either inline-flushes (``overflow_policy="flush"``) or blocks for the
-  drainer (``overflow_policy="block"``), and every slot is consumed
-  exactly once.
+* **no loss, no duplication** — a full ring never drops: its producer
+  inline-flushes it, and every slot is consumed exactly once.
 
 Under CPython's GIL the single-producer/single-consumer discipline needs
 no locks: the producer writes the slot before publishing it by advancing

@@ -38,7 +38,6 @@ def monitoring(
     compile: Optional[bool] = None,
     failure_policy: Optional[FailurePolicy] = None,
     deferred: object = False,
-    overflow_policy: Optional[str] = None,
     ring_capacity: Optional[int] = None,
     drain_interval: Optional[float] = None,
     lint: Optional[str] = None,
@@ -70,10 +69,9 @@ def monitoring(
     §5.4): ``True`` captures events into per-thread ring buffers drained
     by a background thread, ``"manual"`` defers with explicit
     ``runtime.drain.drain()``/``flush_deferred()`` calls (deterministic,
-    for tests).  ``overflow_policy`` picks the ring-full backpressure:
-    ``"flush"`` (inline flush by the producer, the default) or
-    ``"block"`` (park the producer for the background drainer);
-    ``ring_capacity`` sizes each thread's preallocated ring and
+    for tests); a full ring is retired by its own producer with one
+    inline drain pass.  ``ring_capacity`` sizes each thread's
+    preallocated ring and
     ``drain_interval`` the background drainer's poll period.  ``lint``
     selects the install-time tesla-lint gate (``"warn"`` default,
     ``"error"`` refuses assertions with lint errors, ``"off"`` skips the
@@ -118,8 +116,6 @@ def monitoring(
         kwargs["failure_policy"] = failure_policy
     if deferred:
         kwargs["deferred"] = deferred
-    if overflow_policy is not None:
-        kwargs["overflow_policy"] = overflow_policy
     if ring_capacity is not None:
         kwargs["ring_capacity"] = ring_capacity
     if drain_interval is not None:

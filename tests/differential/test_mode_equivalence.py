@@ -15,8 +15,7 @@ every runtime configuration:
   transition plans, DESIGN §5.7) in lazy and eager flavours —
   interpreted and generated matchers must be observationally identical;
 * **compiled-batched**: the compiled path fed through ``dispatch_batch``
-  in odd-sized chunks, which exercises the batch-per-key drain (one
-  generated ``step_batch`` call per same-key run).
+  in odd-sized chunks, as a drain pass feeds it.
 
 All configurations must agree on every class's accept count, error count,
 assertion-sites-reached count and final live-instance count.  The paper's

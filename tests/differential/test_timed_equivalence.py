@@ -222,7 +222,7 @@ CONFIGS = [
     ("batched", dict(lazy=True, compile=False)),
     # tesla-jit refuses clock guards per plan and falls back to the
     # compiled plan walk — the compiled rows prove the fallback is loud
-    # but semantically invisible, per event and per batch-per-key run.
+    # but semantically invisible, per event and per batch.
     ("compiled", dict(lazy=True, compile=True)),
     ("compiled-batched", dict(lazy=True, compile=True)),
     ("deferred", dict(lazy=True, compile=False, deferred="manual")),

@@ -78,7 +78,8 @@ class TestGenerateSource:
         assert gen.fallback_reason is None
         assert f"# tesla-jit v{CODEGEN_VERSION} " in gen.source
         assert "def step(cr, event, hub):" in gen.source
-        assert "def step_batch(cr, events, hub):" in gen.source
+        # Batches run the per-event step; no batch variant is emitted.
+        assert "def step_batch" not in gen.source
         # Constants live in the namespace, never in the text — values in
         # the source would break the byte-identical determinism contract.
         # (The plain name may appear in the header comment; a quoted
@@ -96,7 +97,7 @@ class TestGenerateSource:
         automaton = translate(weird)
         entry = _body_entry(automaton, (EventKind.RETURN, "cg_check"))
         assert isinstance(entry, GenerationFallback)
-        assert entry.step is None and entry.step_batch is None
+        assert entry.step is None
         assert entry.reason == "unsupported-pattern:_OpaquePattern"
 
     def test_arity_guards_elided_only_under_clean_facts(self):
@@ -377,8 +378,8 @@ class TestRuntimeFallbackContract:
 
     def test_batch_drain_fallback_class_uses_interpreter(self):
         """A class whose plan cannot be specialized still gets correct
-        verdicts through ``dispatch_batch`` — the per-run interpreter
-        loop inside ``_run_body_batch``."""
+        verdicts through ``dispatch_batch`` — the compiled plan walk
+        carries each of its events."""
         weird = tesla_global(
             call("cg_bound"),
             returnfrom("cg_bound"),

@@ -57,11 +57,12 @@ class TestKnobValidation:
             TeslaRuntime(deferred="yes please")
 
     def test_bad_overflow_policy_rejected(self):
-        with pytest.raises(ValueError, match="overflow_policy"):
+        # The knob is gone: a full ring always inline-flushes.
+        with pytest.raises(TypeError, match="overflow_policy"):
             TeslaRuntime(deferred=True, overflow_policy="drop")
 
     def test_block_policy_requires_background_drainer(self):
-        with pytest.raises(ValueError, match="block"):
+        with pytest.raises(TypeError, match="overflow_policy"):
             TeslaRuntime(deferred="manual", overflow_policy="block")
 
     def test_synchronous_runtime_has_no_controller(self):
@@ -209,15 +210,18 @@ class TestOverflow:
         assert stats["events_enqueued"] == stats["events_drained"] == 101
         assert stats["events_lost_to_faults"] == 0
 
-    def test_block_policy_waits_for_background_drainer(self):
+    def test_overflow_races_background_drainer(self):
+        # The producer's inline flushes and the drainer thread's passes
+        # serialise on the drain lock; neither may lose or repeat a slot.
         runtime = make_runtime(
-            deferred=True, ring_capacity=8, overflow_policy="block"
+            deferred=True, ring_capacity=8, drain_interval=0.0005
         )
         runtime.handle_event(call_event("drain_sys0", ()))
         for i in range(300):
             runtime.handle_event(body_event(f"v{i % 3}"))
         runtime.flush_deferred()
         stats = runtime.drain.stats()
+        assert stats["inline_flushes"] > 0
         assert stats["events_enqueued"] == stats["events_drained"] == 301
         assert stats["events_lost_to_faults"] == 0
         runtime.drain.stop()

@@ -87,7 +87,9 @@ class TestNumericKnobValidation:
     confusing crash deep inside pool/ring construction (or silently)."""
 
     # (kwargs, knob named in the error, error type).  ``shards=`` went
-    # with the lock-striped global store: the keyword itself is refused.
+    # with the lock-striped global store and ``overflow_policy=`` with
+    # the blocking overflow policy: each keyword itself is refused, even
+    # with its old default value.
     BAD_KNOBS = [
         (dict(capacity=0), "capacity", ValueError),
         (dict(capacity=-3), "capacity", ValueError),
@@ -97,7 +99,7 @@ class TestNumericKnobValidation:
         (dict(ring_capacity=-8), "ring_capacity", ValueError),
         (dict(drain_interval=0.0), "drain_interval", ValueError),
         (dict(drain_interval=-0.5), "drain_interval", ValueError),
-        (dict(overflow_policy="bogus"), "overflow_policy", ValueError),
+        (dict(overflow_policy="flush"), "overflow_policy", TypeError),
         (dict(overhead_budget=0.0), "overhead_budget", ValueError),
         (dict(overhead_budget=-0.1), "overhead_budget", ValueError),
         (dict(overhead_budget=1.5), "overhead_budget", ValueError),
@@ -161,7 +163,6 @@ class TestNumericKnobValidation:
             capacity=1,
             ring_capacity=1,
             drain_interval=1e-6,
-            overflow_policy="flush",
             overhead_budget=1.0,
             deferred="manual",
         )

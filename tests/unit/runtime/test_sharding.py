@@ -2,9 +2,10 @@
 
 ``dispatch_batch`` promises exactly what per-event dispatch would do: the
 same verdicts, the same violation stream in the same order (across
-classes and across the global / thread-local split), and under fail-stop
-the same first violation after the same number of events — while taking
-the global lock once per batch.
+classes and across the global / thread-local split), under fail-stop
+the same first violation after the same number of events, and a
+contained monitor fault that costs only the event that raised it — while
+taking the global lock once per batch.
 """
 
 import threading
@@ -26,9 +27,11 @@ from repro.core.events import (
     call_event,
     return_event,
 )
+from repro.core.patterns import Pattern
 from repro.errors import TemporalAssertionError
 from repro.runtime.manager import TeslaRuntime
 from repro.runtime.notify import LogAndContinue
+from repro.runtime.supervisor import FailOpen
 
 
 class CountingLock:
@@ -242,6 +245,55 @@ def run_trace(build, batched, policy=None):
     return runtime, where, raised
 
 
+class _FaultyPattern(Pattern):
+    """Matches any value except ``"bad"``, on which the matcher itself
+    raises — a monitor fault, not a violation."""
+
+    def match(self, value, binding):
+        if value == "bad":
+            raise RuntimeError("matcher fault")
+        return {}
+
+    def describe(self):
+        return "faulty"
+
+
+def run_faulty_trace(mode):
+    """A contained matcher fault in the middle of three same-key events."""
+    runtime = TeslaRuntime(
+        policy=LogAndContinue(),
+        failure_policy=FailOpen(),
+        deferred="manual" if mode == "deferred-manual" else False,
+    )
+    runtime.install_assertion(
+        tesla_global(
+            call("fault_bound"),
+            returnfrom("fault_bound"),
+            previously(fn("fault_chk", _FaultyPattern(), var("v")) == 0),
+            name="fault_cls",
+        )
+    )
+    events = [
+        call_event("fault_bound", ()),
+        return_event("fault_chk", ("ok", "y"), 0),
+        return_event("fault_chk", ("bad", "x"), 0),
+        return_event("fault_chk", ("ok", "z"), 0),
+        assertion_site_event("fault_cls", {"v": "y"}),
+        assertion_site_event("fault_cls", {"v": "z"}),
+        return_event("fault_bound", (), 0),
+    ]
+    if mode == "dispatch_batch":
+        runtime.dispatch_batch(events)
+    else:
+        for event in events:
+            runtime.handle_event(event)
+        runtime.flush_deferred()
+    cr = runtime.class_runtime("fault_cls")
+    verdicts = (cr.accepts, cr.errors, cr.sites_reached)
+    violations = [v.automaton for v in runtime.hub.policy.violations]
+    return verdicts, violations
+
+
 class TestOrderedBatch:
     """A batch is replayed in event order, not grouped by context."""
 
@@ -273,3 +325,12 @@ class TestOrderedBatch:
         first_class, first_index = expected[0]
         assert outcomes[False] == (first_class, first_index, first_index + 1)
         assert outcomes[True] == outcomes[False]
+
+    @pytest.mark.parametrize("mode", ["dispatch_batch", "deferred-manual"])
+    def test_contained_fault_spares_the_rest_of_a_run(self, mode):
+        # Per event, the fault costs chk(bad, x) alone: both sites find
+        # their check and nothing is reported.  A batch must agree, even
+        # though the three chk events are consecutive and same-key.
+        expected = ((2, 0, 2), [])
+        assert run_faulty_trace("per-event") == expected
+        assert run_faulty_trace(mode) == expected
