@@ -11,7 +11,7 @@ each measured against its own absence:
    acknowledged inefficiency): parse + translate the combined manifest
    once per change instead of once per unit.
 3. **Static elision** (section 7's future work, implemented in
-   ``repro.analysis``): assertions the must-check analysis discharges are
+   ``repro.analysis``): assertions tesla-prove discharges (PROVED) are
    not instrumented at all.
 """
 
@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import StaticModel, apply_static_elision
+from repro.analysis import ProgramCFG, load_suite, prove_assertions
 from repro.bench import median_time
-from repro.core.dsl import ANY, fn, previously, tesla_within, var
+from repro.core.dsl import ANY, call, fn, previously, tesla_within, var
 from repro.core.events import call_event, return_event
 from repro.instrument.build import BuildSystem
 from repro.instrument.hooks import instrumentable, tesla_site
@@ -204,59 +204,72 @@ def se_bound{i}(obj):
 
 
 def test_ablation_static_elision(benchmark, results_dir):
-    """Instrumenting only what the static pass cannot discharge skips the
+    """Instrumenting only what tesla-prove cannot discharge skips the
     run-time automata for provably satisfied assertions entirely.
 
-    Two corpora: a synthetic straight-line module (every assertion is
-    discharged) and the kernel's MP set (the VOP/pr_usrreqs indirection of
-    figure 3 defeats discharge, so everything stays monitored — the
-    conservative answer)."""
+    Three rows: a synthetic straight-line module asserting a prior
+    ``call`` of its check (every assertion is discharged), the same
+    module asserting the check *returned 0* (return values are not
+    modelled, so everything stays monitored), and the kernel's MP set
+    (the VOP/pr_usrreqs indirection of figure 3 defeats discharge, so
+    everything stays monitored — the conservative answer)."""
 
     def run():
-        import repro.kernel.process as process_module
-        import repro.kernel.syscalls as syscalls_module
-
         from repro.kernel.assertions import assertion_sets
 
-        synthetic_model = StaticModel()
-        synthetic_assertions = []
+        synthetic_cfg = ProgramCFG()
+        called, returned = [], []
         for i in range(8):
-            synthetic_model.add_source(ELISION_SOURCE_TEMPLATE.format(i=i))
-            synthetic_assertions.append(
+            synthetic_cfg.add_source(ELISION_SOURCE_TEMPLATE.format(i=i))
+            called.append(
+                tesla_within(
+                    f"se_bound{i}",
+                    previously(call(f"se_check{i}")),
+                    name=f"abl.elide.{i}",
+                )
+            )
+            returned.append(
                 tesla_within(
                     f"se_bound{i}",
                     previously(fn(f"se_check{i}", ANY("c"), var("obj")) == 0),
                     name=f"abl.elide.{i}",
                 )
             )
-        synthetic_report = apply_static_elision(
-            synthetic_model, synthetic_assertions
+        kernel_cfg = load_suite("kernel")[1].cfg
+        return (
+            prove_assertions(called, cfg=synthetic_cfg),
+            prove_assertions(returned, cfg=synthetic_cfg),
+            prove_assertions(assertion_sets()["MP"], cfg=kernel_cfg),
         )
 
-        kernel_model = StaticModel.from_modules(
-            [process_module, syscalls_module]
-        )
-        kernel_report = apply_static_elision(
-            kernel_model, assertion_sets()["MP"]
-        )
-        return synthetic_report, kernel_report
-
-    synthetic_report, kernel_report = benchmark.pedantic(
+    called_report, returned_report, kernel_report = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
-    text = (
-        "Ablation 3: static elision (section 7)\n"
-        "--------------------------------------\n"
-        "synthetic straight-line corpus:\n  "
-        + synthetic_report.summary().replace("\n", "\n  ")
-        + "\nkernel MP set (dynamic dispatch throughout):\n  "
-        + kernel_report.summary().replace("\n", "\n  ")
+
+    def row(report) -> str:
+        return "  " + report.format_elision().replace("\n", "\n  ")
+
+    text = "\n".join(
+        [
+            "Ablation 3: static elision (section 7, via tesla-prove)",
+            "-------------------------------------------------------",
+            "synthetic straight-line corpus, previously(call(check)):",
+            row(called_report),
+            "same corpus, previously(fn(check, ANY, var(obj)) == 0)"
+            " (return values are not modelled):",
+            row(returned_report),
+            "kernel MP set (dynamic dispatch throughout):",
+            row(kernel_report),
+        ]
     )
     emit(results_dir, "ablation_static_elision", text)
-    # Straight-line code: the analysis discharges everything.
-    assert len(synthetic_report.discharged) == 8
-    assert not synthetic_report.doomed
+    # Straight-line code: prove discharges everything on the product basis.
+    assert len(called_report.proved) == 8
+    assert {r.basis for r in called_report.proved} == {"product"}
+    # A return-value pattern is never forced, so nothing is discharged
+    # and nothing is wrongly doomed.
+    assert len(returned_report.unknown) == 8
     # Real kernel code: conservative — no dooms, no false discharges
     # through the indirection the model cannot follow.
-    assert not kernel_report.doomed
-    assert len(kernel_report.monitored) + len(kernel_report.discharged) == 10
+    assert not kernel_report.violated
+    assert len(kernel_report.unknown) == 10

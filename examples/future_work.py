@@ -8,19 +8,17 @@ Three directions the paper sketched, all working in this reproduction:
 2. **Per-object assertions** — temporal bounds tied to an object's
    lifetime instead of a function's activation (validate-before-use per
    buffer).
-3. **Static analysis** — discharging assertions at "compile time" where
-   the check provably precedes the site, and reporting assertions that
-   can never be satisfied.
+3. **Static analysis** — tesla-prove discharges assertions at "compile
+   time" where the check provably precedes the site on every path, and
+   reports a concrete counterexample path for assertions some path
+   violates.
 
 Run:  python examples/future_work.py
 """
 
 from repro import (
-    ANY,
     Context,
     LogAndContinue,
-    StaticModel,
-    apply_static_elision,
     call,
     fn,
     instrument_object_assertion,
@@ -32,7 +30,7 @@ from repro import (
     tsequence,
     var,
 )
-from repro.analysis.static import must_check_before_site
+from repro.analysis import ProgramCFG, load_suite, prove_assertion
 
 # --- 1. free variables -------------------------------------------------------
 
@@ -147,46 +145,46 @@ def check(cred, obj):
 def do_io(obj):
     tesla_site("demo.static", obj=obj)
 
-def entry_point(obj):
+def entry_point(obj, table):
     check("cred", obj)
+    table["log"](obj)
+    do_io(obj)
+
+def fast_path(obj, cached):
+    if not cached:
+        check("cred", obj)
     do_io(obj)
 '''
 
 
 def demo_static_analysis():
-    print("\n3. Static analysis: discharging assertions at compile time")
-    model = StaticModel()
+    print("\n3. Static analysis: deciding assertions at compile time")
+    model = ProgramCFG()
     model.add_source(STRAIGHT_LINE)
-    discharged = tesla_within(
-        "entry_point",
-        previously(fn("check", ANY("cred"), var("obj")) == 0),
-        name="demo.static",
+    checked = tesla_within(
+        "entry_point", previously(call("check")), name="demo.static"
     )
-    doomed = tesla_within(
-        "entry_point",
-        previously(fn("check_that_nothing_calls", ANY("c"), var("obj")) == 0),
-        name="demo.static",
+    result = prove_assertion(checked, cfg=model)
+    print(f"   check, function-pointer call, site: {result.verdict.upper()} "
+          f"({result.basis} basis) — no instrumentation needed")
+    skipped = tesla_within(
+        "fast_path", previously(call("check")), name="demo.static"
     )
-    print(f"   straight-line check-then-site: "
-          f"discharged={must_check_before_site(model, discharged)}")
-    report = apply_static_elision(model, [doomed])
-    print(f"   assertion naming an uncalled check: "
-          f"doomed={[a.name for a in report.doomed] == ['demo.static']}")
+    result = prove_assertion(skipped, cfg=model)
+    print(f"   check skipped on the cached path: {result.verdict.upper()}, "
+          f"counterexample:")
+    for step in result.counterexample:
+        print(f"     {step}")
 
-    import repro.kernel.net.socket as socket_module
-    import repro.kernel.net.select as select_module
-    import repro.kernel.syscalls as syscalls_module
     from repro.kernel.assertions import assertion_sets
 
-    kernel_model = StaticModel.from_modules(
-        [socket_module, select_module, syscalls_module]
-    )
     poll = next(
         a for a in assertion_sets()["MS"] if a.name == "MS.sopoll.prior-check"
     )
+    result = prove_assertion(poll, cfg=load_suite("kernel")[1].cfg)
     print(f"   figure 4's poll assertion through figure 3's indirection: "
-          f"discharged={must_check_before_site(kernel_model, poll)} "
-          f"(None = undecidable: exactly why TESLA monitors it at run time)")
+          f"{result.verdict.upper()} (exactly why TESLA monitors it at run "
+          f"time)")
 
 
 if __name__ == "__main__":

@@ -103,7 +103,9 @@ from .instrument import (
     site_registry,
     tesla_site,
 )
-from .analysis import StaticModel, apply_static_elision
+# tesla-lint and tesla-prove load with the package: ``repro.analysis`` is
+# there after ``import repro``.
+from . import analysis  # noqa: F401
 from .session import monitoring
 from .runtime import (
     CollectingHandler,
@@ -172,8 +174,6 @@ __all__ = [
     "instrumentable_struct",
     "site_registry",
     "tesla_site",
-    "StaticModel",
-    "apply_static_elision",
     "CollectingHandler",
     "FailStop",
     "LogAndContinue",

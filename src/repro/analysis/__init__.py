@@ -1,17 +1,19 @@
-"""Static analysis: elision (section 7 future work) and tesla-lint.
+"""Static analysis: tesla-lint and tesla-prove over one program model.
 
-Two tools share this package.  The must-check elision analysis
-(:mod:`repro.analysis.static`) removes instrumentation that a dominating
-check makes redundant; the tesla-lint verifier (:mod:`repro.analysis.lint`
-and friends) proves assertions sane *before* instrumentation, reporting
-stable ``TESLA0xx`` diagnostics (DESIGN §5.5).
+tesla-lint (:mod:`repro.analysis.lint` and friends) proves assertions
+sane *before* instrumentation, reporting stable ``TESLA0xx`` diagnostics
+(DESIGN §5.5).  tesla-prove (:mod:`repro.analysis.prove`, DESIGN §5.10)
+is the paper's section-7 static analysis: it model-checks each assertion
+against the product of its scope-bounded program CFG and translated
+automaton, discharging assertions entirely (PROVED — ``repro elide``
+reports them as needing no instrumentation), refuting them with a
+concrete counterexample path (VIOLATED, ``TESLA014``: a failure reported
+at "compile time"), or leaving them to runtime monitoring (UNKNOWN,
+``TESLA015``).
 
-A third tool joined in DESIGN §5.10: tesla-prove
-(:mod:`repro.analysis.cfg` + :mod:`repro.analysis.prove`) model-checks
-each assertion against the product of its scope-bounded program CFG and
-translated automaton, discharging assertions entirely (PROVED), refuting
-them with a concrete counterexample path (VIOLATED, ``TESLA014``), or
-leaving them to runtime monitoring (UNKNOWN, ``TESLA015``).
+Both read the same :class:`~repro.analysis.cfg.ProgramCFG`: lint's
+symbol resolution and call-graph pass (TESLA007, TESLA010) and prove's
+product exploration.
 """
 
 from .cfg import FunctionCFG, ProgramCFG
@@ -32,7 +34,6 @@ from .lint import (
     load_suite,
     prove_corpus,
     prove_suite,
-    suite_program_cfg,
 )
 from .machine import MACHINE_PASSES, lint_automaton
 from .prove import (
@@ -46,34 +47,22 @@ from .prove import (
     prove_assertions,
 )
 from .program import ProgramModel, fixed_arity, lint_program, signature_arity
-from .static import (
-    ElisionReport,
-    MustCheckAnalysis,
-    StaticModel,
-    apply_static_elision,
-    must_check_before_site,
-    never_satisfiable,
-)
 
 __all__ = [
     "CODES",
     "SCHEMA_VERSION",
     "Diagnostic",
-    "ElisionReport",
     "FunctionCFG",
     "LintReport",
     "MACHINE_PASSES",
-    "MustCheckAnalysis",
     "PROVED",
     "ProgramCFG",
     "ProgramModel",
     "ProveReport",
     "ProveResult",
     "Severity",
-    "StaticModel",
     "UNKNOWN",
     "VIOLATED",
-    "apply_static_elision",
     "automaton_safety",
     "available_suites",
     "diagnostic",
@@ -85,12 +74,9 @@ __all__ = [
     "lint_program",
     "lint_suite",
     "load_suite",
-    "must_check_before_site",
-    "never_satisfiable",
     "prove_assertion",
     "prove_assertions",
     "prove_corpus",
     "prove_suite",
     "signature_arity",
-    "suite_program_cfg",
 ]

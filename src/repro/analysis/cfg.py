@@ -1,12 +1,13 @@
-"""tesla-prove's program model: AST → branch-structured control-flow graphs.
+"""The static program model: AST → branch-structured control-flow graphs.
 
-:mod:`repro.analysis.static` flattens each function into a statement-ordered
-list of :class:`~repro.analysis.static.CallStep` values — enough for the
-must-check pass, but blind to *which* paths exist.  The product model
-checker (:mod:`repro.analysis.prove`) needs real paths: it explores the
-cross product of the program's control flow and a translated automaton, so
-this module builds per-function control-flow graphs whose nodes are
-labelled with the events instrumentation would observe there:
+Every static question about the program goes through this one model:
+tesla-prove's product model checker (:mod:`repro.analysis.prove`), the
+``repro elide`` view over its verdicts, and tesla-lint's program layer
+(:mod:`repro.analysis.program`: symbol resolution and TESLA010's call
+graph).  The model checker explores the cross product of the program's
+control flow and a translated automaton, so this module builds
+per-function control-flow graphs whose nodes are labelled with the events
+instrumentation would observe there:
 
 * ``("call", name)`` / ``("ret", name)`` — a resolvable call and its
   return, in evaluation order (arguments before the call, callee body
@@ -18,17 +19,22 @@ labelled with the events instrumentation would observe there:
 * ``("opaque", why)`` — anything whose callee the model cannot resolve:
   dict-dispatch (``vp.v_op["lookup"](...)``), chained attribute lookups,
   calls through locally assigned names (lambdas, nested ``def``s, aliased
-  methods, parameters), and computed site names.
+  methods, parameters), generator expressions that call anything, and
+  computed site names.
+
+Evaluation that may not happen is a branch: the right operand of
+``and``/``or``, both arms of a conditional expression, and comprehension
+bodies (zero or more iterations).  Bodies that run later, if ever — nested
+``def``s and classes, lambdas, generator expressions — emit nothing where
+they are written; their callee names still count for the call graph
+(:meth:`ProgramCFG.callers_of`) and an unresolvable callee there still
+makes the function :attr:`~FunctionCFG.opaque`.
 
 Opacity is *loud* by design: an opaque node means "any event may happen
-here", and both directions of the product analysis treat it as a full
-stop — a proof cannot cross it and a counterexample may not contain it.
-Exactly as in the flat model, the dynamic indirection that motivates
-TESLA also bounds what this graph can decide.
-
-Source discovery is shared with :class:`~repro.analysis.static.StaticModel`
-(:meth:`ProgramCFG.from_modules` reads the same module files), so the two
-models always describe the same code.
+here".  A proof crosses it only if every automaton configuration such
+events can reach is safe, and a counterexample may not contain it.  The
+dynamic indirection that motivates TESLA also bounds what this graph can
+decide.
 
 Soundness posture (the closed-world assumption): only functions defined
 in the supplied modules can emit instrumented events.  A call to a name
@@ -102,6 +108,11 @@ class FunctionCFG:
         #: Names assigned anywhere in the body (params, locals, nested
         #: ``def``/``lambda`` names) — calls through them are opaque.
         self.local_names: FrozenSet[str] = frozenset()
+        #: Callee names inside bodies that run later, if ever (nested
+        #: ``def``s and classes, lambdas, generator expressions).
+        self.deferred_calls: Set[str] = set()
+        #: Whether such a body calls something no name resolves.
+        self.deferred_opaque = False
 
     def _new(self, event: Optional[EventLabel], line: int) -> int:
         node = CFGNode(id=len(self.nodes), function=self.name, event=event,
@@ -114,7 +125,7 @@ class FunctionCFG:
 
     @property
     def opaque(self) -> bool:
-        return any(
+        return self.deferred_opaque or any(
             n.event is not None and n.event[0] == "opaque" for n in self.nodes
         )
 
@@ -196,13 +207,81 @@ class _FunctionBuilder:
 
     def _expression(self, expr: Optional[ast.AST],
                     frontier: List[int]) -> List[int]:
-        """Append event nodes for every call / store inside ``expr`` in
-        evaluation order (arguments before their call)."""
+        """Append event nodes for every call inside ``expr`` in Python's
+        evaluation order (arguments before their call), branching where
+        evaluation may stop short."""
         if expr is None:
             return frontier
-        for node in _calls_in_order(expr):
-            frontier = self._call(node, frontier)
+        if isinstance(expr, ast.Lambda):
+            self._defer(expr)
+            return frontier
+        if isinstance(expr, ast.GeneratorExp):
+            # Runs when (and if) someone iterates it: any of its calls
+            # may happen at any later point.
+            self._defer(expr)
+            if any(isinstance(n, ast.Call) for n in ast.walk(expr)):
+                return self._chain(
+                    frontier, ("opaque", "<genexpr>"), expr.lineno
+                )
+            return frontier
+        if isinstance(expr, ast.BoolOp):
+            # ``a and b``: ``b`` runs only if ``a`` does not decide.
+            frontier = self._expression(expr.values[0], frontier)
+            decided: List[int] = []
+            for value in expr.values[1:]:
+                decided += frontier
+                frontier = self._expression(value, list(frontier))
+            return _unique(frontier + decided)
+        if isinstance(expr, ast.IfExp):
+            frontier = self._expression(expr.test, frontier)
+            return _unique(
+                self._expression(expr.body, list(frontier))
+                + self._expression(expr.orelse, list(frontier))
+            )
+        if isinstance(expr, (ast.ListComp, ast.SetComp, ast.DictComp)):
+            return self._comprehension(expr, frontier)
+        for child in ast.iter_child_nodes(expr):
+            frontier = self._expression(child, frontier)
+        if isinstance(expr, ast.Call):
+            frontier = self._call(expr, frontier)
         return frontier
+
+    def _comprehension(self, expr, frontier: List[int]) -> List[int]:
+        """A loop of zero or more iterations.  Only the first iterable is
+        evaluated unconditionally; every other part (filters, inner
+        iterables, the element) may run any number of times, in any
+        interleaving — filters and inner loops decide at run time."""
+        first, *rest = expr.generators
+        frontier = self._expression(first.iter, frontier)
+        header = self.cfg._new(None, expr.lineno)
+        self._connect(frontier, header)
+        parts: List[ast.AST] = list(first.ifs)
+        for generator in rest:
+            parts += [generator.iter, *generator.ifs]
+        if isinstance(expr, ast.DictComp):
+            parts += [expr.key, expr.value]
+        else:
+            parts.append(expr.elt)
+        for part in parts:
+            out = self._expression(part, [header])
+            if out != [header]:
+                self._connect(out, header)
+        return [header]
+
+    def _defer(self, node: ast.AST) -> None:
+        """Record the callees of a body this graph does not order."""
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Name):
+                self.cfg.deferred_calls.add(func.id)
+            elif isinstance(func, ast.Attribute) and isinstance(
+                func.value, ast.Name
+            ):
+                self.cfg.deferred_calls.add(func.attr)
+            else:
+                self.cfg.deferred_opaque = True
 
     def _call(self, node: ast.Call, frontier: List[int]) -> List[int]:
         line = getattr(node, "lineno", 0)
@@ -276,6 +355,7 @@ class _FunctionBuilder:
                              ast.ClassDef)):
             # Defining a nested callable emits nothing; calling it later
             # is opaque via local_names.
+            self._defer(stmt)
             return frontier
         if isinstance(stmt, ast.Return):
             frontier = self._expression(stmt.value, frontier)
@@ -384,22 +464,8 @@ class _FunctionBuilder:
         ]
 
 
-def _calls_in_order(expr: ast.AST) -> List[ast.Call]:
-    """Call nodes inside one expression, arguments before their call —
-    Python's evaluation order to the precision this model needs."""
-    out: List[ast.Call] = []
-
-    def visit(node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.Lambda, ast.FunctionDef,
-                                  ast.AsyncFunctionDef)):
-                continue  # deferred bodies do not execute here
-            visit(child)
-        if isinstance(node, ast.Call):
-            out.append(node)
-
-    visit(expr)
-    return out
+def _unique(frontier: List[int]) -> List[int]:
+    return list(dict.fromkeys(frontier))
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +483,7 @@ class ProgramCFG:
 
     @classmethod
     def from_modules(cls, modules: Sequence[types.ModuleType]) -> "ProgramCFG":
-        """Same source discovery as ``StaticModel.from_modules``: read each
-        module's file and model every top-level function."""
+        """Read each module's file and model every top-level function."""
         model = cls()
         for module in modules:
             path = getattr(module, "__file__", None)
@@ -436,6 +501,15 @@ class ProgramCFG:
 
     def defines(self, name: str) -> bool:
         return name in self.functions
+
+    def callers_of(self, name: str) -> List[str]:
+        """Modelled functions that call ``name``, including from a body
+        they define (nested ``def``, lambda, generator expression)."""
+        return sorted(
+            fn.name
+            for fn in self.functions.values()
+            if name in fn.called_names() or name in fn.deferred_calls
+        )
 
     # -- bounded interprocedural summaries ----------------------------------
 

@@ -34,7 +34,6 @@ from .diagnostics import LintReport, diagnostic
 from .machine import lint_automaton
 from .program import ProgramModel, lint_program
 from .prove import ProveReport, prove_assertions
-from .static import StaticModel
 
 
 def lint_assertions(
@@ -134,8 +133,8 @@ def _load_quickstart():
     return module
 
 
-#: The kernel implementation modules the kernel suite's static model
-#: covers (the same sources ``cli elide`` analyses, plus the type layer).
+#: The kernel implementation modules the kernel suite's program model
+#: covers (``repro elide`` proves over the same graph).
 _KERNEL_MODULES = (
     "repro.kernel.mac.checks",
     "repro.kernel.net.select",
@@ -150,6 +149,11 @@ _KERNEL_MODULES = (
 )
 
 
+def _kernel_model() -> ProgramModel:
+    modules = [importlib.import_module(name) for name in _KERNEL_MODULES]
+    return ProgramModel.from_registries(cfg=ProgramCFG.from_modules(modules))
+
+
 def _suite_examples() -> Tuple[List[TemporalAssertion], ProgramModel]:
     module = _load_quickstart()
     assertions = [
@@ -158,7 +162,7 @@ def _suite_examples() -> Tuple[List[TemporalAssertion], ProgramModel]:
         if isinstance(value, TemporalAssertion)
     ]
     model = ProgramModel.from_registries(
-        static=StaticModel.from_modules([module])
+        cfg=ProgramCFG.from_modules([module])
     )
     return assertions, model
 
@@ -166,18 +170,14 @@ def _suite_examples() -> Tuple[List[TemporalAssertion], ProgramModel]:
 def _suite_kernel() -> Tuple[List[TemporalAssertion], ProgramModel]:
     from ..kernel.assertions import assertion_sets
 
-    modules = [importlib.import_module(name) for name in _KERNEL_MODULES]
-    model = ProgramModel.from_registries(
-        static=StaticModel.from_modules(modules)
-    )
-    return list(assertion_sets()["All"]), model
+    return list(assertion_sets()["All"]), _kernel_model()
 
 
 def _suite_sslx() -> Tuple[List[TemporalAssertion], ProgramModel]:
     from ..sslx import crypto, fetch, libssl
 
     model = ProgramModel.from_registries(
-        static=StaticModel.from_modules([fetch, libssl, crypto])
+        cfg=ProgramCFG.from_modules([fetch, libssl, crypto])
     )
     return [fetch.fetch_assertion()], model
 
@@ -194,11 +194,7 @@ def _suite_slo() -> Tuple[List[TemporalAssertion], ProgramModel]:
     own so the pinned 99-assertion corpus counts stay untouched."""
     from ..kernel.slo import slo_assertions
 
-    modules = [importlib.import_module(name) for name in _KERNEL_MODULES]
-    model = ProgramModel.from_registries(
-        static=StaticModel.from_modules(modules)
-    )
-    return list(slo_assertions()), model
+    return list(slo_assertions()), _kernel_model()
 
 
 _SUITES = {
@@ -245,35 +241,12 @@ def lint_corpus(names: Optional[Sequence[str]] = None) -> LintReport:
 # ---------------------------------------------------------------------------
 
 
-def _suite_modules(name: str):
-    """The source modules a suite's :class:`ProgramCFG` is built from —
-    the same discovery the suite's :class:`StaticModel` uses.  Empty for
-    suites with only dynamic selectors (gui), whose product basis is
-    simply unavailable."""
-    if name == "examples":
-        return [_load_quickstart()]
-    if name in ("kernel", "slo"):
-        return [importlib.import_module(m) for m in _KERNEL_MODULES]
-    if name == "sslx":
-        from ..sslx import crypto, fetch, libssl
-
-        return [fetch, libssl, crypto]
-    return []
-
-
-def suite_program_cfg(name: str) -> Optional[ProgramCFG]:
-    """One suite's control-flow model, or ``None`` when it has no
-    modelled sources (the automaton proof basis still applies)."""
-    modules = _suite_modules(name)
-    if not modules:
-        return None
-    return ProgramCFG.from_modules(modules)
-
-
 def prove_suite(name: str) -> ProveReport:
-    """Prove one corpus suite against its control-flow model."""
-    assertions, _model = load_suite(name)
-    return prove_assertions(assertions, cfg=suite_program_cfg(name))
+    """Prove one corpus suite against its control-flow model (``None``
+    for suites with only dynamic selectors, such as gui: the automaton
+    basis still applies)."""
+    assertions, model = load_suite(name)
+    return prove_assertions(assertions, cfg=model.cfg)
 
 
 def prove_corpus(names: Optional[Sequence[str]] = None) -> ProveReport:

@@ -17,7 +17,8 @@ Python's ``ast``/``inspect`` instead of the paper's Clang AST walk:
 * TESLA010 — an event whose callee the modelled call graph proves
   uncalled can never fire (warning; suppressed whenever the model
   contains opaque calls, since indirection could hide the caller —
-  the same soundness posture as :mod:`repro.analysis.static`).
+  the same soundness posture as tesla-prove over the same
+  :class:`~repro.analysis.cfg.ProgramCFG`).
 
 The layer also produces the report's ``arity_safe`` set: ``(function,
 arity)`` pairs where the hooked signature *fixes* the event arity (no
@@ -51,8 +52,8 @@ from ..core.ast import (
     walk,
 )
 from ..core.patterns import Const
+from .cfg import ProgramCFG
 from .diagnostics import Diagnostic, diagnostic
-from .static import StaticModel
 
 #: Field-helper functions whose second argument names the assigned field
 #: (:mod:`repro.instrument.fields`): ``field_inc(obj, "p_flag")`` etc.
@@ -109,8 +110,8 @@ class ProgramModel:
 
     Built from the process-wide instrumentation registries by default;
     suites with dynamic dispatch add their ``selectors``, and suites with
-    modelled sources add a :class:`~repro.analysis.static.StaticModel`
-    for the call-graph pass.
+    modelled sources add their :class:`~repro.analysis.cfg.ProgramCFG`
+    for the call-graph pass (tesla-prove reads the same graph).
     """
 
     #: name -> callable for registered hook points.
@@ -119,14 +120,14 @@ class ProgramModel:
     structs: dict = field(default_factory=dict)
     #: dynamically dispatched selector names (interposition targets).
     selectors: FrozenSet[str] = frozenset()
-    #: call-graph model of the program's sources, when available.
-    static: Optional[StaticModel] = None
+    #: control-flow model of the program's sources, when available.
+    cfg: Optional[ProgramCFG] = None
 
     @classmethod
     def from_registries(
         cls,
         selectors: Sequence[str] = (),
-        static: Optional[StaticModel] = None,
+        cfg: Optional[ProgramCFG] = None,
     ) -> "ProgramModel":
         """Snapshot the global hook/field registries into a model."""
         from ..instrument.fields import field_registry
@@ -146,21 +147,21 @@ class ProgramModel:
             hooks=hooks,
             structs=structs,
             selectors=frozenset(selectors),
-            static=static,
+            cfg=cfg,
         )
 
     def resolves(self, name: str) -> bool:
         """Whether ``name`` is instrumentable by *some* mechanism."""
         if name in self.hooks or name in self.selectors:
             return True
-        return self.static is not None and self.static.defines(name)
+        return self.cfg is not None and self.cfg.defines(name)
 
     def has_opaque_calls(self) -> bool:
         """Whether the modelled sources contain unresolvable calls
         (function pointers, method tables) that could hide callers."""
-        if self.static is None:
+        if self.cfg is None:
             return True
-        return any(fn.opaque for fn in self.static.functions.values())
+        return any(fn.opaque for fn in self.cfg.functions.values())
 
 
 def _function_events(assertion: TemporalAssertion):
@@ -370,7 +371,7 @@ def check_callgraph(
     defined in the modelled sources, nothing calls it, and no opaque call
     anywhere could be hiding the caller.
     """
-    if model.static is None or model.has_opaque_calls():
+    if model.cfg is None or model.has_opaque_calls():
         return []
     bound_functions = {
         node.function
@@ -387,9 +388,9 @@ def check_callgraph(
         if name in seen or name in bound_functions:
             continue
         seen.add(name)
-        if not model.static.defines(name):
+        if not model.cfg.defines(name):
             continue
-        if model.static.callers_of(name):
+        if model.cfg.callers_of(name):
             continue
         out.append(
             diagnostic(

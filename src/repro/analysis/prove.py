@@ -18,7 +18,10 @@ PROVED
     * ``product`` — the exploration of the scope-bounded program CFG
       (:mod:`repro.analysis.cfg`) crossed with the automaton reaches a
       fixpoint in which every configuration accepts at every assertion
-      site and at every normal bound exit.
+      site and at every normal bound exit.  An opaque node stands for
+      arbitrary events: the exploration continues from every
+      configuration they can reach, and each of those must accept the
+      site, since opaque code may emit it.
 
 VIOLATED
     A concrete static path through the bound function drives a
@@ -38,8 +41,11 @@ each symbol's pattern matcher decides and however instances clone; a
 configuration set in which *all* members accept therefore implies that
 *some live instance* accepts, which is exactly the runtime's violation
 predicate (:mod:`repro.runtime.update`).  Timed and ``strict`` automata,
-site-variable bindings, opaque calls, recursion past the inline budget
-and configuration blow-ups all degrade to UNKNOWN — never to PROVED.
+site-variable bindings, re-entry into the bound function, opaque code
+before the obligation is met, a site no modelled path reaches, and
+configuration blow-ups all degrade to UNKNOWN — never to PROVED.  Opaque
+code is taken not to re-enter the bound function: the model refuses
+every re-entry it can see.
 ``tests/property/test_prove_soundness.py`` holds the engine to this with
 randomized traces across every engine configuration.
 """
@@ -109,6 +115,10 @@ _PATH_BUDGET = 512
 _PATH_LENGTH_CAP = 400
 
 _EVENT_KINDS = (TransitionKind.EVENT, TransitionKind.SITE)
+
+#: An automaton configuration: the set of states an instance may occupy,
+#: and whether it has passed the assertion site.
+Config = Tuple[FrozenSet[int], bool]
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +274,27 @@ class ProveReport:
     def dumps(self, indent: int = 2) -> str:
         return json.dumps(self.to_json(), indent=indent, sort_keys=True)
 
+    def format_elision(self) -> str:
+        """The ``repro elide`` view: PROVED assertions are discharged (no
+        instrumentation needed), VIOLATED ones doomed, UNKNOWN ones
+        monitored."""
+        lines = [
+            f"static elision: {len(self.proved)}/{self.assertions_checked} "
+            f"discharged, {len(self.violated)} doomed, "
+            f"{len(self.unknown)} monitored"
+        ]
+        for result in self.proved:
+            lines.append(
+                f"  discharged ({result.basis} basis): {result.assertion}"
+            )
+        for result in self.violated:
+            lines.append(
+                f"  DOOMED (will always fail): {result.assertion}: "
+                f"{result.reason}"
+            )
+            lines.extend(f"    {step}" for step in result.counterexample)
+        return "\n".join(lines)
+
     def format(self, min_severity: Severity = Severity.INFO) -> str:
         lines = [
             f.format()
@@ -354,7 +385,7 @@ def _step_configs(
     saw: bool,
     enabled: Sequence[Transition],
     forced: Sequence[Transition],
-) -> List[Tuple[FrozenSet[int], bool]]:
+) -> List[Config]:
     """Successor configurations of one event under move-or-stay stepping.
 
     ``forced`` transitions always fire (must-match symbols); every subset
@@ -363,7 +394,7 @@ def _step_configs(
     forced, the empty subset (the instance stays put) is included.
     """
     optional = [t for t in enabled if t not in forced]
-    out: List[Tuple[FrozenSet[int], bool]] = []
+    out: List[Config] = []
     n = len(optional)
     for mask in range(1 << n):
         fired = list(forced)
@@ -383,6 +414,48 @@ def _step_configs(
 # ---------------------------------------------------------------------------
 # basis 1: safety over arbitrary traces
 # ---------------------------------------------------------------------------
+
+
+def _closure(
+    by_key: Dict[Tuple[EventKind, str], List[Transition]], start: Config
+) -> Tuple[Optional[Set[Config]], str]:
+    """Every configuration reachable from ``start`` over *arbitrary*
+    event traces, or ``(None, reason)`` when a cap stops the search."""
+    seen: Set[Config] = {start}
+    frontier: List[Config] = [start]
+    while frontier:
+        states, saw = frontier.pop()
+        for key, group in by_key.items():
+            enabled = [t for t in group if t.src in states]
+            if not enabled:
+                continue
+            if len(enabled) > _SUBSET_CAP:
+                return None, (
+                    f"too many interacting transitions on "
+                    f"{key[1] or key[0].value!r} "
+                    f"({len(enabled)} > {_SUBSET_CAP})"
+                )
+            for config in _step_configs(states, saw, enabled, ()):
+                if config in seen:
+                    continue
+                if len(seen) >= _CONFIG_CAP:
+                    return None, (
+                        f"configuration explosion (> {_CONFIG_CAP} configs)"
+                    )
+                seen.add(config)
+                frontier.append(config)
+    return seen, ""
+
+
+def _site_refuser(
+    automaton: Automaton, site_srcs: FrozenSet[int], configs: Iterable[Config]
+) -> Optional[FrozenSet[int]]:
+    """The states of a configuration that would refuse an assertion site,
+    or ``None`` when every configuration accepts one."""
+    for states, saw in configs:
+        if not _config_accepts_site(automaton, site_srcs, states, saw):
+            return states
+    return None
 
 
 def automaton_safety(
@@ -408,73 +481,41 @@ def automaton_safety(
     clock guards (verdicts depend on real time) and site variables
     (satisfaction is per dynamic binding).
     """
-    by_key = _transitions_by_key(automaton)
-    site_srcs = _site_srcs(automaton)
-
-    entry = (automaton.entry_states, False)
-    seen: Set[Tuple[FrozenSet[int], bool]] = {entry}
-    frontier: List[Tuple[FrozenSet[int], bool]] = [entry]
-    occupiable: Set[int] = set(automaton.entry_states)
-    verdict: Optional[bool] = True
-    reason = ""
-
-    def refuse(why: str) -> Tuple[Optional[bool], str, None]:
-        return None, why, None
-
-    while frontier:
-        states, saw = frontier.pop()
-        for key, group in by_key.items():
-            enabled = [t for t in group if t.src in states]
-            if not enabled:
-                continue
-            if len(enabled) > _SUBSET_CAP:
-                return refuse(
-                    f"too many interacting transitions on {key[1] or key[0].value!r} "
-                    f"({len(enabled)} > {_SUBSET_CAP})"
-                )
-            for config in _step_configs(states, saw, enabled, ()):
-                if config in seen:
-                    continue
-                if len(seen) >= _CONFIG_CAP:
-                    return refuse(
-                        f"configuration explosion (> {_CONFIG_CAP} configs)"
-                    )
-                seen.add(config)
-                frontier.append(config)
-                occupiable |= config[0]
-
-    # Judge every reachable configuration only after the exploration
-    # finished, so ``occupiable`` is complete whatever the verdict.
+    seen, reason = _closure(
+        _transitions_by_key(automaton), (automaton.entry_states, False)
+    )
+    if seen is None:
+        return None, reason, None
+    # Judge the configurations only after the exploration finished, so
+    # ``occupiable`` is complete whatever the verdict.
+    occupiable = frozenset().union(*(states for states, _ in seen))
     if automaton.strict:
         return None, (
             "strict automaton: any unconsumable referenced event is a "
             "runtime violation"
-        ), frozenset(occupiable)
+        ), occupiable
     if automaton.timed:
         return None, (
             "timed automaton: verdicts depend on the capture clock"
-        ), frozenset(occupiable)
+        ), occupiable
     if automaton.site_variables:
         return None, (
             "assertion site binds dynamic variables: satisfaction is "
             "per-binding"
-        ), frozenset(occupiable)
+        ), occupiable
+    refuser = _site_refuser(automaton, _site_srcs(automaton), seen)
+    if refuser is not None:
+        return False, (
+            "a reachable configuration cannot accept the assertion "
+            f"site (states {sorted(refuser)})"
+        ), occupiable
     for states, saw in seen:
-        if not _config_accepts_site(automaton, site_srcs, states, saw):
-            verdict = False
-            reason = (
-                "a reachable configuration cannot accept the assertion "
-                f"site (states {sorted(states)})"
-            )
-            break
         if saw and not automaton.cleanup_enabled(states):
-            verdict = False
-            reason = (
+            return False, (
                 "a reachable configuration holds an open 'eventually' "
                 f"obligation at cleanup (states {sorted(states)})"
-            )
-            break
-    return verdict, reason, frozenset(occupiable)
+            ), occupiable
+    return True, "", occupiable
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +607,10 @@ def _build_scope_graph(
                 )
                 if entry_id is _TRUNCATED:
                     return None
-                if entry_id is _OPAQUE:
+                if isinstance(entry_id, str):
                     # Replace the call's event with an opaque taint but
                     # keep the flow shape.
-                    sg.nodes[new_id].event = ("opaque", f"<{callee}>")
+                    sg.nodes[new_id].event = ("opaque", entry_id)
                 elif entry_id is not None and ret_id is not None:
                     # call node -> callee body -> paired return node.
                     sg.nodes[new_id].succs = [entry_id]
@@ -581,25 +622,24 @@ def _build_scope_graph(
     def _expand_callee(callee: str, stack: Tuple[str, ...],
                        ret_to: Optional[int], abort_to: int):
         """Entry node of the inlined callee body, ``None`` to keep the
-        bare call/ret events (body contributes nothing observable),
-        ``_OPAQUE`` to taint, or ``_TRUNCATED`` on budget failure."""
+        bare call/ret events (body contributes nothing observable), an
+        opaque label to taint the call with, or ``_TRUNCATED`` on budget
+        failure."""
         if callee == bound_function:
             # Re-entering the bound closes and reopens it mid-scope; the
             # single-occurrence model does not cover that.
-            return _OPAQUE
+            return _REENTRY
         if not cfg.defines(callee):
             # Closed world: unmodelled callees emit nothing themselves.
             return None
         emit, opaque = cfg.summary(callee)
-        interesting = opaque or any(relevant(name) for name in emit)
-        if not interesting:
+        reenters = bound_function in emit
+        if not (opaque or reenters or any(relevant(n) for n in emit)):
             return None
-        if callee in stack or len(stack) >= _INLINE_DEPTH_CAP:
+        if callee in stack or len(stack) >= _INLINE_DEPTH_CAP or ret_to is None:
             # Bounded summary for recursion/deep chains: the callee may
             # emit relevant events we cannot order — taint.
-            return _OPAQUE
-        if ret_to is None:
-            return _OPAQUE
+            return _REENTRY if reenters else f"<{callee}>"
         entry = expand(callee, stack + (callee,), ret_to, abort_to)
         return _TRUNCATED if entry is None else entry
 
@@ -610,7 +650,9 @@ def _build_scope_graph(
     return sg
 
 
-_OPAQUE = object()
+#: Opaque label of a call that may re-enter the bound function: the
+#: product stops there instead of crossing it.
+_REENTRY = "<re-enters the bound>"
 _TRUNCATED = object()
 
 
@@ -674,28 +716,49 @@ def _product_prove(
         return False, "timed automaton: verdicts depend on the capture clock"
     if sg.truncated_reason:
         return False, sg.truncated_reason
+    if not any(node.event == ("site", automaton.name) for node in sg.nodes):
+        # Nothing modelled emits the site: it is reached, if at all,
+        # from code the model cannot see, so no path proves anything.
+        return False, "no modelled path reaches the assertion site"
 
     by_key = _transitions_by_key(automaton)
     site_srcs = _site_srcs(automaton)
-    configs: Dict[int, Set[Tuple[FrozenSet[int], bool]]] = {}
+    configs: Dict[int, Set[Config]] = {}
     entry_config = (automaton.entry_states, False)
     configs[sg.entry] = {entry_config}
-    frontier: List[Tuple[int, Tuple[FrozenSet[int], bool]]] = [
-        (sg.entry, entry_config)
-    ]
+    frontier: List[Tuple[int, Config]] = [(sg.entry, entry_config)]
+    closures: Dict[Config, Set[Config]] = {}
     total = 1
 
     while frontier:
         node_id, (states, saw) = frontier.pop()
         node = sg.nodes[node_id]
-        outputs: List[Tuple[FrozenSet[int], bool]] = [(states, saw)]
+        outputs: List[Config] = [(states, saw)]
         if node.event is not None:
             kind = node.event[0]
             if kind == "opaque":
-                return False, (
+                # Any events may happen here, the site included: continue
+                # from every configuration they can reach, provided each
+                # of those accepts the site.
+                opaque = (
                     f"opaque code inside the bound at {node.where} "
                     f"({node.event[1]})"
                 )
+                if node.event[1] == _REENTRY:
+                    return False, opaque
+                reach = closures.get((states, saw))
+                if reach is None:
+                    reach, why = _closure(by_key, (states, saw))
+                    if reach is None:
+                        return False, f"{opaque}: {why}"
+                    closures[(states, saw)] = reach
+                refuser = _site_refuser(automaton, site_srcs, reach)
+                if refuser is not None:
+                    return False, (
+                        f"{opaque} may reach a configuration that refuses "
+                        f"the assertion site (states {sorted(refuser)})"
+                    )
+                outputs = list(reach)
             keys = _node_key(automaton, node.event)
             if keys is not None:
                 enabled: List[Transition] = []

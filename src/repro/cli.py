@@ -2,8 +2,9 @@
 
 Developer-facing plumbing around the analyser, mirroring the original
 tool's command-line workflow: inspect assertion sets, dump automata (text
-or Graphviz), write and combine ``.tesla`` manifests, and run the static
-elision pass — all without writing a Python driver.
+or Graphviz), write and combine ``.tesla`` manifests, and report which
+assertions static analysis discharges — all without writing a Python
+script.
 
 Commands
 ========
@@ -19,8 +20,11 @@ Commands
 ``show <path>``
     Summarise a ``.tesla`` manifest from disk.
 ``elide <set>``
-    Run the static must-check analysis over a kernel set and report what
-    could be discharged, doomed, or must stay monitored.
+    Prove a kernel set with tesla-prove against the kernel's control-flow
+    model and report the verdicts as static elision: PROVED assertions
+    are discharged (with their proof basis), VIOLATED ones doomed (with
+    the counterexample path), UNKNOWN ones stay monitored (exit 1 on any
+    doomed assertion).
 ``lint [suite …]``
     Run tesla-lint over the in-repo assertion corpus (``examples``,
     ``kernel``, ``sslx``, ``gui`` — default all), with text or ``--json``
@@ -174,37 +178,17 @@ def cmd_show(args: argparse.Namespace) -> int:
 
 
 def cmd_elide(args: argparse.Namespace) -> int:
-    """Run the static must-check analysis over a kernel set."""
-    import repro.kernel.mac.checks
-    import repro.kernel.net.select
-    import repro.kernel.net.socket
-    import repro.kernel.process
-    import repro.kernel.procfs
-    import repro.kernel.syscalls
-    import repro.kernel.vfs.ufs
-    import repro.kernel.vfs.vfs_ops
-
-    from .analysis import StaticModel, apply_static_elision
+    """tesla-prove's verdicts on a kernel set, viewed as static elision."""
+    from .analysis import load_suite, prove_assertions
 
     sets = _kernel_sets()
     if args.set not in sets:
         print(f"unknown set {args.set!r}; known: {', '.join(sorted(sets))}")
         return 2
-    model = StaticModel.from_modules(
-        [
-            repro.kernel.mac.checks,
-            repro.kernel.net.select,
-            repro.kernel.net.socket,
-            repro.kernel.process,
-            repro.kernel.procfs,
-            repro.kernel.syscalls,
-            repro.kernel.vfs.ufs,
-            repro.kernel.vfs.vfs_ops,
-        ]
-    )
-    report = apply_static_elision(model, sets[args.set])
-    print(report.summary())
-    return 1 if report.doomed else 0
+    _, model = load_suite("kernel")
+    report = prove_assertions(sets[args.set], cfg=model.cfg)
+    print(report.format_elision())
+    return 1 if report.violated else 0
 
 
 def _check_suites(suites) -> "Union[List[str], int]":
@@ -652,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     show_parser.set_defaults(func=cmd_show)
 
     elide_parser = sub.add_parser(
-        "elide", help="run static elision over a kernel set"
+        "elide", help="report which assertions of a kernel set tesla-prove discharges"
     )
     elide_parser.add_argument("set")
     elide_parser.set_defaults(func=cmd_elide)

@@ -8,6 +8,7 @@ state, the cursor stack).  Every test runs against a clean slate.
 
 from __future__ import annotations
 
+import importlib.util
 import threading
 
 import pytest
@@ -80,6 +81,26 @@ def clean_global_state():
     # assert on deltas start clean.  (The interest *epoch* is never reset —
     # caches key on its value, not on zero.)
     interest_stats.reset()
+
+
+@pytest.fixture
+def import_source(tmp_path):
+    """Write Python source to a file under ``tmp_path`` and import it.
+
+    Its ``@instrumentable`` decorators register hooks as usual (hook
+    names are process-wide, so each source needs its own), and
+    ``ProgramCFG.from_modules`` reads the same file back.
+    """
+
+    def load(name: str, source: str):
+        path = tmp_path / f"{name}.py"
+        path.write_text(source)
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load
 
 
 @pytest.fixture

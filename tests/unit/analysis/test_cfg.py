@@ -25,6 +25,19 @@ def events_of(source: str, name: str):
     return [n.event for n in cfg_of(source, name).event_nodes()]
 
 
+def bypasses(cfg, event) -> bool:
+    """Whether some path from entry to exit avoids every node carrying
+    ``event``."""
+    seen, stack = set(), [cfg.entry]
+    while stack:
+        node = stack.pop()
+        if node in seen or cfg.node(node).event == event:
+            continue
+        seen.add(node)
+        stack.extend(cfg.node(node).succs)
+    return cfg.exit in seen
+
+
 class TestStraightLine:
     def test_call_emits_call_and_return_pair(self):
         events = events_of(
@@ -101,17 +114,7 @@ class TestControlFlow:
         )
         # One path passes through the call, one bypasses it: the exit
         # node must be reachable from entry without the call node.
-        call_nodes = {
-            n.id for n in cfg.nodes if n.event == ("call", "g")
-        }
-        seen, stack = set(), [cfg.entry]
-        while stack:
-            node = stack.pop()
-            if node in seen or node in call_nodes:
-                continue
-            seen.add(node)
-            stack.extend(cfg.node(node).succs)
-        assert cfg.exit in seen
+        assert bypasses(cfg, ("call", "g"))
 
     def test_loop_has_back_edge(self):
         cfg = cfg_of(
@@ -150,6 +153,57 @@ class TestControlFlow:
             seen.add(node)
             stack.extend(cfg.node(node).succs)
         assert cfg.abort in seen and cfg.exit not in seen
+
+
+class TestShortCircuit:
+    """Evaluation that may stop short is a branch, never straight-line:
+    a call modelled as unconditional when it may not run lets the
+    product prove a check that never happened."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "if x and g():\n        pass",
+            "y = x or g()",
+            "y = x and h() and g()",
+            "y = g() if x else 0",
+            "y = 0 if x else g()",
+            "y = [g() for t in x]",
+            "y = {t: g() for t in x}",
+            "y = [t for t in x if g()]",
+        ],
+        ids=["and", "or", "and-chain", "ifexp-body", "ifexp-else",
+             "listcomp", "dictcomp", "listcomp-filter"],
+    )
+    def test_call_may_be_skipped(self, body):
+        cfg = cfg_of(f"def f(x):\n    {body}\n    return 0\n", "f")
+        assert ("call", "g") in [n.event for n in cfg.event_nodes()]
+        assert bypasses(cfg, ("call", "g"))
+
+    def test_left_operand_always_runs(self):
+        cfg = cfg_of("def f(x):\n    y = g() or x\n    return y\n", "f")
+        assert not bypasses(cfg, ("call", "g"))
+
+    def test_root_lambda_is_deferred(self):
+        """``f = lambda: g()`` defines a body; nothing runs yet."""
+        cfg = cfg_of("def f(x):\n    k = lambda: g(x)\n    return 0\n", "f")
+        assert not cfg.event_nodes()
+        assert "g" in cfg.deferred_calls
+
+    def test_generator_with_calls_is_opaque(self):
+        """A generator's calls run whenever it is iterated — possibly
+        never, possibly after the assertion site."""
+        cfg = cfg_of(
+            "def f(x):\n    gen = (g(t) for t in x)\n    return 0\n", "f"
+        )
+        assert [n.event for n in cfg.event_nodes()] == [
+            ("opaque", "<genexpr>")
+        ]
+
+    def test_plain_generator_is_not_opaque(self):
+        assert not cfg_of(
+            "def f(x):\n    gen = (t for t in x)\n    return 0\n", "f"
+        ).opaque
 
 
 class TestOpacity:
@@ -191,6 +245,40 @@ class TestOpacity:
 
 
 class TestProgramModel:
+    def test_callers_include_deferred_bodies(self):
+        model = ProgramCFG()
+        model.add_source(
+            textwrap.dedent(
+                """
+                def direct():
+                    target()
+
+                def via_nested():
+                    def inner():
+                        target()
+                    register(inner)
+
+                def via_lambda():
+                    register(lambda: target())
+
+                def bystander():
+                    other()
+                """
+            )
+        )
+        assert model.callers_of("target") == [
+            "direct", "via_lambda", "via_nested"
+        ]
+
+    def test_indirect_call_in_deferred_body_is_opaque(self):
+        assert cfg_of(
+            """
+            def f(table):
+                register(lambda: table["op"]())
+            """,
+            "f",
+        ).opaque
+
     def test_nested_defs_are_not_top_level(self):
         model = ProgramCFG()
         model.add_source(

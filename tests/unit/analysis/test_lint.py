@@ -9,9 +9,9 @@ import pytest
 from repro.analysis import (
     CODES,
     LintReport,
+    ProgramCFG,
     ProgramModel,
     Severity,
-    StaticModel,
     diagnostic,
     lint_assertions,
     lint_automata,
@@ -273,12 +273,12 @@ class TestProgramLayer:
         }
 
     def test_tesla007_resolves_via_selectors_and_static_model(self):
-        static = StaticModel()
-        static.add_source("def modelled(x):\n    return x\n", "m.py")
+        cfg = ProgramCFG()
+        cfg.add_source("def modelled(x):\n    return x\n", "m.py")
         model = ProgramModel(
             hooks={"host_fn": _target_fixed},
             selectors=frozenset({"drawRect:"}),
-            static=static,
+            cfg=cfg,
         )
         ok = tesla_within(
             "host_fn",
@@ -357,8 +357,8 @@ class TestProgramLayer:
         assert flagged == {"lint.struct", "lint.field"}
 
     def test_tesla010_provably_uncalled_event(self):
-        static = StaticModel()
-        static.add_source(
+        cfg = ProgramCFG()
+        cfg.add_source(
             "def dead_fn(x):\n"
             "    return x\n"
             "\n"
@@ -367,7 +367,7 @@ class TestProgramLayer:
             "    return y\n",
             "mini.py",
         )
-        model = ProgramModel(static=static)
+        model = ProgramModel(cfg=cfg)
         doomed = tesla_within(
             "host", previously(call("dead_fn")), name="lint.dead"
         )
@@ -377,9 +377,9 @@ class TestProgramLayer:
     def test_tesla010_suppressed_by_opaque_calls(self):
         """Indirection (function pointers, VOP tables) could hide the
         caller, so the never-fires claim is withheld — same soundness
-        posture as the elision analysis."""
-        static = StaticModel()
-        static.add_source(
+        posture as tesla-prove."""
+        cfg = ProgramCFG()
+        cfg.add_source(
             "def dead_fn(x):\n"
             "    return x\n"
             "\n"
@@ -388,11 +388,40 @@ class TestProgramLayer:
             "    tesla_site(\"lint.opaque\")\n",
             "mini.py",
         )
-        model = ProgramModel(static=static)
+        model = ProgramModel(cfg=cfg)
         doomed = tesla_within(
             "host", previously(call("dead_fn")), name="lint.opaque"
         )
         report = lint_assertions([doomed], program=model)
+        assert "TESLA010" not in codes_of(report)
+
+    @pytest.mark.parametrize(
+        "deferred",
+        [
+            "def inner():\n        dead_fn(y)\n    register(inner)",
+            "register(lambda: dead_fn(y))",
+        ],
+        ids=["nested-def", "lambda"],
+    )
+    def test_tesla010_counts_callers_in_deferred_bodies(self, deferred):
+        """A call from a nested def (or a lambda) is still a caller: the
+        body runs whenever the callback does, so the event can fire and
+        TESLA010 must stay silent."""
+        cfg = ProgramCFG()
+        cfg.add_source(
+            "def dead_fn(x):\n"
+            "    return x\n"
+            "\n"
+            "def host(y):\n"
+            f"    {deferred}\n"
+            "    tesla_site(\"lint.nested\")\n",
+            "mini.py",
+        )
+        model = ProgramModel(cfg=cfg)
+        assertion = tesla_within(
+            "host", previously(call("dead_fn")), name="lint.nested"
+        )
+        report = lint_assertions([assertion], program=model)
         assert "TESLA010" not in codes_of(report)
 
 

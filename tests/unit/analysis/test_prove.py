@@ -251,6 +251,98 @@ class TestOpacitySoundness:
         assert result.verdict == UNKNOWN
         assert "opaque" in result.reason
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "f = lambda: vp_check(td)",
+            "gen = (vp_check(t) for t in td)",
+            "if td and vp_check(td):\n        pass",
+            "x = td or vp_check(td)",
+            "x = vp_check(td) if td else 0",
+            "x = [vp_check(t) for t in td]",
+        ],
+        ids=["lambda", "genexpr", "and", "or", "ifexp", "listcomp"],
+    )
+    def test_check_that_may_not_run_never_proves(self, body):
+        """Each body may reach the site without calling ``vp_check``
+        (the lambda is never called, the generator never iterated, the
+        short circuit or empty iterable skips the call)."""
+        source = (
+            f"def vp_op(td):\n    {body}\n"
+            f'    tesla_site("T.op.maybe")\n    return 0\n'
+        )
+        result = prove_assertion(
+            product_assertion("T.op.maybe"), cfg=cfg_from(source)
+        )
+        assert result.verdict != PROVED
+
+    def test_site_outside_the_model_is_unknown(self):
+        """The bound is modelled but nothing in it emits the site: it can
+        only come from code the model cannot see, so a vacuous proof
+        would be unsound."""
+        result = prove_assertion(
+            product_assertion("T.vp.elsewhere"),
+            cfg=cfg_from(CHECKED_SOURCE),
+        )
+        assert result.verdict == UNKNOWN
+        assert "no modelled path reaches the assertion site" in result.reason
+
+    def test_opaque_call_after_the_check_is_crossed(self):
+        """Once the check happened, no event the opaque call could emit
+        leads to a configuration that refuses the site."""
+        result = prove_assertion(
+            product_assertion("T.op.after"),
+            cfg=cfg_from(
+                """
+                def vp_op(td, table):
+                    vp_check(td)
+                    table["op"](td)
+                    tesla_site("T.op.after")
+                    return 0
+                """
+            ),
+        )
+        assert result.verdict == PROVED and result.basis == "product"
+
+    def test_opaque_code_may_emit_the_site(self):
+        """Opaque code before the check may itself emit the site."""
+        result = prove_assertion(
+            product_assertion("T.op.before"),
+            cfg=cfg_from(
+                """
+                def vp_op(td, table):
+                    table["op"](td)
+                    vp_check(td)
+                    tesla_site("T.op.before")
+                    return 0
+                """
+            ),
+        )
+        assert result.verdict == UNKNOWN
+        assert "opaque" in result.reason and "refuses" in result.reason
+
+    def test_recursion_back_into_the_bound_is_not_crossed(self):
+        """A recursive helper that may call the bound function re-opens
+        the bound mid-scope: a full stop, even after the check."""
+        result = prove_assertion(
+            product_assertion("T.op.reentry"),
+            cfg=cfg_from(
+                """
+                def vp_op(td):
+                    vp_check(td)
+                    walk(td)
+                    tesla_site("T.op.reentry")
+                    return 0
+
+                def walk(td):
+                    walk(td)
+                    vp_op(td)
+                """
+            ),
+        )
+        assert result.verdict == UNKNOWN
+        assert "re-enters the bound" in result.reason
+
     def test_recursive_bound_degrades(self):
         """Recursion into the bound function closes the bound early at
         runtime — the product model refuses rather than guessing."""

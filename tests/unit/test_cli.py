@@ -61,6 +61,12 @@ class TestElide:
     def test_elide_unknown(self, capsys):
         assert main(["elide", "NO"]) == 2
 
+    def test_elide_infrastructure_discharges_on_automaton_basis(self, capsys):
+        assert main(["elide", "Infrastructure"]) == 0
+        out = capsys.readouterr().out
+        assert "static elision: 11/11 discharged, 0 doomed" in out
+        assert out.count("discharged (automaton basis): T.infra") == 11
+
 
 class TestLint:
     def test_clean_corpus_exits_zero(self, capsys):
