@@ -21,7 +21,9 @@ PROVED
       site and at every normal bound exit.  An opaque node stands for
       arbitrary events: the exploration continues from every
       configuration they can reach, and each of those must accept the
-      site, since opaque code may emit it.
+      site, since opaque code may emit it, and accept at cleanup once
+      the site was passed, since opaque code may call the bound
+      function and close the bound on its nested return.
 
 VIOLATED
     A concrete static path through the bound function drives a
@@ -43,11 +45,11 @@ configuration set in which *all* members accept therefore implies that
 predicate (:mod:`repro.runtime.update`).  Timed and ``strict`` automata,
 site-variable bindings, re-entry into the bound function, opaque code
 before the obligation is met, a site no modelled path reaches, and
-configuration blow-ups all degrade to UNKNOWN — never to PROVED.  Opaque
-code is taken not to re-enter the bound function: the model refuses
-every re-entry it can see.
-``tests/property/test_prove_soundness.py`` holds the engine to this with
-randomized traces across every engine configuration.
+configuration blow-ups all degrade to UNKNOWN — never to PROVED.
+``tests/property/test_prove_soundness.py`` holds the automaton basis to
+this with randomized traces across every engine configuration, and
+``tests/property/test_prove_product_soundness.py`` the product basis
+with generated programs run under the runtime.
 """
 
 from __future__ import annotations
@@ -758,6 +760,14 @@ def _product_prove(
                         f"{opaque} may reach a configuration that refuses "
                         f"the assertion site (states {sorted(refuser)})"
                     )
+                # Opaque code may also call the bound function: the
+                # nested return closes the bound in any of these.
+                for r_states, r_saw in reach:
+                    if r_saw and not automaton.cleanup_enabled(r_states):
+                        return False, (
+                            f"{opaque} may re-enter the bound and close it "
+                            "with an 'eventually' obligation open"
+                        )
                 outputs = list(reach)
             keys = _node_key(automaton, node.event)
             if keys is not None:

@@ -12,9 +12,10 @@ branch input:
 The bodies mix check calls with the shapes that decide whether a check
 runs at all — ``if``, short-circuit ``and``/``or``, conditional
 expressions, lambdas, generator expressions — plus dict-dispatch calls
-the CFG can only model as opaque (one of them may emit the site), early
-returns and assertion sites.  Every conditional reads its own input
-flag, so every static path is feasible.
+the CFG can only model as opaque (one may emit the site, one may call
+the bound function again with every flag inverted, so a nested run can
+close the bound early), early returns and assertion sites.  Every
+conditional reads its own input flag, so every static path is feasible.
 """
 
 from __future__ import annotations
@@ -45,6 +46,12 @@ STATEMENTS = {
     ),
     "dispatch-check": "{{True: {p}check, False: {p}noop}}[flags[{i}]](obj)",
     "dispatch-site": "{{True: {p}sites, False: {p}noop}}[flags[{i}]](obj)",
+    # The nested run gets every flag inverted, as an int: it takes the
+    # other branches and, seeing no ``True``, never dispatches again.
+    "dispatch-bound": (
+        "{{True: {p}bound, False: {p}noop}}[flags[{i}] is True]"
+        "(obj, tuple(int(not f) for f in flags))"
+    ),
     "return": "if flags[{i}]:\n    return 0",
     "site": "{p}sites(obj)",
     "inline-site": 'tesla_site("{p}prev")\ntesla_site("{p}ev")',
@@ -62,7 +69,7 @@ def {p}check(obj):
 
 
 @instrumentable()
-def {p}noop(obj):
+def {p}noop(obj, *args):
     return 0
 
 
@@ -83,10 +90,11 @@ FIXED = [[kind, "site"] for kind in sorted(FLAGGED - set(SITES))] + [
     ["check", "dispatch-site", "site"],
     ["dispatch-check", "site", "check"],
     ["check", "inline-site", "return", "check"],
+    ["return", "site", "dispatch-bound", "check"],
 ]
 
 
-def sample(count: int = 80, seed: int = 17):
+def sample(count: int = 100, seed: int = 17):
     rng = random.Random(seed)
     kinds = sorted(STATEMENTS)
     out = list(FIXED)

@@ -3,10 +3,9 @@
 ``repro elide`` reports tesla-prove's verdicts as static elision: PROVED
 assertions are discharged (no instrumentation needed), VIOLATED ones are
 doomed (reported before any run) and UNKNOWN ones stay monitored.  The
-sources below are the classic elision shapes.  Each row of ``TABLE``
-asserts ``previously(call("check"))`` against one of them and pins the
-verdict through :meth:`ProveReport.format_elision`, the text the CLI
-prints.  ``test_static.py`` checks the same sources case by case.
+sources below are the classic elision shapes; ``test_static.py`` holds
+tesla-prove's verdict on each of them.  This module pins the text the
+CLI prints for each partition (:meth:`ProveReport.format_elision`).
 
 Two regressions run their source under the runtime: shapes where the
 check cannot be shown to happen as the assertion requires, and where
@@ -20,7 +19,7 @@ import re
 import pytest
 
 from repro.analysis.cfg import ProgramCFG
-from repro.analysis.prove import PROVED, UNKNOWN, VIOLATED, prove_assertions
+from repro.analysis.prove import prove_assertions
 from repro.core.dsl import ANY, call, fn, previously, tesla_within, var
 from repro.runtime.notify import LogAndContinue
 from repro.session import monitoring
@@ -153,43 +152,28 @@ def elide(model: ProgramCFG, *assertions):
     return report, report.format_elision()
 
 
-#: (source, site, prove verdict, elide line).
-TABLE = [
-    (CHECKED_SOURCE, "sa.checked", PROVED,
-     "discharged (product basis): sa.checked"),
-    (DELEGATED_CHECK_SOURCE, "sa.delegated", PROVED,
-     "discharged (product basis): sa.delegated"),
-    (OPAQUE_SOURCE, "sa.opaque", PROVED,
-     "discharged (product basis): sa.opaque"),
-    (BOTH_ARMS_SOURCE, "sa.both_arms", PROVED,
-     "discharged (product basis): sa.both_arms"),
-    (UNCHECKED_SOURCE, "sa.unchecked", VIOLATED,
-     "DOOMED (will always fail): sa.unchecked"),
-    (CONDITIONAL_SOURCE, "sa.conditional", VIOLATED,
-     "DOOMED (will always fail): sa.conditional"),
-    (UNCALLED_CHECK_SOURCE, "sa.unchecked", VIOLATED,
-     "DOOMED (will always fail): sa.unchecked"),
-    (OPAQUE_FIRST_SOURCE, "sa.opaque_first", UNKNOWN,
-     "0/1 discharged, 0 doomed, 1 monitored"),
-]
-
-
-@pytest.mark.parametrize(
-    "source,site,verdict,line",
-    TABLE,
-    ids=[
-        "checked", "delegated", "check-then-opaque", "both-arms",
-        "unchecked", "conditional", "uncalled-check", "opaque-first",
-    ],
-)
-def test_elide_view_reports_the_prove_verdict(source, site, verdict, line):
-    report, text = elide(model_of(source), assertion_for(site))
-    (result,) = report.results
-    assert result.verdict == verdict, result.reason
-    assert line in text
-    if verdict == VIOLATED:
-        # The counterexample path is printed under the doomed line.
-        assert result.counterexample[-1] in text
+def test_elide_view_prints_every_partition():
+    """One line per discharged assertion with its basis, one per doomed
+    assertion with its counterexample path under it, and the monitored
+    ones only in the summary."""
+    model = model_of(
+        CHECKED_SOURCE,
+        CONDITIONAL_SOURCE.replace("bound_fn", "cond_fn"),
+    )
+    report, text = elide(
+        model,
+        assertion_for("sa.checked"),
+        assertion_for("sa.conditional", bound="cond_fn"),
+        assertion_for("sa.nowhere"),
+    )
+    (doomed,) = report.violated
+    assert text.splitlines() == [
+        "static elision: 1/3 discharged, 1 doomed, 1 monitored",
+        "  discharged (product basis): sa.checked",
+        f"  DOOMED (will always fail): sa.conditional: {doomed.reason}",
+        *(f"    {step}" for step in doomed.counterexample),
+    ]
+    assert doomed.counterexample[-1].endswith("site sa.conditional")
 
 
 def test_return_values_are_not_modelled():
@@ -199,22 +183,6 @@ def test_return_values_are_not_modelled():
         model_of(CHECKED_SOURCE), returned_zero_for("sa.checked")
     )
     assert report.unknown and "1 monitored" in text
-
-
-def test_summary_counts_every_partition():
-    model = model_of(
-        CHECKED_SOURCE,
-        CONDITIONAL_SOURCE.replace("bound_fn", "cond_fn"),
-    )
-    _report, text = elide(
-        model,
-        assertion_for("sa.checked"),
-        assertion_for("sa.conditional", bound="cond_fn"),
-        assertion_for("sa.nowhere"),
-    )
-    assert text.splitlines()[0] == (
-        "static elision: 1/3 discharged, 1 doomed, 1 monitored"
-    )
 
 
 # ---------------------------------------------------------------------------

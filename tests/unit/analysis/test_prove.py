@@ -321,6 +321,29 @@ class TestOpacitySoundness:
         assert result.verdict == UNKNOWN
         assert "opaque" in result.reason and "refuses" in result.reason
 
+    def test_opaque_code_may_close_the_bound(self):
+        """``table["k"]`` may be ``vp_op`` itself: a nested run that
+        returns early closes the bound after the site and before the
+        check, so an open 'eventually' obligation cannot cross it."""
+        result = prove_assertion(
+            tesla_within(
+                "vp_op", eventually(call("vp_check")), name="T.op.close"
+            ),
+            cfg=cfg_from(
+                """
+                def vp_op(td, flags, table):
+                    if flags[0]:
+                        return 0
+                    tesla_site("T.op.close")
+                    table["k"](td, (True,), table)
+                    vp_check(td)
+                    return 0
+                """
+            ),
+        )
+        assert result.verdict == UNKNOWN
+        assert "opaque" in result.reason and "re-enter" in result.reason
+
     def test_recursion_back_into_the_bound_is_not_crossed(self):
         """A recursive helper that may call the bound function re-opens
         the bound mid-scope: a full stop, even after the check."""

@@ -2,8 +2,9 @@
 
 Paper §7's static direction — discharge an assertion whose check
 provably precedes its site, report one that can never hold — answered by
-tesla-prove over :class:`ProgramCFG`.  The sources and the ``repro
-elide`` view they feed live in ``test_elide.py``.
+tesla-prove over :class:`ProgramCFG`.  This module holds the verdict on
+each source; the sources and the ``repro elide`` text they print live in
+``test_elide.py``.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from repro.core.dsl import call, eventually, tesla_within
 
 from tests.unit.analysis.test_cfg import bypasses
 from tests.unit.analysis.test_elide import (
+    BOTH_ARMS_SOURCE,
     CHECKED_SOURCE,
     CONDITIONAL_SOURCE,
     DELEGATED_CHECK_SOURCE,
@@ -113,6 +115,10 @@ def bound_fn(obj, table):
         # check() runs unconditionally before anything opaque: the site is
         # guarded whatever the indirect call does.
         result = verdict_of(OPAQUE_SOURCE, "sa.opaque")
+        assert result.verdict == PROVED and result.basis == "product"
+
+    def test_check_on_both_arms_discharges(self):
+        result = verdict_of(BOTH_ARMS_SOURCE, "sa.both_arms")
         assert result.verdict == PROVED and result.basis == "product"
 
     def test_check_through_delegation_discharges(self):
