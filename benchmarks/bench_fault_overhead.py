@@ -2,8 +2,8 @@
 
 The fault-contained runtime threads two things through the dispatch hot
 path: guarded fault points (``if _active is not None`` before any call)
-and per-unit try/except containment boundaries in ``_run_plan`` and the
-hook fan-out loops.  Both are designed to be free when nothing faults —
+and per-unit try/except containment boundaries in the generated key
+functions (``_run_plan`` on the plan walk) and the hook fan-out loops.  Both are designed to be free when nothing faults —
 CPython 3.11's zero-cost exception handling makes an untaken ``try``
 costless, and a disarmed fault point is one module-attribute load — so the
 PR-2 compiled-dispatch numbers must survive.

@@ -295,8 +295,10 @@ def cmd_codegen(args: argparse.Namespace) -> int:
 
     Default output is one summary row per (assertion, dispatch key):
     generated or fallback (with the generator's reason) plus elision
-    counts.  ``--dump`` prints the full generated source — the
-    debuggability surface for "what does my assertion actually run".
+    counts.  ``--dump`` prints the full generated source — every step,
+    then every key function (one dispatch function per key and context)
+    — the debuggability surface for "what does my assertion actually
+    run".
     Exit codes: 0 ok, 2 unknown suite or assertion.
     """
     from .analysis.lint import available_suites, lint_assertions, load_suite
@@ -351,6 +353,23 @@ def cmd_codegen(args: argparse.Namespace) -> int:
                     f"{automaton.name:<36} {label:<30} "
                     f"{'generated':<10} {elided:>7}"
                 )
+    if args.dump:
+        # The key functions a default (lazy, ungoverned) runtime
+        # generates over those steps: one per dispatch key and context.
+        from .runtime.manager import TeslaRuntime
+
+        runtime = TeslaRuntime(lint="off")
+        runtime.install_assertions(assertions)
+        for key, context, source, reason in runtime.key_function_sources():
+            if reason is not None:
+                print(
+                    f"# tesla-jit v{CODEGEN_VERSION} "
+                    f"key={key[0].name}:{key[1]} context={context} "
+                    f"FALLBACK: {reason}"
+                )
+            else:
+                print(source)
+            print()
     return 0
 
 

@@ -158,6 +158,15 @@ class DispatchStats:
     gen_elided_guards: int = 0
     gen_elided_transitions: int = 0
     gen_seconds: float = 0.0
+    #: Key functions (one generated dispatch function per key and
+    #: context): how many were generated, how many are resident now, how
+    #: many (key, context) pairs fell back as a whole to the plan walk,
+    #: and the events those carried.  ``gen_hits`` still counts one hit
+    #: per class per event its generated step ran.
+    key_fns_built: int = 0
+    key_fns_resident: int = 0
+    fallback_keys: int = 0
+    fallback_key_events: int = 0
     #: Timed-assertion counters (zero unless an installed automaton
     #: carries a deadline).  ``timer_checks`` counts sync-point timer
     #: sweeps, ``timer_expiries`` the deadline violations those sweeps
@@ -208,10 +217,10 @@ def dispatch_stats(runtime) -> DispatchStats:
             gen_elided_transitions += cr.gen_elided_transitions
             gen_seconds += cr.gen_seconds
     drain = getattr(runtime, "drain", None)
-    deferred_kwargs = {}
+    extra = {}
     if drain is not None:
         drain_stats = drain.stats()
-        deferred_kwargs = dict(
+        extra = dict(
             deferred=True,
             queue_depth=drain_stats["queue_depth"],
             drains=drain_stats["drains"],
@@ -223,6 +232,15 @@ def dispatch_stats(runtime) -> DispatchStats:
             max_batch=drain_stats["max_batch"],
             flush_seconds=drain_stats["flush_seconds"],
             last_flush_seconds=drain_stats["last_flush_seconds"],
+        )
+    summary = getattr(runtime, "key_fn_summary", None)
+    if summary is not None:
+        key_fns = summary()
+        extra.update(
+            key_fns_built=key_fns["built"],
+            key_fns_resident=len(key_fns["resident"]),
+            fallback_keys=len(key_fns["fallback_keys"]),
+            fallback_key_events=key_fns["fallback_events"],
         )
     return DispatchStats(
         compiled=getattr(runtime, "compiled", False),
@@ -248,7 +266,7 @@ def dispatch_stats(runtime) -> DispatchStats:
         gen_seconds=gen_seconds,
         timer_checks=getattr(runtime, "timer_checks", 0),
         timer_expiries=getattr(runtime, "timer_expiries", 0),
-        **deferred_kwargs,
+        **extra,
     )
 
 
@@ -256,10 +274,13 @@ def codegen_report(runtime) -> Optional[dict]:
     """tesla-jit effectiveness: which dispatch keys generated, which fell
     back (and why), what elision bought, and what generation cost.
 
-    Returns ``None`` for ``compile=False`` runtimes.  Counts
+    Returns ``None`` for ``compile=False`` runtimes.  Step counts
     are per *key label* (``kind:name``) aggregated over every class
     runtime holding a cached step for that key — a key observed by three
-    classes that all generated shows ``3``.
+    classes that all generated shows ``3``.  ``key_functions`` counts the
+    generated key functions and lists the resident ones
+    (``kind:name@context``); ``fallback_keys`` maps each (key, context)
+    that fell back as a whole to the first declining class's reason.
     """
     if not getattr(runtime, "compiled", False):
         return None
@@ -283,9 +304,15 @@ def codegen_report(runtime) -> Optional[dict]:
             elided_guards += cr.gen_elided_guards
             elided_transitions += cr.gen_elided_transitions
             fallback_hits += cr.gen_fallback_hits
+    key_fns = runtime.key_fn_summary()
     return {
         "generated": dict(sorted(generated.items())),
         "fallbacks": dict(sorted(fallbacks.items())),
+        "key_functions": {
+            "built": key_fns["built"],
+            "resident": key_fns["resident"],
+        },
+        "fallback_keys": key_fns["fallback_keys"],
         "elided_guards": elided_guards,
         "elided_transitions": elided_transitions,
         "fallback_hits": fallback_hits,
@@ -329,6 +356,11 @@ def format_dispatch_stats(stats: DispatchStats) -> str:
             f"{stats.gen_misses} misses ({stats.gen_hit_ratio:.1%} hit "
             f"ratio), {stats.gen_invalidations} epoch invalidations, "
             f"{stats.cached_steps} steps resident"
+        )
+        lines.append(
+            f"key functions        {stats.key_fns_built} built, "
+            f"{stats.key_fns_resident} resident, {stats.fallback_keys} "
+            f"fallback keys ({stats.fallback_key_events} plan-walk events)"
         )
         lines.append(
             f"codegen              {stats.gen_fallback_plans} fallback "

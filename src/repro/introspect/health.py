@@ -225,13 +225,16 @@ def format_health(report: HealthReport) -> str:
             f"fallback={sum(r['classes'] for r in cg['fallbacks'].values())} "
             f"elided_guards={cg['elided_guards']} "
             f"elided_transitions={cg['elided_transitions']} "
-            f"gen_time={cg['gen_seconds'] * 1e3:.2f}ms"
+            f"gen_time={cg['gen_seconds'] * 1e3:.2f}ms "
+            f"key_fns={len(cg['key_functions']['resident'])}"
         )
         for label, row in cg["fallbacks"].items():
             lines.append(
                 f"    fallback {label:<28} x{row['classes']} "
                 f"({row['reason']})"
             )
+        for label, reason in cg["fallback_keys"].items():
+            lines.append(f"    fallback key {label:<24} ({reason})")
     if report.governor is not None:
         g = report.governor
         state = "TRIPPED" if g.get("tripped") else "active"

@@ -20,12 +20,17 @@ checks, bind extraction and transition application fused into a single
   ``_step``/dedupe/clone machinery so verdicts stay bit-identical.
 
 Every event, synchronous or drained in a batch, is evaluated by the one
-per-event ``step(cr, event, hub)``.
+per-event ``step(cr, event, hub)``.  One level up, the manager runs each
+dispatch key's share of a context through a generated *key function*
+(:func:`compile_key_function`): the lazy bound record (begin, join, end)
+inlined, and each class's ``step`` called in plan order behind its own
+containment boundary.
 
 Each distinct generated function is ``compile()``d once per process
-(:data:`_CODE_CACHE`); a later runtime installing the same assertions
-only regenerates the source and ``exec``s the cached code object into a
-fresh namespace holding its own constants.
+(:data:`_CODE_CACHE`, :data:`_KEY_CODE_CACHE`); a later runtime
+installing the same assertions only regenerates the source and
+``exec``s the cached code object into a fresh namespace holding its own
+constants.
 
 Lint facts (DESIGN §5.5) feed the generator: under a lint-clean report,
 arity guards re-proven by ``arity_safe`` are simply never emitted, and
@@ -36,11 +41,11 @@ dropped from the generated code entirely — guard elision extended from
 
 The generator is deliberately *loud* about its limits: any plan it
 cannot specialize (an unknown :class:`Pattern` subclass, an exotic
-event expression) yields a :class:`GenerationFallback` carrying the
-reason, the caller falls back to the compiled interpreter, and the
-fallback is counted in ``dispatch_stats``.  Generated code has no fault
-points, so the runtime walks the compiled plans instead of calling it
-while fault injection is armed; and a generated function bails out to
+event expression, a timed automaton) yields a :class:`GenerationFallback`
+carrying the reason, the whole key falls back to the compiled plan walk,
+and the fallback is counted in ``dispatch_stats``.  Generated code has no
+fault points, so the runtime walks the compiled plans instead of calling
+it while fault injection is armed; and a generated function bails out to
 the interpreter at call time when the notification hub is in detailed
 mode, whose lifecycle notifications the lean generated code deliberately
 omits (it emits only the always-on ERROR and OVERFLOW notifications).
@@ -81,7 +86,7 @@ from ..core.patterns import (
     Ref,
     Var,
 )
-from ..errors import TemporalViolation
+from ..errors import TemporalAssertionError, TemporalViolation
 from .notify import Notification, NotificationKind
 from .plans import PlanKey, TransitionPlan
 from .update import (
@@ -95,7 +100,7 @@ from .update import (
 #: Bump on any change to the generated source layout (see the golden
 #: fixture's upgrade protocol in
 #: ``tests/unit/runtime/test_codegen_golden.py``).
-CODEGEN_VERSION = 3
+CODEGEN_VERSION = 4
 
 #: Sentinel for "this symbol did not match" in generated code.  Distinct
 #: from ``None`` so generated locals can never be confused with a
@@ -910,7 +915,11 @@ def generate_source(
 #: (the dominant warm-up cost) and only binds its own constants.
 _CODE_CACHE: Dict[Tuple[str, str], CodeType] = {}
 
-#: Bound on :data:`_CODE_CACHE`; a full cache is cleared, not evicted
+#: The same cache for key functions, kept apart so that adding them never
+#: shortens how long a step's code object stays resident.
+_KEY_CODE_CACHE: Dict[Tuple[str, str], CodeType] = {}
+
+#: Bound on each code cache; a full cache is cleared, not evicted
 #: piecemeal (the replay engine's translation cache does the same).
 CODE_CACHE_LIMIT = 512
 
@@ -928,20 +937,194 @@ def compile_plan_step(
     namespace = generated.namespace
     key_label = f"{plan.key[0].name}:{plan.key[1]}"
     filename = f"<tesla-jit {automaton.name} {key_label}>"
-    cache_key = (generated.source, filename)
-    code = _CODE_CACHE.get(cache_key)
-    if code is None:
-        code = compile(generated.source, filename, "exec")
-        if len(_CODE_CACHE) >= CODE_CACHE_LIMIT:
-            _CODE_CACHE.clear()
-        _CODE_CACHE[cache_key] = code
-    exec(code, namespace)
+    exec(_cached_code(_CODE_CACHE, generated.source, filename), namespace)
     return CompiledStep(
         step=namespace["step"],
         source=generated.source,
         elided_guards=generated.elided_guards,
         elided_transitions=generated.elided_transitions,
     )
+
+
+def _cached_code(cache: Dict, source: str, filename: str) -> CodeType:
+    cache_key = (source, filename)
+    code = cache.get(cache_key)
+    if code is None:
+        code = compile(source, filename, "exec")
+        if len(cache) >= CODE_CACHE_LIMIT:
+            cache.clear()
+        cache[cache_key] = code
+    return code
+
+
+# ---------------------------------------------------------------------------
+# Key functions: one generated dispatch function per (key, context)
+# ---------------------------------------------------------------------------
+
+
+def _emit_unit(
+    em: _Emitter,
+    indent: int,
+    name: str,
+    stage: str,
+    governed: bool,
+    body: List[str],
+) -> None:
+    """One class's unit of work inside its own containment boundary: a
+    fault is attributed to that class (``name`` is a source expression)
+    and the other classes of the event run on; ``TemporalAssertionError``
+    (the fail-stop violation policy) always propagates.  Governed
+    runtimes charge the unit's time to the class."""
+    if governed:
+        em.emit(indent, "_t0 = _now()")
+    em.emit(indent, "try:")
+    for text in body:
+        em.emit(indent + 1, text)
+    em.emit(indent, "except _TAE:")
+    em.emit(indent + 1, "raise")
+    em.emit(indent, "except Exception as _exc:")
+    em.emit(indent + 1, f'if not _contain({name}, "{stage}", _exc):')
+    em.emit(indent + 2, "raise")
+    if governed:
+        em.emit(indent, "finally:")
+        em.emit(indent + 1, f"_charge(_gov, {name}, _now() - _t0)")
+
+
+def generate_key_source(
+    key: PlanKey,
+    context: str,
+    work,
+    initiated: FrozenSet[str],
+    lazy: bool,
+    governed: bool,
+) -> GeneratedSource:
+    """Generate ``run(store, event)``: one dispatch key's whole share of
+    one context (``work`` is the manager's per-context plan).
+
+    Lazy mode inlines the §5.2.2 bound record — ``begin`` of every bound
+    the key opens, the join fast path of every body class (same epoch:
+    record the class as touched, if its occurrence was admitted) and
+    ``end`` of every bound it closes, visiting only touched classes —
+    and calls each class's generated step in plan order.  Eager mode
+    calls ``handle_init``/``handle_cleanup`` per class.  The namespace
+    holds the plan's class names (``_N*``) and bounds (``_B*``); the
+    caller binds the steps (``_S<i>``, one per body class in order) and
+    the runtime's collaborators.
+    """
+    em = _Emitter()
+    names: Dict[str, str] = {}
+    bounds: Dict[Any, str] = {}
+
+    def name_const(name: str) -> str:
+        if name not in names:
+            names[name] = em.const(name, "N")
+        return names[name]
+
+    def bound_const(bound) -> str:
+        if bound not in bounds:
+            bounds[bound] = em.const(bound, "B")
+        return bounds[bound]
+
+    body = [(name, bound) for name, bound in work.body
+            if name not in initiated]
+    em.lines.append(
+        f"# tesla-jit v{CODEGEN_VERSION} key={key[0].name}:{key[1]} "
+        f"context={context} lazy={lazy} governed={governed} "
+        f"inits={len(work.init_names)} body={len(body)} "
+        f"cleanups={len(work.cleanup_names)}"
+    )
+    em.emit(0, "def run(store, event):")
+    em.emit(1, "_cls = store._classes")
+    if lazy:
+        # The tracker's dicts are cleared in place, never replaced.
+        em.emit(1, "_tr = store.tracker")
+        em.emit(1, "_open = _tr.open")
+        em.emit(1, "_eps = _tr.epoch")
+        em.emit(1, "_tch = _tr.touched")
+        for bound in work.init_bounds:
+            b = bound_const(bound)
+            em.emit(1, f"if not _open.get({b}):")
+            em.emit(2, f"_open[{b}] = True")
+            em.emit(2, f"_eps[{b}] = _eps.get({b}, 0) + 1")
+            em.emit(2, f"_tch[{b}] = set()")
+            em.emit(2, f"_tr.entry_ts[{b}] = event.timestamp")
+    else:
+        init = "_init(cr, event, _hub, False, cr.plan_for(_KEY, _EPOCH))"
+        for name in work.init_names:
+            n = name_const(name)
+            if governed:
+                # Rung-1 shedding: 1-in-N admission of a bound occurrence.
+                lines = [
+                    f"cr = _cls[{n}]",
+                    f"if cr.active or _admit({n}):",
+                    "    if not cr.active:",
+                    f"        cr.sample_rate = _rate({n})",
+                    f"    {init}",
+                ]
+            else:
+                lines = [f"cr = _cls[{n}]", init]
+            _emit_unit(em, 1, n, "init", governed, lines)
+    for index, (name, bound) in enumerate(body):
+        n = name_const(name)
+        lines = [f"cr = _cls[{n}]"]
+        if lazy:
+            b = bound_const(bound)
+            lines += [
+                f"if _open.get({b}):",
+                f"    if cr.seen_epoch == _eps[{b}]:",
+                "        if cr.active:",
+                f"            _tch[{b}].add({n})",
+                "    else:",
+                f"        _join(cr, {b}, _tr, _gov)",
+                "else:",
+                "    cr.active = False",
+            ]
+        lines += ["cr.gen_hits += 1", f"_S{index}(cr, event, _hub)"]
+        _emit_unit(em, 1, n, "body", governed, lines)
+    cleanup = "_cleanup(cr, event, _hub, cr.plan_for(_KEY, _EPOCH))"
+    if lazy:
+        for bound in work.cleanup_bounds:
+            b = bound_const(bound)
+            em.emit(1, f"if _open.get({b}):")
+            em.emit(2, f"_open[{b}] = False")
+            em.emit(2, f"for _n in sorted(_tch.pop({b}, ())):")
+            _emit_unit(em, 3, "_n", "cleanup", governed,
+                       ["cr = _cls[_n]", cleanup])
+    else:
+        for name in work.cleanup_names:
+            n = name_const(name)
+            _emit_unit(em, 1, n, "cleanup", governed,
+                       [f"cr = _cls[{n}]", cleanup])
+    return GeneratedSource(source=em.source(), namespace=dict(em.namespace))
+
+
+def compile_key_function(
+    key: PlanKey,
+    context: str,
+    work,
+    initiated: FrozenSet[str],
+    lazy: bool,
+    governed: bool,
+    steps: List[Any],
+    bindings: Dict[str, Any],
+):
+    """Compile one key function (see :func:`generate_key_source`) through
+    the process-wide code cache and return its ``run``.  ``steps`` are
+    the body classes' generated steps in plan order; ``bindings``
+    supplies the runtime's collaborators (``_hub``, ``_contain``,
+    ``_join``, ``_init``, ``_cleanup``, ``_gov``, ``_now``, ``_charge``,
+    ``_admit``, ``_rate``, ``_KEY``, ``_EPOCH``)."""
+    generated = generate_key_source(key, context, work, initiated, lazy,
+                                    governed)
+    namespace = generated.namespace
+    namespace.update(bindings)
+    namespace["_TAE"] = TemporalAssertionError
+    for index, step in enumerate(steps):
+        namespace[f"_S{index}"] = step
+    filename = f"<tesla-jit key {key[0].name}:{key[1]} {context}>"
+    exec(_cached_code(_KEY_CODE_CACHE, generated.source, filename),
+         namespace)
+    return namespace["run"]
 
 
 def dump_sources(

@@ -101,7 +101,7 @@ class _ContextPlan:
     calling thread's local store)."""
 
     __slots__ = ("init_names", "init_bounds", "body", "cleanup_names",
-                 "cleanup_bounds")
+                 "cleanup_bounds", "fn", "fallback")
 
     def __init__(self) -> None:
         self.init_names: List[str] = []
@@ -110,6 +110,11 @@ class _ContextPlan:
         self.body: List[Tuple[str, BoundId]] = []
         self.cleanup_names: List[str] = []
         self.cleanup_bounds: List[BoundId] = []
+        #: The compiled runtime's ``fn(store, event)`` for this share,
+        #: built on first dispatch: the generated key function, or for a
+        #: fallback key (``fallback`` names why) the counted plan walk.
+        self.fn = None
+        self.fallback: Optional[str] = None
 
     def empty(self) -> bool:
         return not (self.init_names or self.body or self.cleanup_names)
@@ -119,23 +124,25 @@ class _KeyPlan:
     """Everything one dispatch key triggers, pre-split by context.
 
     Computed once per key and cached — the indexes never change after
-    installation, so dispatch does no per-event index walking.
+    installation, so dispatch does no per-event index walking.  ``epoch``
+    is the interest epoch it was built under: the key functions it holds
+    bind generated steps valid for that epoch only, so a bump anywhere in
+    the process (another runtime's install, a hook attach) rebuilds it.
     """
 
-    __slots__ = ("glob", "local", "initiated")
+    __slots__ = ("glob", "local", "initiated", "epoch")
 
     def __init__(
         self,
         glob: Optional[_ContextPlan],
         local: Optional[_ContextPlan],
         initiated: frozenset,
+        epoch: int,
     ) -> None:
         self.glob = glob
         self.local = local
         self.initiated = initiated
-
-
-_EMPTY_PLAN = _KeyPlan(None, None, frozenset())
+        self.epoch = epoch
 
 
 #: Every constructed runtime, for test hygiene (see ``reset_all_runtimes``).
@@ -230,13 +237,20 @@ class TeslaRuntime:
             )
         self.lazy = lazy
         #: Whether dispatch uses the compiled fast path or the interpreted
-        #: engine.  Compiled body dispatch runs tesla-jit's exec-generated
-        #: per-(class, key) step functions (DESIGN §5.7), falling back
-        #: (loudly, counted) to the compiled transition-plan walk for any
-        #: plan the generator can't specialize.  Both produce identical
+        #: engine.  Compiled dispatch runs one tesla-jit generated function
+        #: per (dispatch key, context), which calls each class's generated
+        #: step (DESIGN §5.7); a key with any class the generator can't
+        #: specialize falls back as a whole (loudly, counted) to the
+        #: compiled transition-plan walk.  Both produce identical
         #: verdicts; ``compile=False`` is the paper-faithful reference
         #: interpreter the benchmarks compare against.
         self.compiled = compile
+        #: Key-function accounting (``dispatch_stats``/``codegen_report``):
+        #: functions generated, fallback keys with their reason, and the
+        #: events fallback keys carried through the plan walk.
+        self.key_fns_built = 0
+        self.key_fn_fallbacks: Dict[str, str] = {}
+        self.fallback_key_events = 0
         #: Memoized :class:`~repro.runtime.codegen.CodegenFacts` snapshot,
         #: keyed by interest epoch (installs both change lint facts and
         #: bump the epoch, so staleness rides the same invalidation).
@@ -599,12 +613,13 @@ class TeslaRuntime:
 
     def _plan_for(self, key: DispatchKey) -> _KeyPlan:
         plan = self._key_plans.get(key)
-        if plan is None:
+        if plan is None or plan.epoch != interest_epoch.value:
             plan = self._build_plan(key)
             self._key_plans[key] = plan
         return plan
 
     def _build_plan(self, key: DispatchKey) -> _KeyPlan:
+        epoch = interest_epoch.value
         glob = _ContextPlan()
         local = _ContextPlan()
         # Quarantined classes are shed at plan-build time: the supervisor's
@@ -645,13 +660,141 @@ class TeslaRuntime:
             if bound not in plan.cleanup_bounds:
                 plan.cleanup_bounds.append(bound)
 
-        if glob.empty() and local.empty():
-            return _EMPTY_PLAN
         return _KeyPlan(
             glob=None if glob.empty() else glob,
             local=None if local.empty() else local,
             initiated=frozenset(init_names),
+            epoch=epoch,
         )
+
+    def _build_key_fn(
+        self, work: _ContextPlan, store: Store, plan: _KeyPlan,
+        key: DispatchKey,
+    ):
+        """Build one context's dispatch function for ``key`` (caller holds
+        the lock serialising ``store``).
+
+        The generated key function calls every body class's generated
+        step; if the generator declines any of them the key falls back as
+        a whole to a counted walk of the compiled plans.
+        """
+        from .codegen import compile_key_function
+
+        context = "global" if store is self.global_store.store else "local"
+        epoch = plan.epoch
+        facts = self._codegen_facts(epoch)
+        steps = []
+        for name, _bound in work.body:
+            if name in plan.initiated:
+                continue
+            entry = store.get(name).gen_entry(key, epoch, facts)
+            if entry.step is None:
+                return self._fallback_fn(
+                    work, plan, key, context, f"{name}: {entry.reason}"
+                )
+            steps.append(entry.step)
+        gov = self.governor
+        run = compile_key_function(
+            key, context, work, plan.initiated, self.lazy, gov is not None,
+            steps,
+            {
+                "_hub": self.hub,
+                "_contain": self.supervisor.contain,
+                "_join": lazy_join_bound,
+                "_init": handle_init,
+                "_cleanup": handle_cleanup,
+                "_gov": gov,
+                "_now": gov.now if gov is not None else None,
+                "_charge": self._charge,
+                "_admit": gov.admit_bound if gov is not None else None,
+                "_rate": gov.sample_rate if gov is not None else None,
+                "_KEY": key,
+                "_EPOCH": epoch,
+            },
+        )
+        self.key_fns_built += 1
+        work.fn = run
+        return run
+
+    def _fallback_fn(
+        self, work: _ContextPlan, plan: _KeyPlan, key: DispatchKey,
+        context: str, reason: str,
+    ):
+        """A fallback key's dispatch: the compiled plan walk, reported by
+        ``codegen_report`` and counted per event and per class it
+        carries."""
+        self.key_fn_fallbacks[f"{key[0].value}:{key[1]}@{context}"] = reason
+        names = [n for n, _ in work.body if n not in plan.initiated]
+        initiated = plan.initiated
+        run_plan = self._run_plan
+
+        def walk(store: Store, event: RuntimeEvent) -> None:
+            self.fallback_key_events += 1
+            classes = store._classes
+            for name in names:
+                classes[name].gen_fallback_hits += 1
+            run_plan(work, store, store.tracker, event, initiated, key)
+
+        work.fallback = reason
+        work.fn = walk
+        return walk
+
+    def key_fn_summary(self) -> Dict[str, object]:
+        """Key-function accounting for ``dispatch_stats`` and
+        ``codegen_report``: functions built, the resident ones, fallback
+        (key, context) pairs with their reason, and their events."""
+        resident = []
+        for key, plan in list(self._key_plans.items()):
+            for context, work in (("global", plan.glob),
+                                  ("local", plan.local)):
+                if work is not None and work.fn is not None and (
+                    work.fallback is None
+                ):
+                    resident.append(f"{key[0].value}:{key[1]}@{context}")
+        return {
+            "built": self.key_fns_built,
+            "resident": sorted(resident),
+            "fallback_keys": dict(sorted(self.key_fn_fallbacks.items())),
+            "fallback_events": self.fallback_key_events,
+        }
+
+    def key_function_sources(self):
+        """``(key, context, source, fallback reason)`` for every dispatch
+        key and context, in deterministic key order — the CLI's
+        ``codegen --dump`` surface.  A key whose classes the generator
+        declines carries the first reason and no source."""
+        from .codegen import generate_key_source, generate_source
+        from .plans import build_transition_plan
+
+        facts = self._codegen_facts(interest_epoch.value)
+        keys = set(self._init_index) | set(self._body_index)
+        keys |= set(self._cleanup_index)
+        out = []
+        for key in sorted(keys, key=lambda k: (k[0].value, k[1])):
+            plan = self._build_plan(key)
+            for context, work in (("global", plan.glob),
+                                  ("local", plan.local)):
+                if work is None:
+                    continue
+                reason = None
+                for name, _bound in work.body:
+                    if name in plan.initiated:
+                        continue
+                    automaton = self.automata[name]
+                    gen = generate_source(
+                        automaton, build_transition_plan(automaton, key), facts
+                    )
+                    if gen.fallback_reason is not None:
+                        reason = f"{name}: {gen.fallback_reason}"
+                        break
+                source = None
+                if reason is None:
+                    source = generate_key_source(
+                        key, context, work, plan.initiated, self.lazy,
+                        self.governor is not None,
+                    ).source
+                out.append((key, context, source, reason))
+        return out
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -684,15 +827,23 @@ class TeslaRuntime:
             self._govern(1)
         key = (event.kind, event.name)
         plan = self._plan_for(key)
-        if plan.glob is not None:
+        work = plan.glob
+        if work is not None:
             gs = self.global_store
             with gs.lock:
-                self._run_plan(plan.glob, gs.store, gs.tracker, event,
-                               plan.initiated, key)
-        if plan.local is not None:
+                fn = work.fn
+                if fn is not None and _fi._active is None:
+                    fn(gs.store, event)
+                else:
+                    self._run_context(work, gs.store, event, plan, key)
+        work = plan.local
+        if work is not None:
             store = self.thread_stores.current()
-            self._run_plan(plan.local, store, store.tracker, event,
-                           plan.initiated, key)
+            fn = work.fn
+            if fn is not None and _fi._active is None:
+                fn(store, event)
+            else:
+                self._run_context(work, store, event, plan, key)
 
     def _dispatch_local(self, event: RuntimeEvent, key: DispatchKey) -> None:
         """Evaluate one event's thread-local share inline (deferred mode).
@@ -704,10 +855,14 @@ class TeslaRuntime:
         (``include_local=False``) so nothing runs twice.
         """
         plan = self._plan_for(key)
-        if plan.local is not None:
+        work = plan.local
+        if work is not None:
             store = self.thread_stores.current()
-            self._run_plan(plan.local, store, store.tracker, event,
-                           plan.initiated, key)
+            fn = work.fn
+            if fn is not None and _fi._active is None:
+                fn(store, event)
+            else:
+                self._run_context(work, store, event, plan, key)
 
     def dispatch_batch(
         self, events: Iterable[RuntimeEvent], include_local: bool = True
@@ -717,10 +872,10 @@ class TeslaRuntime:
         The batch is replayed in one pass, in event order, holding the
         global lock from the first event with global work to the end of
         the batch.  Each event runs its global share and then its
-        thread-local share through the one per-event path,
-        :meth:`_run_plan`, exactly as :meth:`handle_event` does, so every
-        observable stream — violation order across classes included — is
-        the one per-event dispatch produces.
+        thread-local share through the one per-event path (its key
+        function, or :meth:`_run_plan`), exactly as :meth:`handle_event`
+        does, so every observable stream — violation order across classes
+        included — is the one per-event dispatch produces.
 
         Under a fail-stop policy a violation raises mid-batch and the
         remaining events are not processed, exactly as if the same events
@@ -762,24 +917,49 @@ class TeslaRuntime:
             for i, event in enumerate(events):
                 key = (event.kind, event.name)
                 plan = self._plan_for(key)
-                glob = plan.glob
-                if glob is not None:
+                work = plan.glob
+                if work is not None:
                     if lock is None:
                         lock = gs.lock
                         lock.acquire()
-                    self._run_plan(glob, gs.store, gs.tracker, event,
-                                   plan.initiated, key)
-                local = plan.local if include_local else None
-                if local is not None:
+                    fn = work.fn
+                    if fn is not None and _fi._active is None:
+                        fn(gs.store, event)
+                    else:
+                        self._run_context(work, gs.store, event, plan, key)
+                work = plan.local if include_local else None
+                if work is not None:
                     if local_store is None:
                         local_store = self.thread_stores.current()
-                    self._run_plan(local, local_store, local_store.tracker,
-                                   event, plan.initiated, key)
+                    fn = work.fn
+                    if fn is not None and _fi._active is None:
+                        fn(local_store, event)
+                    else:
+                        self._run_context(work, local_store, event, plan,
+                                          key)
         finally:
             if lock is not None:
                 lock.release()
             self.events_processed += i + 1
         return n
+
+    def _run_context(
+        self,
+        work: _ContextPlan,
+        store: Store,
+        event: RuntimeEvent,
+        plan: _KeyPlan,
+        key: DispatchKey,
+    ) -> None:
+        """One context's share of one event when its key function cannot
+        run: not built yet (build it, then run it), a ``compile=False``
+        runtime, or an armed fault injector (walk the compiled plans,
+        whose fault points the generated code deliberately omits)."""
+        if self.compiled and _fi._active is None:
+            self._build_key_fn(work, store, plan, key)(store, event)
+        else:
+            self._run_plan(work, store, store.tracker, event,
+                           plan.initiated, key)
 
     def _run_plan(
         self,
@@ -790,8 +970,11 @@ class TeslaRuntime:
         initiated: frozenset,
         key: DispatchKey,
     ) -> None:
-        """One context's share of one event (caller holds the global lock
-        for the global context; thread-local contexts need none).
+        """One context's share of one event, walking the plan (caller
+        holds the global lock for the global context; thread-local
+        contexts need none).  This is ``compile=False``'s reference
+        interpreter, and the compiled plan walk for fallback keys and
+        armed fault injection.
 
         Every per-class unit of work runs inside a containment boundary:
         a fault in one class's matchers, plans or pool is routed through
@@ -806,12 +989,8 @@ class TeslaRuntime:
         gov = self.governor
         if compiled:
             # One epoch read per (event, context); each class's plan_for
-            # and step_for is a dict probe plus an integer compare.
+            # is a dict probe plus an integer compare.
             epoch = interest_epoch.value
-            facts = self._codegen_facts(epoch)
-        # Armed fault injection walks the compiled plans: their fault
-        # points are what the generated steps deliberately omit.
-        generated = compiled and _fi._active is None
         if self.lazy:
             # One epoch bump per distinct bound — "a per-context record of
             # common initialisation events" — independent of how many
@@ -855,18 +1034,10 @@ class TeslaRuntime:
                 cr = store.get(name)
                 if self.lazy:
                     lazy_join_bound(cr, bound, tracker, governor=gov)
-                entry = cr.step_for(key, epoch, facts) if generated else None
-                if entry is not None:
-                    entry.step(cr, event, self.hub)
-                else:
-                    # The reference interpreter, or the loud fallback: the
-                    # generator declined this plan (counted in
-                    # gen_fallback_*) or faults are armed, and the compiled
-                    # plan walk carries the event instead.
-                    tesla_update_state(
-                        cr, event, self.hub, self.lazy,
-                        plan=cr.plan_for(key, epoch) if compiled else None,
-                    )
+                tesla_update_state(
+                    cr, event, self.hub, self.lazy,
+                    plan=cr.plan_for(key, epoch) if compiled else None,
+                )
             except TemporalAssertionError:
                 raise
             except Exception as exc:
@@ -1018,6 +1189,7 @@ class TeslaRuntime:
         self.global_store.reset()
         self.thread_stores.reset()
         self.events_processed = 0
+        self.fallback_key_events = 0
         self._max_event_ts = 0.0
         self.timer_checks = 0
         self.timer_expiries = 0

@@ -193,17 +193,17 @@ class ClassRuntime:
             self.plan_hits += 1
         return plan
 
-    def step_for(self, key: DispatchKey, epoch: int, facts):
-        """The tesla-jit generated step for ``key``, or ``None`` when the
-        generator declined this plan (the caller then runs the compiled
-        interpreter via :meth:`plan_for`).
+    def gen_entry(self, key: DispatchKey, epoch: int, facts):
+        """The cached tesla-jit entry for ``key``: a ``CompiledStep``, or
+        a ``GenerationFallback`` naming why the generator declined.
 
         Same caching discipline as :meth:`plan_for`: valid while
         ``_gen_epoch`` matches the caller's interest-epoch snapshot, and
         the caller must hold whatever lock serialises this class.
         ``facts`` is the runtime's :class:`~repro.runtime.codegen.
         CodegenFacts` snapshot — it only changes on installs, which bump
-        the epoch, so facts-staleness rides the same invalidation.
+        the epoch, so facts-staleness rides the same invalidation.  A miss
+        is counted; a hit is not (the caller counts the events it runs).
         """
         if self._gen_epoch != epoch:
             if self._gen:
@@ -224,14 +224,24 @@ class ClassRuntime:
             self._gen[key] = entry
             if entry.step is None:
                 self.gen_fallback_plans += 1
-                return None
-            self.gen_elided_guards += entry.elided_guards
-            self.gen_elided_transitions += entry.elided_transitions
-            return entry
+            else:
+                self.gen_elided_guards += entry.elided_guards
+                self.gen_elided_transitions += entry.elided_transitions
+        return entry
+
+    def step_for(self, key: DispatchKey, epoch: int, facts):
+        """The tesla-jit generated step for ``key``, or ``None`` when the
+        generator declined this plan; a cache hit counts as ``gen_hits``
+        (or ``gen_fallback_hits``).  See :meth:`gen_entry`."""
+        misses = self.gen_misses
+        entry = self.gen_entry(key, epoch, facts)
+        fresh = self.gen_misses != misses
         if entry.step is None:
-            self.gen_fallback_hits += 1
+            if not fresh:
+                self.gen_fallback_hits += 1
             return None
-        self.gen_hits += 1
+        if not fresh:
+            self.gen_hits += 1
         return entry
 
     def gen_summary(self) -> Dict[str, object]:

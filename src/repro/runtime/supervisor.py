@@ -30,9 +30,10 @@ not wall time, so windows, cooldowns and probation are deterministic
 functions of the event trace (and of the fault-injection seed, which the
 chaos tests exploit).
 
-Every containment boundary (``TeslaRuntime._run_plan`` per class, the hook
-wrapper, ``tesla_site``, field hooks, caller-side rewrites, interposition
-hooks, notification fan-out) routes through :meth:`Supervisor.contain`;
+Every containment boundary (per class in the generated key functions and
+``TeslaRuntime._run_plan``, the hook wrapper, ``tesla_site``, field hooks,
+caller-side rewrites, interposition hooks, notification fan-out) routes
+through :meth:`Supervisor.contain`;
 :class:`~repro.errors.TemporalAssertionError` is never contained — it is
 the *deliberate* fail-stop signal of the violation policy, not a fault.
 """

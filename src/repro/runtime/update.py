@@ -386,6 +386,10 @@ def lazy_join_bound(
             # for the «init» transition now that this class joins it.
             for transition in cr.automaton.init_transitions:
                 cr.count_transition(transition)
+        elif not cr.active:
+            # A later event of a skipped occurrence: still outside the
+            # bound for this class, so still not touched.
+            return
         touched = tracker.touched.get(bound)
         if touched is None:
             touched = tracker.touched[bound] = set()

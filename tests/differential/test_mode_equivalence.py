@@ -15,7 +15,10 @@ every runtime configuration:
   transition plans, DESIGN §5.7) in lazy and eager flavours —
   interpreted and generated matchers must be observationally identical;
 * **compiled-batched**: the compiled path fed through ``dispatch_batch``
-  in odd-sized chunks, as a drain pass feeds it.
+  in odd-sized chunks, as a drain pass feeds it;
+* **compiled-governed**: the compiled path under an overhead governor
+  whose clock never advances, so nothing escalates while every key
+  function runs its charging code.
 
 All configurations must agree on every class's accept count, error count,
 assertion-sites-reached count and final live-instance count.  The paper's
@@ -65,6 +68,7 @@ from repro.core.events import (
 )
 from repro.core.translate import translate_all
 from repro.errors import TemporalAssertionError
+from repro.runtime.clock import FakeClock
 from repro.runtime.manager import TeslaRuntime
 from repro.runtime.notify import LogAndContinue
 
@@ -110,10 +114,11 @@ def _automaton_for(index: int, bound: int, context: str):
 def build_runtime(
     specs: Tuple[ClassSpec, ...], lazy: bool,
     compile: bool = False, deferred: object = False, fail_stop: bool = False,
+    **knobs,
 ):
     runtime = TeslaRuntime(
         lazy=lazy, policy=None if fail_stop else LogAndContinue(),
-        compile=compile, deferred=deferred,
+        compile=compile, deferred=deferred, **knobs,
     )
     for index, (bound, context) in enumerate(specs):
         automaton, ast_context = _automaton_for(index, bound, context)
@@ -198,6 +203,11 @@ CONFIGS = [
     ("compiled", dict(lazy=True, compile=True)),
     ("compiled-naive", dict(lazy=False, compile=True)),
     ("compiled-batched", dict(lazy=True, compile=True)),
+    # Governed, with a clock that never advances: no window ever closes,
+    # so nothing escalates, but the generated key functions carry their
+    # governor-charging code on every event.
+    ("compiled-governed", dict(lazy=True, compile=True,
+                               overhead_budget=0.5, clock=FakeClock())),
     ("deferred", dict(lazy=True, compile=False, deferred="manual")),
     ("deferred-compiled", dict(lazy=True, compile=True, deferred="manual")),
 ]

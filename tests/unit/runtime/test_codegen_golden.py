@@ -3,6 +3,7 @@
 ``tests/fixtures/golden_codegen.txt`` is the committed output of
 ``dump_sources`` for a fixed representative assertion under clean lint
 facts — every specialized ``step`` function the generator emits for it,
+plus the key function a default runtime generates for its body key —
 byte for byte.  A diff here means the generator's output
 changed — which is allowed, but only deliberately:
 
@@ -36,6 +37,7 @@ from repro.core.dsl import (
     tesla_global,
     var,
 )
+from repro.core.events import EventKind
 from repro.core.translate import translate
 from repro.runtime.codegen import (
     CODEGEN_VERSION,
@@ -43,6 +45,7 @@ from repro.runtime.codegen import (
     compile_plan_step,
     dump_sources,
 )
+from repro.runtime.manager import TeslaRuntime
 from repro.runtime.plans import build_transition_plan
 
 FIXTURE = (
@@ -84,6 +87,21 @@ def golden_facts():
     )
 
 
+GOLDEN_KEY = (EventKind.RETURN, "golden_check")
+
+
+def golden_key_function() -> str:
+    """The key function a default (lazy, ungoverned) runtime generates
+    for the golden assertion's first body key, global context."""
+    runtime = TeslaRuntime(lint="off")
+    runtime.install_assertion(golden_assertion())
+    for key, context, source, reason in runtime.key_function_sources():
+        if key == GOLDEN_KEY and context == "global":
+            assert reason is None, f"golden key fell back: {reason}"
+            return source
+    raise AssertionError(f"no key function for {GOLDEN_KEY}")
+
+
 def generate_golden_text() -> str:
     automaton = translate(golden_assertion())
     parts = []
@@ -94,6 +112,10 @@ def generate_golden_text() -> str:
         )
         parts.append(gen.source.rstrip("\n"))
         parts.append("")
+    kind, name = GOLDEN_KEY
+    parts.append(f"## key function {kind.name}:{name} global")
+    parts.append(golden_key_function().rstrip("\n"))
+    parts.append("")
     return "\n".join(parts)
 
 

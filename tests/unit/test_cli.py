@@ -142,6 +142,8 @@ class TestCodegen:
         assert "# tesla-jit v" in out
         assert "def step(cr, event, hub):" in out
         assert "def step_batch" not in out
+        # The key functions follow the steps.
+        assert "def run(store, event):" in out
 
     def test_assertion_filter(self, capsys):
         assert main(["codegen", "examples", "--assertion", "figure1"]) == 0
