@@ -18,35 +18,35 @@ the correct :class:`~repro.core.ast.AssignOp` so assertions can distinguish
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Optional, Type
 
 from ..core.ast import AssignOp
-from ..core.events import RuntimeEvent, field_assign_event
-from ..errors import InstrumentationError, TemporalAssertionError
-from ..runtime import faultinject as _fi
+from ..core.events import EventKind, RuntimeEvent, get_ident
+from ..errors import InstrumentationError
 from ..runtime.faultinject import fault_site
-from .hooks import EventSink, contain_sink_fault
+from .hooks import EventSink, SinkList, deliver
 
 _FP_FIELD = fault_site("fields.dispatch")
+_FIELD = EventKind.FIELD_ASSIGN
 
 
-def _deliver_field_event(sinks: List[EventSink], event: RuntimeEvent) -> None:
-    """Fan a field-assign event out to its sinks, containing monitor faults.
+def _deliver_field_event(
+    obj: "TeslaStruct", field_name: str, value: Any, op: AssignOp,
+    sinks: SinkList,
+) -> None:
+    """Fan a field-assign event out to its sinks' entries, containing
+    monitor faults.
 
     Shared by plain ``__setattr__`` stores and the compound-assignment
     helpers so the application's store always completes even when a sink's
     runtime misbehaves (fail-open supervisors swallow; others propagate).
     """
-    for sink in sinks:
-        try:
-            if _fi._active is not None:
-                _fi.fault_point(_FP_FIELD)
-            sink(event)
-        except TemporalAssertionError:
-            raise
-        except Exception as exc:
-            if not contain_sink_fault(sink, "field", exc):
-                raise
+    name = f"{tesla_struct_name(type(obj))}.{field_name}"
+    deliver(
+        sinks.resolved((_FIELD, name)),
+        RuntimeEvent(_FIELD, name, (), value, op, obj, {}, get_ident(), ()),
+        "field", _FP_FIELD,
+    )
 
 
 class TeslaStruct:
@@ -58,22 +58,15 @@ class TeslaStruct:
     name differs from the Python class's).
     """
 
-    #: class-level: field name -> list of sinks.  ``None`` = fast path.
-    _tesla_field_sinks: Optional[Dict[str, List[EventSink]]] = None
+    #: class-level: field name -> its sinks.  ``None`` = fast path.
+    _tesla_field_sinks: Optional[Dict[str, SinkList]] = None
 
     def __setattr__(self, name: str, value: Any) -> None:
         sinks_map = type(self)._tesla_field_sinks
         if sinks_map is not None:
             sinks = sinks_map.get(name)
             if sinks is not None:
-                event = field_assign_event(
-                    struct=tesla_struct_name(type(self)),
-                    field_name=name,
-                    target=self,
-                    value=value,
-                    op=AssignOp.SET,
-                )
-                _deliver_field_event(sinks, event)
+                _deliver_field_event(self, name, value, AssignOp.SET, sinks)
         object.__setattr__(self, name, value)
 
 
@@ -137,9 +130,10 @@ def attach_field_hook(
         cls._tesla_field_sinks = {}
     elif "_tesla_field_sinks" not in cls.__dict__:
         cls._tesla_field_sinks = dict(cls._tesla_field_sinks)
-    sinks = cls._tesla_field_sinks.setdefault(field_name, [])
+    sinks = cls._tesla_field_sinks.setdefault(field_name, SinkList())
     if sink not in sinks:
         sinks.append(sink)
+        sinks.invalidate()
 
 
 def detach_field_hook(
@@ -152,6 +146,7 @@ def detach_field_hook(
     sinks = sinks_map.get(field_name)
     if sinks and sink in sinks:
         sinks.remove(sink)
+        sinks.invalidate()
         if not sinks:
             del sinks_map[field_name]
     if not sinks_map:
@@ -163,14 +158,7 @@ def _emit_compound(obj: TeslaStruct, field_name: str, value: Any, op: AssignOp) 
     if sinks_map is not None:
         sinks = sinks_map.get(field_name)
         if sinks is not None:
-            event = field_assign_event(
-                struct=tesla_struct_name(type(obj)),
-                field_name=field_name,
-                target=obj,
-                value=value,
-                op=op,
-            )
-            _deliver_field_event(sinks, event)
+            _deliver_field_event(obj, field_name, value, op, sinks)
     object.__setattr__(obj, field_name, value)
 
 

@@ -20,14 +20,15 @@ import types
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
-from ..core.events import call_event, return_event
-from ..errors import InstrumentationError, TemporalAssertionError
-from ..runtime import faultinject as _fi
+from ..core.events import EventKind, RuntimeEvent, get_ident
+from ..errors import InstrumentationError
 from ..runtime.epoch import interest_epoch, interest_stats
 from ..runtime.faultinject import fault_site
-from .hooks import EventSink, contain_sink_fault, split_by_kind
+from .hooks import EventSink, deliver, split_by_kind
 
 _FP_CALLER = fault_site("function.dispatch")
+_CALL = EventKind.CALL
+_RETURN = EventKind.RETURN
 
 
 def make_call_wrapper(
@@ -42,45 +43,35 @@ def make_call_wrapper(
     epoch and a snapshot of ``sinks`` — and builds only the events some
     sink consumes.
     """
-    # [epoch, sinks snapshot, CALL sinks, RETURN sinks]
-    cache: list = [-1, None, (), ()]
+    # (epoch, sinks snapshot, CALL sinks, RETURN sinks), swapped whole;
+    # the per-kind lists are resolved to the sinks' dispatch entries.
+    cache = [(-1, None, (), ())]
+
+    def current() -> tuple:
+        state = cache[0]
+        if state[0] != interest_epoch.value or state[1] != sinks:
+            state = cache[0] = (interest_epoch.value, list(sinks),
+                                *split_by_kind(sinks, event_name))
+        return state
 
     @functools.wraps(fn)
     def wrapper(*args: Any, **kwargs: Any):
-        if cache[0] != interest_epoch.value or cache[1] != sinks:
-            cache[0] = interest_epoch.value
-            cache[1] = list(sinks)
-            cache[2], cache[3] = split_by_kind(sinks, event_name)
-        call_sinks = cache[2]
-        return_sinks = cache[3]
         event_args = args if not kwargs else args + tuple(kwargs.values())
+        call_sinks = current()[2]
         if call_sinks:
-            call = call_event(event_name, event_args)
-            for sink in call_sinks:
-                try:
-                    if _fi._active is not None:
-                        _fi.fault_point(_FP_CALLER)
-                    sink(call)
-                except TemporalAssertionError:
-                    raise
-                except Exception as exc:
-                    if not contain_sink_fault(sink, "caller", exc):
-                        raise
+            deliver(call_sinks, RuntimeEvent(
+                _CALL, event_name, event_args, None, None, None, {},
+                get_ident(), (),
+            ), "caller", _FP_CALLER)
         else:
             interest_stats.hook_kind_skips += 1
         result = fn(*args, **kwargs)
+        return_sinks = current()[3]
         if return_sinks:
-            ret = return_event(event_name, event_args, result)
-            for sink in return_sinks:
-                try:
-                    if _fi._active is not None:
-                        _fi.fault_point(_FP_CALLER)
-                    sink(ret)
-                except TemporalAssertionError:
-                    raise
-                except Exception as exc:
-                    if not contain_sink_fault(sink, "caller", exc):
-                        raise
+            deliver(return_sinks, RuntimeEvent(
+                _RETURN, event_name, event_args, result, None, None, {},
+                get_ident(), (),
+            ), "caller", _FP_CALLER)
         else:
             interest_stats.hook_kind_skips += 1
         return result

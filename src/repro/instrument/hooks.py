@@ -16,6 +16,12 @@ replaces with an event-translator invocation (section 4.2): disabled sites
 are near-free; enabled ones emit an assertion-site event carrying the
 site's local variable values.
 
+Every hook flavour resolves an event translator to its *dispatch entry*
+for the hook's key (DESIGN §5.7) when its interest cache refreshes, and
+calls the entry directly: the translator's static checks and the
+runtime's dispatch prologue for that one key, generated as one function.
+Other sinks (collectors, tracers) are called as they are.
+
 When the runtime behind a sink runs the deferred pipeline (DESIGN §5.4),
 ``sink(event)`` *is* the enqueue fast path: the interest filter and the
 translator's static checks run here as usual, and everything that
@@ -34,13 +40,7 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..core.events import (
-    EventKind,
-    RuntimeEvent,
-    assertion_site_event,
-    call_event,
-    return_event,
-)
+from ..core.events import EventKind, RuntimeEvent, get_ident
 from ..errors import InstrumentationError, TemporalAssertionError
 from ..runtime import faultinject as _fi
 from ..runtime.epoch import interest_epoch, interest_stats
@@ -51,6 +51,15 @@ _FP_SITE = fault_site("hooks.site")
 
 #: Anything that consumes concrete events (usually ``TeslaRuntime.handle_event``).
 EventSink = Callable[[RuntimeEvent], None]
+
+#: A sink and what a hook calls for it: the sink's dispatch entry for
+#: the hook's key when it builds them (an event translator), otherwise
+#: the sink itself.
+ResolvedSink = Tuple[EventSink, EventSink]
+
+_CALL = EventKind.CALL
+_RETURN = EventKind.RETURN
+_SITE = EventKind.ASSERTION_SITE
 
 
 def contain_sink_fault(sink: EventSink, stage: str, exc: Exception) -> bool:
@@ -82,21 +91,73 @@ def sink_wants(sink: EventSink, key: Tuple[EventKind, str]) -> bool:
     return probe is None or probe((key,))
 
 
+def resolve_sink(sink: EventSink, key: Tuple[EventKind, str]) -> ResolvedSink:
+    """``sink`` paired with what a hook for ``key`` calls (see
+    :data:`ResolvedSink`)."""
+    entry_for = getattr(sink, "entry_for", None)
+    return sink, sink if entry_for is None else entry_for(key)
+
+
 def split_by_kind(
     sinks: Iterable[EventSink], name: str
-) -> Tuple[List[EventSink], List[EventSink]]:
+) -> Tuple[List[ResolvedSink], List[ResolvedSink]]:
     """The sinks wanting ``(CALL, name)`` and ``(RETURN, name)`` events,
-    each list in attach order."""
-    call_key = (EventKind.CALL, name)
-    return_key = (EventKind.RETURN, name)
-    call_sinks: List[EventSink] = []
-    return_sinks: List[EventSink] = []
+    each list resolved for its key and in attach order."""
+    call_key = (_CALL, name)
+    return_key = (_RETURN, name)
+    call_sinks: List[ResolvedSink] = []
+    return_sinks: List[ResolvedSink] = []
     for sink in sinks:
         if sink_wants(sink, call_key):
-            call_sinks.append(sink)
+            call_sinks.append(resolve_sink(sink, call_key))
         if sink_wants(sink, return_key):
-            return_sinks.append(sink)
+            return_sinks.append(resolve_sink(sink, return_key))
     return call_sinks, return_sinks
+
+
+class SinkList(list):
+    """The sinks attached to one assertion site or struct field, each
+    resolved (:func:`resolve_sink`) for the last event's key and cached
+    against the interest epoch.  These hooks have no interest filter:
+    every sink gets every event.  Attach and detach call
+    :meth:`invalidate`."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.invalidate()
+
+    def invalidate(self) -> None:
+        self._state = (-1, None, [])
+
+    def resolved(self, key: Tuple[EventKind, str]) -> List[ResolvedSink]:
+        state = self._state
+        if state[0] != interest_epoch.value or state[1] != key:
+            # Swapped whole, so a concurrent reader never pairs one key's
+            # entries with another's.
+            state = self._state = (
+                interest_epoch.value, key,
+                [resolve_sink(sink, key) for sink in self],
+            )
+        return state[2]
+
+
+def deliver(sinks: List[ResolvedSink], event: RuntimeEvent, stage: str,
+            fault_point) -> None:
+    """Hand ``event`` to each resolved sink inside the containment
+    boundary shared by every hook flavour (:func:`contain_sink_fault`);
+    ``fault_point`` is the flavour's injection site."""
+    for sink, fn in sinks:
+        try:
+            if _fi._active is not None:
+                _fi.fault_point(fault_point)
+            fn(event)
+        except TemporalAssertionError:
+            raise
+        except Exception as exc:
+            if not contain_sink_fault(sink, stage, exc):
+                raise
 
 
 class HookPoint:
@@ -104,8 +165,9 @@ class HookPoint:
 
     Beyond the raw sink list, a hook point caches which sinks are actually
     interested in each of its two dispatch keys, ``(CALL, name)`` and
-    ``(RETURN, name)``.  The cache is validated against the global
-    :data:`~repro.runtime.epoch.interest_epoch` on every instrumented
+    ``(RETURN, name)``, each resolved to the sink's dispatch entry for
+    that key (:func:`resolve_sink`).  The cache is validated against the
+    global :data:`~repro.runtime.epoch.interest_epoch` on every instrumented
     call, so the wrapper builds only the events some sink will consume: a
     hook whose automata watch only the return never builds the CALL
     event, one whose sinks observe neither key skips event construction
@@ -154,15 +216,14 @@ class HookPoint:
     def _refresh(self) -> List[EventSink]:
         """Rebuild the per-kind interested-sink caches for the current
         epoch."""
-        self._epoch = interest_epoch.value
+        epoch = interest_epoch.value
         call_sinks, return_sinks = split_by_kind(self.sinks or (), self.name)
         self._call_sinks = call_sinks
         self._return_sinks = return_sinks
-        live = [
-            sink for sink in self.sinks or ()
-            if sink in call_sinks or sink in return_sinks
-        ]
+        wanted = [sink for sink, _ in call_sinks + return_sinks]
+        live = [sink for sink in self.sinks or () if sink in wanted]
         self._live_sinks = live
+        self._epoch = epoch
         interest_stats.hook_refreshes += 1
         return live
 
@@ -245,17 +306,18 @@ def instrumentable(
                 # event name, so skip event construction entirely.
                 interest_stats.hook_short_circuits += 1
                 return fn(*args, **kwargs)
-            # Per-kind interest: build only the events some sink consumes.
-            call_sinks = point._call_sinks
-            return_sinks = point._return_sinks
+            # Per-kind interest: build only the events some sink consumes,
+            # each positionally (the ``call_event``/``return_event`` shape).
             event_args = args if not kwargs else args + tuple(kwargs.values())
-            if call_sinks:
-                call = call_event(event_name, event_args)
-                for sink in call_sinks:
+            sinks = point._call_sinks
+            if sinks:
+                event = RuntimeEvent(_CALL, event_name, event_args, None,
+                                     None, None, {}, get_ident(), ())
+                for sink, entry in sinks:
                     try:
                         if _fi._active is not None:
                             _fi.fault_point(_FP_DISPATCH)
-                        sink(call)
+                        entry(event)
                     except TemporalAssertionError:
                         raise
                     except Exception as exc:
@@ -264,13 +326,19 @@ def instrumentable(
             else:
                 interest_stats.hook_kind_skips += 1
             result = fn(*args, **kwargs)
-            if return_sinks:
-                ret = return_event(event_name, event_args, result)
-                for sink in return_sinks:
+            if point._epoch != interest_epoch.value:
+                # The call changed the interest set (a quarantine, a
+                # detach): its return meets the current entries.
+                point._refresh()
+            sinks = point._return_sinks
+            if sinks:
+                event = RuntimeEvent(_RETURN, event_name, event_args, result,
+                                     None, None, {}, get_ident(), ())
+                for sink, entry in sinks:
                     try:
                         if _fi._active is not None:
                             _fi.fault_point(_FP_DISPATCH)
-                        sink(ret)
+                        entry(event)
                     except TemporalAssertionError:
                         raise
                     except Exception as exc:
@@ -290,22 +358,25 @@ class SiteRegistry:
     """All assertion sites, keyed by assertion name."""
 
     def __init__(self) -> None:
-        self._sinks: Dict[str, List[EventSink]] = {}
+        self._sinks: Dict[str, SinkList] = {}
 
     def attach(self, assertion_name: str, sink: EventSink) -> None:
-        self._sinks.setdefault(assertion_name, []).append(sink)
+        sinks = self._sinks.setdefault(assertion_name, SinkList())
+        sinks.append(sink)
+        sinks.invalidate()
 
     def detach(self, assertion_name: str, sink: EventSink) -> None:
         sinks = self._sinks.get(assertion_name)
         if sinks and sink in sinks:
             sinks.remove(sink)
+            sinks.invalidate()
             if not sinks:
                 del self._sinks[assertion_name]
 
     def detach_all(self) -> None:
         self._sinks.clear()
 
-    def sinks_for(self, assertion_name: str) -> Optional[List[EventSink]]:
+    def sinks_for(self, assertion_name: str) -> Optional[SinkList]:
         return self._sinks.get(assertion_name)
 
 
@@ -325,14 +396,9 @@ def tesla_site(assertion_name: str, **scope: Any) -> None:
     sinks = site_registry.sinks_for(assertion_name)
     if sinks is None:
         return
-    event = assertion_site_event(assertion_name, scope)
-    for sink in sinks:
-        try:
-            if _fi._active is not None:
-                _fi.fault_point(_FP_SITE)
-            sink(event)
-        except TemporalAssertionError:
-            raise
-        except Exception as exc:
-            if not contain_sink_fault(sink, "site", exc):
-                raise
+    deliver(
+        sinks.resolved((_SITE, assertion_name)),
+        RuntimeEvent(_SITE, assertion_name, (), None, None, None, scope,
+                     get_ident(), ()),
+        "site", _FP_SITE,
+    )

@@ -21,14 +21,16 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..core.events import EventKind, call_event, return_event
+from ..core.events import EventKind, RuntimeEvent, get_ident
 from ..errors import TemporalAssertionError
 from ..runtime import faultinject as _fi
 from ..runtime.epoch import interest_epoch, interest_stats
 from ..runtime.faultinject import fault_site
-from .hooks import EventSink, contain_sink_fault, sink_wants
+from .hooks import EventSink, contain_sink_fault, resolve_sink, sink_wants
 
 _FP_INTERPOSE = fault_site("interpose.dispatch")
+_CALL = EventKind.CALL
+_RETURN = EventKind.RETURN
 
 #: A raw interposition hook: (phase, receiver, selector, args, result).
 #: ``phase`` is "send" before the method body runs and "return" after.
@@ -196,8 +198,12 @@ def tesla_method_hook(sink: EventSink) -> RawHook:
 
     The event name is the bare selector — assertions in the GNUstep use
     case reference selectors (``push``, ``pop``, ``drawWithFrame:inView:``),
-    not classes, because the receiver's class is dynamic.
+    not classes, because the receiver's class is dynamic.  The hook
+    resolves its sink to the dispatch entries for the selector's keys
+    once per interest epoch and selector.
     """
+    # (epoch, selector, send callable, return callable), swapped whole.
+    resolved = [(-1, None, sink, sink)]
 
     def hook(
         phase: str, receiver: Any, selector: str, args: Tuple[Any, ...], result: Any
@@ -205,10 +211,23 @@ def tesla_method_hook(sink: EventSink) -> RawHook:
         try:
             if _fi._active is not None:
                 _fi.fault_point(_FP_INTERPOSE)
+            state = resolved[0]
+            if state[0] != interest_epoch.value or state[1] != selector:
+                state = resolved[0] = (
+                    interest_epoch.value, selector,
+                    resolve_sink(sink, (_CALL, selector))[1],
+                    resolve_sink(sink, (_RETURN, selector))[1],
+                )
             if phase == "send":
-                sink(call_event(selector, (receiver,) + args))
+                state[2](RuntimeEvent(
+                    _CALL, selector, (receiver,) + args, None, None, None,
+                    {}, get_ident(), (),
+                ))
             else:
-                sink(return_event(selector, (receiver,) + args, result))
+                state[3](RuntimeEvent(
+                    _RETURN, selector, (receiver,) + args, result, None,
+                    None, {}, get_ident(), (),
+                ))
         except TemporalAssertionError:
             raise
         except Exception as exc:

@@ -23,12 +23,12 @@ sequence contains exactly the post-filter stream.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from ..core.ast import FieldAssign, FunctionCall, FunctionReturn
 from ..core.automaton import Automaton, EventSymbol
 from ..core.events import EventKind, RuntimeEvent
-from ..core.patterns import Any_, Pattern, Var, compile_static_check
+from ..core.patterns import Any_, Pattern, Var
 from ..runtime.epoch import interest_epoch
 from ..runtime.manager import DispatchKey, TeslaRuntime
 
@@ -82,178 +82,59 @@ def static_match(symbol: EventSymbol, event: RuntimeEvent) -> bool:
     return True
 
 
-#: A compiled static check: ``check(event) -> forward?``.
-StaticCheck = Callable[[RuntimeEvent], bool]
-
-
-def _compile_static_symbol(
-    symbol: EventSymbol, elide_arity: bool = False
-) -> Optional[StaticCheck]:
-    """Compile :func:`static_match` for one symbol, or ``None`` when the
-    symbol imposes no static constraint (it always forwards).
-
-    The per-pattern work collapses to precompiled predicates over the
-    argument positions that actually carry static patterns; fully dynamic
-    positions (``Var``/``Any_``) cost nothing per event.
-
-    ``elide_arity`` is the lint handoff (DESIGN §5.5): when tesla-lint has
-    proven the hooked signature fixes the event arity at exactly the
-    pattern arity, the ``len(event.args)`` guard is redundant — the hook
-    wrapper flattens every bound argument, so a fixed-signature function
-    cannot produce any other arity — and is compiled out.
-    """
-    expr = symbol.expr
-    if isinstance(expr, FunctionCall):
-        if expr.args is None:
-            return None
-        arity = len(expr.args)
-        checks = tuple(
-            (i, c)
-            for i, c in enumerate(compile_static_check(p) for p in expr.args)
-            if c is not None
-        )
-        if not checks:
-            if elide_arity:
-                return None
-
-            def check_arity(event: RuntimeEvent, _n=arity) -> bool:
-                return len(event.args) == _n
-
-            return check_arity
-
-        if elide_arity:
-
-            def check_call_elided(event: RuntimeEvent, _cs=checks) -> bool:
-                args = event.args
-                for i, c in _cs:
-                    if not c(args[i]):
-                        return False
-                return True
-
-            return check_call_elided
-
-        def check_call(event: RuntimeEvent, _n=arity, _cs=checks) -> bool:
-            args = event.args
-            if len(args) != _n:
-                return False
-            for i, c in _cs:
-                if not c(args[i]):
-                    return False
-            return True
-
-        return check_call
-    if isinstance(expr, FunctionReturn):
-        arity = None if expr.args is None else len(expr.args)
-        arg_checks: Tuple[Tuple[int, Any], ...] = ()
-        if expr.args is not None:
-            arg_checks = tuple(
-                (i, c)
-                for i, c in enumerate(
-                    compile_static_check(p) for p in expr.args
-                )
-                if c is not None
-            )
-        ret_check = (
-            compile_static_check(expr.retval)
-            if expr.retval is not None
-            else None
-        )
-        if arity is None and ret_check is None:
-            return None
-        if elide_arity:
-            arity = None  # the proven-fixed arity can never mismatch
-        if arity is None and not arg_checks and ret_check is None:
-            return None
-
-        def check_return(
-            event: RuntimeEvent,
-            _n=arity,
-            _cs=arg_checks,
-            _rc=ret_check,
-            _elide=elide_arity,
-        ) -> bool:
-            if _n is not None or _cs:
-                args = event.args
-                if _n is not None and len(args) != _n:
-                    return False
-                for i, c in _cs:
-                    if not c(args[i]):
-                        return False
-            if _rc is not None and not _rc(event.retval):
-                return False
-            return True
-
-        return check_return
-    if isinstance(expr, FieldAssign):
-        op = expr.op
-        target_check = (
-            compile_static_check(expr.target)
-            if expr.target is not None
-            else None
-        )
-        value_check = (
-            compile_static_check(expr.value)
-            if expr.value is not None
-            else None
-        )
-        if op is None and target_check is None and value_check is None:
-            return None
-
-        def check_field(
-            event: RuntimeEvent, _op=op, _t=target_check, _v=value_check
-        ) -> bool:
-            if _op is not None and event.op is not _op:
-                return False
-            if _t is not None and not _t(event.target):
-                return False
-            if _v is not None and not _v(event.retval):
-                return False
-            return True
-
-        return check_field
-    # Assertion sites have no static parameters.
-    return None
-
-
-#: Sentinel distinguishing "no chain for this key" from "chain with no
-#: static constraints" (``None``) in the compiled chain map.
-_NO_CHAIN = object()
-
-
 class EventTranslator:
-    """A sink that statically filters events before the runtime sees them."""
+    """A sink that statically filters events before the runtime sees them.
+
+    Each dispatch key gets one *entry* (DESIGN §5.7), built by the runtime
+    on first use: the key's static-check chain, straight-line, with the
+    forwarded/dropped counts and the runtime's dispatch prologue inlined
+    behind it.  Hooks resolve this sink to the entry for their key
+    (:meth:`entry_for`) and call it directly; calling the translator
+    itself is a lookup into the same entries.
+    """
 
     def __init__(self, runtime: TeslaRuntime) -> None:
         self.runtime = runtime
         #: The runtime's supervisor, exposed so hook-layer containment
         #: boundaries can route faults that escape this sink to it.
         self.supervisor = getattr(runtime, "supervisor", None)
-        #: dispatch key -> symbols whose static checks gate forwarding.
-        self._chains: Dict[DispatchKey, List[EventSymbol]] = {}
-        #: dispatch key -> compiled static checks; ``None`` means some
-        #: symbol in the chain has no static constraint, so every event
-        #: with this key forwards without running any check.
-        self._compiled: Dict[DispatchKey, Any] = {}
+        #: dispatch key -> ``(symbol, elide_arity)`` pairs whose static
+        #: checks gate forwarding.
+        self._chains: Dict[DispatchKey, List[Tuple[EventSymbol, bool]]] = {}
         #: keys observed by ``strict`` automata, which must see every
         #: referenced event even if its static parameters mismatch.
         self._strict_keys: set = set()
+        #: dispatch key -> this translator's entry; cleared by
+        #: ``_rebuild`` and by the runtime's installs.
+        self._entries: Dict[DispatchKey, Callable[[RuntimeEvent], None]] = {}
+        #: ``[forwarded, dropped]``, shared by every entry.
+        self._counts = [0, 0]
         #: Arity guards compiled out under a clean lint report (the
         #: DESIGN §5.5 handoff); counted for benchmarks and health.
         self.arity_elided = 0
         self._rebuild()
-        #: Events dropped by static checks (visible to benchmarks/tests).
-        self.dropped = 0
-        self.forwarded = 0
         register = getattr(runtime, "register_translator", None)
         if register is not None:
             register(self)
 
+    @property
+    def forwarded(self) -> int:
+        """Events passed to the runtime (visible to benchmarks/tests)."""
+        return self._counts[0]
+
+    @property
+    def dropped(self) -> int:
+        """Events dropped by key or by static checks."""
+        return self._counts[1]
+
     def _rebuild(self) -> None:
         self._chains.clear()
-        self._compiled.clear()
         self._strict_keys.clear()
+        self._entries.clear()
         supervisor = self.supervisor
         shed = supervisor.shed_classes if supervisor is not None else ()
+        lint_clean = self._lint_clean()
+        self.arity_elided = 0
         for automaton in self.runtime.automata.values():
             if automaton.name in shed:
                 # Quarantined classes drop out of the static chains, so a
@@ -269,23 +150,12 @@ class EventTranslator:
                 else:
                     key = (kind, name)
                 chain = self._chains.setdefault(key, [])
-                if symbol not in chain:
-                    chain.append(symbol)
+                if all(symbol != s for s, _ in chain):
+                    elide = lint_clean and self._arity_proven(symbol)
+                    self.arity_elided += elide
+                    chain.append((symbol, elide))
                 if automaton.strict:
                     self._strict_keys.add(key)
-        self.arity_elided = 0
-        lint_clean = self._lint_clean()
-        for key, chain in self._chains.items():
-            checks = []
-            for symbol in chain:
-                elide = lint_clean and self._arity_proven(symbol)
-                if elide:
-                    self.arity_elided += 1
-                checks.append(_compile_static_symbol(symbol, elide_arity=elide))
-            if any(c is None for c in checks):
-                self._compiled[key] = None
-            else:
-                self._compiled[key] = tuple(checks)
 
     def _lint_clean(self) -> bool:
         """Whether the runtime carries a clean tesla-lint report — the
@@ -326,19 +196,27 @@ class EventTranslator:
         chains = self._chains
         return any(key in chains for key in keys)
 
+    def entry_for(self, key: DispatchKey) -> Callable[[RuntimeEvent], None]:
+        """This translator's entry for ``key``, built on first use.  A
+        strict key forwards every event; a key with no chain drops it."""
+        entry = self._entries.get(key)
+        if entry is None:
+            chain = self._chains.get(key)
+            if chain is None:
+                return self._drop
+            if key in self._strict_keys:
+                chain = []
+            entry = self._entries[key] = self.runtime.build_entry(
+                key, chain, self._counts
+            )
+        return entry
+
+    def _drop(self, event: RuntimeEvent) -> None:
+        self._counts[1] += 1
+
     def __call__(self, event: RuntimeEvent) -> None:
         key = (event.kind, event.name)
-        checks = self._compiled.get(key, _NO_CHAIN)
-        if checks is _NO_CHAIN:
-            self.dropped += 1
-            return
-        if checks is None or key in self._strict_keys:
-            self.forwarded += 1
-            self.runtime.handle_event(event)
-            return
-        for check in checks:
-            if check(event):
-                self.forwarded += 1
-                self.runtime.handle_event(event)
-                return
-        self.dropped += 1
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self.entry_for(key)
+        entry(event)

@@ -167,6 +167,12 @@ class DispatchStats:
     key_fns_resident: int = 0
     fallback_keys: int = 0
     fallback_key_events: int = 0
+    #: Dispatch entries (one generated function per dispatch key, for
+    #: ``handle_event`` and for each event translator): built so far and
+    #: resident now.  Any runtime, compiled or not, dispatches through
+    #: them.
+    entries_built: int = 0
+    entries_resident: int = 0
     #: Timed-assertion counters (zero unless an installed automaton
     #: carries a deadline).  ``timer_checks`` counts sync-point timer
     #: sweeps, ``timer_expiries`` the deadline violations those sweeps
@@ -241,6 +247,8 @@ def dispatch_stats(runtime) -> DispatchStats:
             key_fns_resident=len(key_fns["resident"]),
             fallback_keys=len(key_fns["fallback_keys"]),
             fallback_key_events=key_fns["fallback_events"],
+            entries_built=key_fns["entries_built"],
+            entries_resident=key_fns["entries_resident"],
         )
     return DispatchStats(
         compiled=getattr(runtime, "compiled", False),
@@ -280,7 +288,8 @@ def codegen_report(runtime) -> Optional[dict]:
     classes that all generated shows ``3``.  ``key_functions`` counts the
     generated key functions and lists the resident ones
     (``kind:name@context``); ``fallback_keys`` maps each (key, context)
-    that fell back as a whole to the first declining class's reason.
+    that fell back as a whole to the first declining class's reason;
+    ``entries`` counts the dispatch entries built and resident.
     """
     if not getattr(runtime, "compiled", False):
         return None
@@ -313,6 +322,10 @@ def codegen_report(runtime) -> Optional[dict]:
             "resident": key_fns["resident"],
         },
         "fallback_keys": key_fns["fallback_keys"],
+        "entries": {
+            "built": key_fns["entries_built"],
+            "resident": key_fns["entries_resident"],
+        },
         "elided_guards": elided_guards,
         "elided_transitions": elided_transitions,
         "fallback_hits": fallback_hits,
@@ -349,6 +362,8 @@ def format_dispatch_stats(stats: DispatchStats) -> str:
         f"{stats.plan_misses} misses ({stats.plan_hit_ratio:.1%} hit "
         f"ratio), {stats.plan_invalidations} epoch invalidations, "
         f"{stats.cached_plans} plans resident",
+        f"dispatch entries     {stats.entries_built} built, "
+        f"{stats.entries_resident} resident",
     ]
     if stats.compiled:
         lines.append(

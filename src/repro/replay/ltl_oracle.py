@@ -324,18 +324,27 @@ class _TimeCtx:
 
     ``entry_ts`` is the bound-entry capture stamp (what ``since_entry``
     guards measure from; the runtime's ``instance.entry_ts``).
-    ``ceiling`` — set during post-site matching of an assertion with a
-    deadline — is the absolute stamp past which *no* event can be
+    ``deadline`` — set during post-site matching of an assertion with a
+    deadline — is the time since entry past which *no* event can be
     consumed: it mirrors the runtime's pre-event expiry, which prunes an
-    undischarged instance before it can step on anything later than
-    ``entry + deadline``.
+    undischarged instance before it can step on any event past its
+    deadline (see :func:`_past_deadline`).
     """
 
     entry_ts: float = 0.0
-    ceiling: Optional[float] = None
+    deadline: Optional[float] = None
 
 
 _UNTIMED = _TimeCtx()
+
+
+def _past_deadline(ts: float, entry_ts: float, deadline_s: float) -> bool:
+    """Whether a stamp is past a deadline, in the runtime's own form
+    (``expire_deadlines``: ``now - entry_ts > deadline``).  The sum form
+    ``ts > entry_ts + deadline_s`` rounds differently in floating point
+    and disagrees with the runtime on stamps within an ulp of the
+    boundary."""
+    return ts - entry_ts > deadline_s
 
 
 def _time_ok(
@@ -349,7 +358,9 @@ def _time_ok(
                 return False
         elif ts - ctx.entry_ts > guard.limit_s:
             return False
-    if ctx.ceiling is not None and ts > ctx.ceiling:
+    if ctx.deadline is not None and _past_deadline(
+        ts, ctx.entry_ts, ctx.deadline
+    ):
         return False
     return True
 
@@ -428,7 +439,7 @@ def _match_one(
         # window (:func:`_rate_violations`).
         yield lo, binding
     elif isinstance(part, (FunctionCall, FunctionReturn, FieldAssign)):
-        timed = guard is not None or ctx.ceiling is not None
+        timed = guard is not None or ctx.deadline is not None
         prev_ts = (
             (events[lo - 1][1].timestamp if lo > 0 else ctx.entry_ts)
             if timed
@@ -467,7 +478,7 @@ def _match_atleast(
     if minimum <= 0:
         yield lo, binding
         return
-    timed = guard is not None or ctx.ceiling is not None
+    timed = guard is not None or ctx.deadline is not None
     prev_ts = (
         (events[lo - 1][1].timestamp if lo > 0 else ctx.entry_ts)
         if timed
@@ -590,13 +601,14 @@ def _decompose(assertion: TemporalAssertion) -> _Spec:
 
 
 def _expiry_seqno(
-    window: List[Slot], position: int, boundary: float, fallback: int
+    window: List[Slot], position: int, entry_ts: float, deadline_s: float,
+    fallback: int,
 ) -> int:
     """Where the runtime would report an expiry: the first event after
-    the obligation whose stamp is past the boundary (pre-event check),
+    the obligation whose stamp is past the deadline (pre-event check),
     else *fallback* (the close/flush point)."""
     for k in range(position + 1, len(window)):
-        if window[k][1].timestamp > boundary:
+        if _past_deadline(window[k][1].timestamp, entry_ts, deadline_s):
             return window[k][0]
     return fallback
 
@@ -674,11 +686,9 @@ def _eval_window(
 ) -> None:
     """Close one bound: discharge every satisfied site's obligations."""
     assertion = spec.assertion
-    boundary = (
-        entry_ts + spec.deadline_s if spec.deadline_s is not None else None
-    )
+    deadline = spec.deadline_s
     ctx = (
-        _TimeCtx(entry_ts, boundary) if spec.timed else _UNTIMED
+        _TimeCtx(entry_ts, deadline) if spec.timed else _UNTIMED
     )
     for obligation in obligations:
         if not spec.post:
@@ -694,7 +704,9 @@ def _eval_window(
                 "linear reading cannot mirror the runtime's wildcard "
                 "semantics for it"
             )
-        elif boundary is not None and close_ts > boundary:
+        elif deadline is not None and _past_deadline(
+            close_ts, entry_ts, deadline
+        ):
             # The runtime's cleanup handler expires overdue timers
             # before judging the remaining instances, so a bound that
             # closed past the deadline reports the expiry, not a
@@ -702,7 +714,8 @@ def _eval_window(
             verdict.violations.append(
                 OracleViolation(
                     _expiry_seqno(
-                        window, obligation.position, boundary, close_seqno
+                        window, obligation.position, entry_ts, deadline,
+                        close_seqno,
                     ),
                     "deadline",
                 )
@@ -732,11 +745,9 @@ def _eval_open_window(
     windows have already seen their events, so those verdicts surface
     here, judged at the trace's last capture stamp.
     """
-    boundary = (
-        entry_ts + spec.deadline_s if spec.deadline_s is not None else None
-    )
-    ctx = _TimeCtx(entry_ts, boundary)
-    if boundary is not None and flush_ts > boundary:
+    deadline = spec.deadline_s
+    ctx = _TimeCtx(entry_ts, deadline)
+    if deadline is not None and _past_deadline(flush_ts, entry_ts, deadline):
         for obligation in obligations:
             if spec.post:
                 accepted, _ = _discharge(spec, window, obligation, ctx)
@@ -745,7 +756,8 @@ def _eval_open_window(
                 verdict.violations.append(
                     OracleViolation(
                         _expiry_seqno(
-                            window, obligation.position, boundary, flush_seqno
+                            window, obligation.position, entry_ts, deadline,
+                            flush_seqno,
                         ),
                         "deadline",
                     )
@@ -803,16 +815,14 @@ def _eval_trace(
                 for name, value in event.scope.items()
                 if name in variables
             }
-            if (
-                spec.deadline_s is not None
-                and event.timestamp > entry_ts + spec.deadline_s
+            if spec.deadline_s is not None and _past_deadline(
+                event.timestamp, entry_ts, spec.deadline_s
             ):
                 # Pre-event expiry: the runtime sweeps overdue timers at
                 # the top of every dispatch, so by the time this site is
-                # processed any undischarged obligation past the boundary
+                # processed any undischarged obligation past the deadline
                 # has already been reported and its instance pruned.
-                boundary = entry_ts + spec.deadline_s
-                expiry_ctx = _TimeCtx(entry_ts, boundary)
+                expiry_ctx = _TimeCtx(entry_ts, spec.deadline_s)
                 survivors: List[_Obligation] = []
                 for obligation in obligations:
                     accepted, _ = _discharge(
@@ -824,8 +834,8 @@ def _eval_trace(
                         verdict.violations.append(
                             OracleViolation(
                                 _expiry_seqno(
-                                    window, obligation.position, boundary,
-                                    seqno,
+                                    window, obligation.position, entry_ts,
+                                    spec.deadline_s, seqno,
                                 ),
                                 "deadline",
                             )

@@ -85,6 +85,7 @@ from ..core.patterns import (
     Pattern,
     Ref,
     Var,
+    compile_static_check,
 )
 from ..errors import TemporalAssertionError, TemporalViolation
 from .notify import Notification, NotificationKind
@@ -919,6 +920,10 @@ _CODE_CACHE: Dict[Tuple[str, str], CodeType] = {}
 #: shortens how long a step's code object stays resident.
 _KEY_CODE_CACHE: Dict[Tuple[str, str], CodeType] = {}
 
+#: And for dispatch entries, whose source names no key: every key of one
+#: shape shares a code object.
+_ENTRY_CODE_CACHE: Dict[Tuple[str, str], CodeType] = {}
+
 #: Bound on each code cache; a full cache is cleared, not evicted
 #: piecemeal (the replay engine's translation cache does the same).
 CODE_CACHE_LIMIT = 512
@@ -1125,6 +1130,181 @@ def compile_key_function(
     exec(_cached_code(_KEY_CODE_CACHE, generated.source, filename),
          namespace)
     return namespace["run"]
+
+
+# ---------------------------------------------------------------------------
+# Dispatch entries: one generated function per dispatch key
+# ---------------------------------------------------------------------------
+
+
+def _static_tests(
+    em: _Emitter, pattern: Pattern, value_expr: str, tests: List[str]
+) -> None:
+    """Append one pattern's event-static tests (``Var``/``Any_`` add
+    none); a pattern the generator cannot decompose is tested by its
+    compiled predicate."""
+    static: List[str] = []
+    try:
+        _pattern_value_checks(em, pattern, value_expr, static, [], [])
+    except _Unsupported:
+        check = em.const(compile_static_check(pattern), "P")
+        static = [f"{check}({value_expr})"]
+    tests.extend(static)
+
+
+def _symbol_test(em: _Emitter, symbol, elide_arity: bool) -> Optional[str]:
+    """One symbol's static checks (the translator's ``static_match``) as
+    a conjunction over ``event`` and its arguments ``_a``, or ``None``
+    when the symbol constrains nothing.  ``elide_arity`` drops the arity
+    guard tesla-lint proved redundant (DESIGN §5.5)."""
+    expr = symbol.expr
+    tests: List[str] = []
+    if isinstance(expr, (FunctionCall, FunctionReturn)):
+        if expr.args is not None:
+            if not elide_arity:
+                tests.append(f"len(_a) == {len(expr.args)}")
+            for i, pattern in enumerate(expr.args):
+                _static_tests(em, pattern, f"_a[{i}]", tests)
+        if isinstance(expr, FunctionReturn) and expr.retval is not None:
+            _static_tests(em, expr.retval, "event.retval", tests)
+    elif isinstance(expr, FieldAssign):
+        if expr.op is not None:
+            tests.append(f"event.op is {em.const(expr.op, 'K')}")
+        if expr.target is not None:
+            _static_tests(em, expr.target, "event.target", tests)
+        if expr.value is not None:
+            _static_tests(em, expr.value, "event.retval", tests)
+    return " and ".join(tests) or None
+
+
+def generate_entry_source(
+    chain,
+    dispatch: str,
+    stamp: bool,
+    governed: bool = False,
+    contexts: Tuple[bool, bool] = (False, False),
+    local: bool = False,
+    sync: bool = False,
+) -> GeneratedSource:
+    """Generate ``entry(event)``: everything one dispatch key's events
+    do between a hook and the key functions (DESIGN §5.7).
+
+    ``chain`` is an event translator's static-check chain for the key,
+    as ``(symbol, elide_arity)`` pairs: an event is forwarded (counted in
+    ``_cnt[0]``) when any symbol's static checks pass and dropped
+    (``_cnt[1]``) otherwise; an empty chain, or one symbol without
+    static constraints, forwards every event.  ``chain=None`` is the
+    runtime's own entry behind ``handle_event``: no checks, no counts.
+
+    ``dispatch`` selects what a forwarded event meets:
+
+    * ``"sync"`` — the synchronous prologue, inlined: the capture stamp
+      (``stamp``; otherwise the trace-time high-water mark), the events
+      counter, the supervisor tick, the governor's control tick
+      (``governed``), the key-plan probe, then the key function of each
+      context the key can touch (``contexts`` is (global, thread-local))
+      or, when it cannot run, ``_run_context``.  The probe is a dict
+      lookup plus the epoch on every event, because governor demotions
+      clear plans without moving the epoch;
+    * ``"deferred"`` — the capture path: the stamp, the thread-local
+      share inline when ``local``, the ring append, and a flush when
+      ``sync`` (a synchronization-point key);
+    * ``"call"`` — ``_handle(event)``: the runtime's ``handle_event`` was
+      replaced on the instance, and the replacement sees every forwarded
+      event.
+    """
+    em = _Emitter()
+    em.lines.append(
+        f"# tesla-jit v{CODEGEN_VERSION} entry dispatch={dispatch} "
+        f"stamp={stamp} governed={governed}"
+    )
+    em.emit(0, "def entry(event):")
+    if chain is not None:
+        alternatives = []
+        for symbol, elide_arity in chain:
+            test = _symbol_test(em, symbol, elide_arity)
+            if test is None:
+                alternatives = []
+                break
+            alternatives.append(f"({test})")
+        if alternatives:
+            em.emit(1, "_a = event.args")
+            em.emit(1, f"if not ({' or '.join(alternatives)}):")
+            em.emit(2, "_cnt[1] += 1")
+            em.emit(2, "return")
+        em.emit(1, "_cnt[0] += 1")
+    if dispatch == "call":
+        em.emit(1, "_handle(event)")
+        return GeneratedSource(source=em.source(), namespace=em.namespace)
+    if stamp:
+        em.emit(1, "event.timestamp = _now()")
+    else:
+        em.emit(1, "if event.timestamp > _rt._max_event_ts:")
+        em.emit(2, "_rt._max_event_ts = event.timestamp")
+    if dispatch == "deferred":
+        if local:
+            em.emit(1, "_dispatch_local(event, _KEY)")
+        em.emit(1, "_enqueue(event)")
+        if sync:
+            em.emit(1, "_drain.flush(sync=True)")
+        return GeneratedSource(source=em.source(), namespace=em.namespace)
+    em.emit(1, "_rt.events_processed += 1")
+    em.emit(1, "_sup.tick += 1")
+    em.emit(1, "if _sup._has_records:")
+    em.emit(2, "_sup._poll()")
+    if governed:
+        em.emit(1, "_govern(1)")
+    if any(contexts):
+        em.emit(1, "plan = _plans.get(_KEY)")
+        em.emit(1, "if plan is None or plan.epoch != _ep.value:")
+        em.emit(2, "plan = _plan_for(_KEY)")
+    for attribute, store, possible in (("glob", "_gstore", contexts[0]),
+                                       ("local", "store", contexts[1])):
+        if not possible:
+            continue
+        em.emit(1, f"work = plan.{attribute}")
+        em.emit(1, "if work is not None:")
+        indent = 2
+        if attribute == "glob":
+            em.emit(2, "with _lock:")
+            indent = 3
+        else:
+            em.emit(2, "store = _current()")
+        em.emit(indent, "fn = work.fn")
+        em.emit(indent, "if fn is not None and _fi._active is None:")
+        em.emit(indent + 1, f"fn({store}, event)")
+        em.emit(indent, "else:")
+        em.emit(indent + 1, f"_run_context(work, {store}, event, plan, _KEY)")
+    return GeneratedSource(source=em.source(), namespace=em.namespace)
+
+
+def compile_entry(
+    key: PlanKey,
+    chain,
+    dispatch: str,
+    stamp: bool,
+    governed: bool,
+    contexts: Tuple[bool, bool],
+    local: bool,
+    sync: bool,
+    bindings: Dict[str, Any],
+):
+    """Compile one dispatch entry (see :func:`generate_entry_source`)
+    through the process-wide code cache and return it.  ``bindings``
+    supplies the runtime's collaborators (``_rt``, ``_now``, ``_sup``,
+    ``_govern``, ``_plans``, ``_plan_for``, ``_ep``, ``_lock``,
+    ``_gstore``, ``_current``, ``_fi``, ``_run_context``,
+    ``_dispatch_local``, ``_enqueue``, ``_drain``, ``_handle``) and the
+    translator's ``_cnt`` cell."""
+    generated = generate_entry_source(chain, dispatch, stamp, governed,
+                                      contexts, local, sync)
+    namespace = generated.namespace
+    namespace.update(bindings)
+    namespace["_KEY"] = key
+    namespace["_Ref"] = Ref
+    exec(_cached_code(_ENTRY_CODE_CACHE, generated.source,
+                      "<tesla-jit entry>"), namespace)
+    return namespace["entry"]
 
 
 def dump_sources(

@@ -29,6 +29,7 @@ order, so a batch reports exactly what per-event dispatch would.
 from __future__ import annotations
 
 import weakref
+from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.ast import Context, TemporalAssertion
@@ -37,7 +38,7 @@ from ..core.events import EventKind, RuntimeEvent
 from ..core.translate import translate_all
 from ..errors import ContextError, TemporalAssertionError
 from . import faultinject as _fi
-from .clock import as_clock
+from .clock import MonotonicClock, as_clock
 from .drain import DrainController
 from .epoch import interest_epoch
 from .governor import OverheadGovernor
@@ -318,6 +319,11 @@ class TeslaRuntime:
         self._body_index: Dict[DispatchKey, List[str]] = {}
         #: Dispatch plans, one per key, built lazily from the indexes.
         self._key_plans: Dict[DispatchKey, _KeyPlan] = {}
+        #: ``handle_event``'s per-key dispatch entries (DESIGN §5.7); each
+        #: registered translator keeps its own, built by
+        #: :meth:`build_entry` and retired with these.
+        self._entries: Dict[DispatchKey, object] = {}
+        self.entries_built = 0
         #: Event counter, for the benchmarks' sanity reporting.
         self.events_processed = 0
         #: Deferred pipeline (DESIGN §5.4).  ``deferred=False`` keeps the
@@ -403,7 +409,16 @@ class TeslaRuntime:
         self._key_plans.clear()
         for translator in list(self._translators):
             translator._rebuild()
+        self._retire_entries()
         interest_epoch.bump()
+
+    def _retire_entries(self) -> None:
+        """Drop every dispatch entry of this runtime and its translators.
+        Each caller bumps the interest epoch next, so hooks holding an
+        entry resolve a fresh one on their next call."""
+        self._entries.clear()
+        for translator in list(self._translators):
+            translator._entries.clear()
 
     def _on_governor_change(self) -> None:
         """The governor demoted or restored a class: rebuild dispatch plans
@@ -544,6 +559,7 @@ class TeslaRuntime:
         # and per-class transition-plan cache in the process.
         self._key_plans.clear()
         self._rebuild_deferred_keys()
+        self._retire_entries()
         interest_epoch.bump()
 
     def _rebuild_deferred_keys(self) -> None:
@@ -756,6 +772,10 @@ class TeslaRuntime:
             "resident": sorted(resident),
             "fallback_keys": dict(sorted(self.key_fn_fallbacks.items())),
             "fallback_events": self.fallback_key_events,
+            "entries_built": self.entries_built,
+            "entries_resident": len(self._entries) + sum(
+                len(t._entries) for t in list(self._translators)
+            ),
         }
 
     def key_function_sources(self):
@@ -798,52 +818,82 @@ class TeslaRuntime:
 
     # -- dispatch ---------------------------------------------------------------
 
+    def build_entry(self, key: DispatchKey, chain=None, counts=None):
+        """Build ``key``'s dispatch entry: ``entry(event)`` runs everything
+        the key fixes between a hook and the key functions (DESIGN §5.7).
+
+        With ``chain=None`` it is ``handle_event``'s own entry.  An event
+        translator passes its static-check chain for the key
+        (``(symbol, elide_arity)`` pairs, empty to forward every event)
+        and its ``[forwarded, dropped]`` cell.  A synchronous runtime's
+        entry inlines the dispatch prologue; a deferred one's captures,
+        with the key's thread-local and sync-point membership fixed.
+        Entries are retired on install and quarantine changes
+        (:meth:`_retire_entries`); the key plan is still probed on every
+        event, so a governor demotion takes effect on the next one.
+        """
+        from .codegen import compile_entry
+
+        if chain is not None and "handle_event" in vars(self):
+            dispatch = "call"
+        elif self.drain is not None:
+            dispatch = "deferred"
+        else:
+            dispatch = "sync"
+        contexts = self.contexts
+        names = self._init_index.get(key, []) + self._body_index.get(
+            key, []
+        ) + self._cleanup_index.get(key, [])
+        clock = self.clock
+        drain = self.drain
+        entry = compile_entry(
+            key, chain, dispatch, self.stamp_capture,
+            self.governor is not None,
+            (
+                any(contexts[n] is Context.GLOBAL for n in names),
+                any(contexts[n] is not Context.GLOBAL for n in names),
+            ),
+            key in self._local_keys, key in self._sync_keys,
+            {
+                "_rt": self,
+                "_now": (
+                    perf_counter if type(clock) is MonotonicClock
+                    else clock.now
+                ),
+                "_sup": self.supervisor,
+                "_govern": self._govern,
+                "_plans": self._key_plans,
+                "_plan_for": self._plan_for,
+                "_ep": interest_epoch,
+                "_lock": self.global_store.lock,
+                "_gstore": self.global_store.store,
+                "_current": self.thread_stores.current,
+                "_fi": _fi,
+                "_run_context": self._run_context,
+                "_dispatch_local": self._dispatch_local,
+                "_enqueue": drain.enqueue if drain is not None else None,
+                "_drain": drain,
+                "_handle": self.handle_event,
+                "_cnt": counts,
+            },
+        )
+        self.entries_built += 1
+        return entry
+
     def handle_event(self, event: RuntimeEvent) -> None:
-        """Route one concrete event to every automaton that observes it.
+        """Route one concrete event to every automaton that observes it,
+        through its key's dispatch entry (:meth:`build_entry`).
 
         In deferred mode this is the *capture* path: the event is stamped
         and appended to the calling thread's ring (thread-local automata
         are still evaluated inline — see ``_local_keys``), and only a
         synchronization-point key forces evaluation before returning.
         """
-        if self.stamp_capture:
-            # Capture timestamping (DESIGN §5.9): the monotonic stamp is
-            # taken *here*, before any deferral, so clock guards measure
-            # when the program did the thing, not when the drain ran.
-            event.timestamp = self.clock.now()
-        elif event.timestamp > self._max_event_ts:
-            self._max_event_ts = event.timestamp
-        if self.drain is not None:
-            key = (event.kind, event.name)
-            if key in self._local_keys:
-                self._dispatch_local(event, key)
-            self.drain.enqueue(event)
-            if key in self._sync_keys:
-                self.drain.flush(sync=True)
-            return
-        self.events_processed += 1
-        self.supervisor.begin_dispatch()
-        if self.governor is not None:
-            self._govern(1)
         key = (event.kind, event.name)
-        plan = self._plan_for(key)
-        work = plan.glob
-        if work is not None:
-            gs = self.global_store
-            with gs.lock:
-                fn = work.fn
-                if fn is not None and _fi._active is None:
-                    fn(gs.store, event)
-                else:
-                    self._run_context(work, gs.store, event, plan, key)
-        work = plan.local
-        if work is not None:
-            store = self.thread_stores.current()
-            fn = work.fn
-            if fn is not None and _fi._active is None:
-                fn(store, event)
-            else:
-                self._run_context(work, store, event, plan, key)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = self.build_entry(key)
+        entry(event)
 
     def _dispatch_local(self, event: RuntimeEvent, key: DispatchKey) -> None:
         """Evaluate one event's thread-local share inline (deferred mode).

@@ -268,7 +268,9 @@ class Supervisor:
 
     def begin_dispatch(self) -> None:
         """One event is about to dispatch: advance the logical clock and,
-        when quarantine records exist, poll for due probation re-arms."""
+        when quarantine records exist, poll for due probation re-arms.
+        Synchronous dispatch entries (DESIGN §5.7) inline this body, so
+        a change here changes ``codegen.generate_entry_source`` too."""
         self.tick += 1
         if self._has_records:
             self._poll()

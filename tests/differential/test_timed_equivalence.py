@@ -36,7 +36,7 @@ from __future__ import annotations
 import io
 from typing import Dict, List, Tuple
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dsl import (
@@ -276,6 +276,12 @@ def test_all_timed_modes_agree(scenario):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(timed_scenarios())
+# A deadline boundary within an ulp: entered at 4 ms, site at 8 ms, bound
+# left open, trailing event at 0.004 + 0.004 + 0.001 == 0.004 + 0.005.
+# The runtime judges ``now - entry > deadline``; the oracle must round
+# the same way.
+@example(((("deadline", 5.0),), [(("enter",), 0.004), (("site", 0), 0.004)],
+          0.001, False))
 def test_timed_journal_replays_to_live_verdicts(scenario):
     """Record → replay → oracle, timed: the journalled capture stamps
     round-trip byte-exactly and are sufficient evidence to reproduce the

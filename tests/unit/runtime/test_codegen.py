@@ -258,7 +258,10 @@ class TestCodeCache:
         assert len(compiled_sources) == len(keys)
         assert len(set(compiled_sources)) == len(keys)
 
-    def test_distinct_facts_give_distinct_code_objects(self):
+    def test_distinct_facts_give_distinct_code_objects(self, monkeypatch):
+        # A fresh cache: steps generated earlier in the process may have
+        # filled the shared one to its bound, which clears it mid-test.
+        monkeypatch.setattr(codegen, "_CODE_CACHE", {})
         automaton = translate(_assertion(name="cg_facts_cls"))
         key = (EventKind.RETURN, "cg_check")
         elided = _body_entry(automaton, key, _facts())
