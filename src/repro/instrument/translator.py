@@ -215,8 +215,4 @@ class EventTranslator:
         self._counts[1] += 1
 
     def __call__(self, event: RuntimeEvent) -> None:
-        key = (event.kind, event.name)
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = self.entry_for(key)
-        entry(event)
+        self.entry_for((event.kind, event.name))(event)
