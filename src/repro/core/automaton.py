@@ -359,8 +359,8 @@ class Transition:
     guard: Optional[ClockGuard] = None
 
     def __post_init__(self) -> None:
-        # Transitions are hashed on every ``count_transition`` (once per
-        # transition taken); the generated frozen-dataclass hash rebuilds
+        # Transitions are hashed on every interpreted ``count_transition``
+        # (once per transition taken); the generated frozen-dataclass hash rebuilds
         # a field tuple each call, so cache it once.  Equality is still
         # field-based, matching the generated hash's equivalence classes.
         object.__setattr__(
@@ -424,6 +424,12 @@ class Automaton:
         self._outgoing: Dict[int, List[Transition]] = {}
         for t in self.transitions:
             self._outgoing.setdefault(t.src, []).append(t)
+        #: Transition -> its position in ``transitions`` (the first, for
+        #: equal transitions): the runtime's per-class transition counts
+        #: are a list indexed by it.
+        self.transition_index: Dict[Transition, int] = {}
+        for i, t in enumerate(self.transitions):
+            self.transition_index.setdefault(t, i)
         # Hot-path structure, computed once: the runtime consults these on
         # every bound open (init/entry) and close (cleanup) rather than
         # re-deriving them from the transition list.
@@ -484,6 +490,11 @@ class Automaton:
         """Site-scope variables of the assertion-site symbol (cached; the
         runtime consults this on every already-satisfied site check)."""
         return self._site_variables
+
+    @property
+    def cleanup_states(self) -> FrozenSet[int]:
+        """States with an enabled «cleanup» transition (they accept)."""
+        return self._cleanup_states
 
     def cleanup_enabled(self, states: FrozenSet[int]) -> bool:
         """Whether an instance in ``states`` accepts at the cleanup event."""

@@ -129,7 +129,12 @@ def attach_field_hook(
         # Each class gets its own dict (never inherit the parent's hooks).
         cls._tesla_field_sinks = {}
     elif "_tesla_field_sinks" not in cls.__dict__:
-        cls._tesla_field_sinks = dict(cls._tesla_field_sinks)
+        # A subclass starts from its parent's sinks, in lists of its own:
+        # attaching to or detaching from it must not edit the parent's.
+        cls._tesla_field_sinks = {
+            name: SinkList(sinks)
+            for name, sinks in cls._tesla_field_sinks.items()
+        }
     sinks = cls._tesla_field_sinks.setdefault(field_name, SinkList())
     if sink not in sinks:
         sinks.append(sink)

@@ -124,8 +124,8 @@ class SinkList(list):
 
     __slots__ = ("_state",)
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, sinks: Iterable[EventSink] = ()) -> None:
+        super().__init__(sinks)
         self.invalidate()
 
     def invalidate(self) -> None:

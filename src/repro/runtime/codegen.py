@@ -24,7 +24,15 @@ per-event ``step(cr, event, hub)``.  One level up, the manager runs each
 dispatch key's share of a context through a generated *key function*
 (:func:`compile_key_function`): the lazy bound record (begin, join, end)
 inlined, and each class's ``step`` called in plan order behind its own
-containment boundary.
+containment boundary.  The bound lifecycle (§4.4.1) is generated too:
+an ungoverned lazy key function joins a class to a new bound occurrence
+inline, the step materialises the pending wildcard inline, and each
+touched class closes through its own generated cleanup
+(:func:`compile_cleanup`); transition counts are list slots bumped by
+constant index.  ``lazy_join_bound``, ``_materialise`` and
+``handle_cleanup`` stay the reference semantics and are still called
+where the generated form would differ: governed admission, a full pool,
+armed fault injection, a detailed hub and deadline classes.
 
 Each distinct generated function is ``compile()``d once per process
 (:data:`_CODE_CACHE`, :data:`_KEY_CODE_CACHE`); a later runtime
@@ -72,7 +80,12 @@ from ..core.ast import (
     FunctionCall,
     FunctionReturn,
 )
-from ..core.automaton import Automaton, Transition, TransitionKind
+from ..core.automaton import (
+    Automaton,
+    Transition,
+    TransitionKind,
+    _match_nothing,
+)
 from ..core.events import EventKind
 from ..core.patterns import (
     EMPTY_BINDING,
@@ -88,20 +101,24 @@ from ..core.patterns import (
     compile_static_check,
 )
 from ..errors import TemporalAssertionError, TemporalViolation
+from . import faultinject as _fi
+from .epoch import interest_epoch
+from .instance import AutomatonInstance
 from .notify import Notification, NotificationKind
-from .plans import PlanKey, TransitionPlan
+from .plans import PlanKey, TransitionPlan, build_transition_plan
 from .update import (
     _already_satisfied as _upd_already_satisfied,
     _materialise,
     _same_binding,
     _step,
+    cleanup_error,
     tesla_update_state,
 )
 
 #: Bump on any change to the generated source layout (see the golden
 #: fixture's upgrade protocol in
 #: ``tests/unit/runtime/test_codegen_golden.py``).
-CODEGEN_VERSION = 4
+CODEGEN_VERSION = 5
 
 #: Sentinel for "this symbol did not match" in generated code.  Distinct
 #: from ``None`` so generated locals can never be confused with a
@@ -642,7 +659,7 @@ def _emit_event_body(
     key: PlanKey,
     body: List[Tuple[int, Transition, int]],
     symbol_plans: Dict[int, _SymbolPlan],
-    triple_consts: List[Tuple[str, str, str, str, bool]],
+    triple_consts: List[Tuple[str, str, str, str, str, bool]],
 ) -> None:
     """Emit the per-event evaluation (lazy materialise, prologue,
     instance walk, endgame) at indentation ``base``."""
@@ -650,9 +667,22 @@ def _emit_event_body(
     is_site_key = kind is EventKind.ASSERTION_SITE
     strict = automaton.strict
 
+    # Lazy initialisation (section 5.2.2): the first relevant event of a
+    # bound materialises the wildcard instance — inline while the pool has
+    # room; a full pool (the once-per-bound OVERFLOW report) or armed fault
+    # injection takes ``_materialise``.
     em.emit(base, "if cr.pending:")
     em.emit(base + 1, "cr.pending = False")
-    em.emit(base + 1, "_mat(cr, hub, dict(cr.lazy_binding), cr.lazy_entry_ts)")
+    em.emit(base + 1, "_inst = _pool._instances")
+    em.emit(base + 1,
+            "if len(_inst) < _pool.capacity and _fi._active is None:")
+    em.emit(base + 2, "_inst.append(_AI(_A, _ENTRY, cr.lazy_binding, "
+                      "False, cr.lazy_entry_ts))")
+    em.emit(base + 2, "if len(_inst) > _pool.high_water:")
+    em.emit(base + 3, "_pool.high_water = len(_inst)")
+    em.emit(base + 1, "else:")
+    em.emit(base + 2,
+            "_mat(cr, hub, dict(cr.lazy_binding), cr.lazy_entry_ts)")
 
     if not body:
         # Every body transition was elided (or the plan was empty): no
@@ -681,7 +711,7 @@ def _emit_event_body(
     em.emit(base, "_prog = False")
     em.emit(base, "_site = False")
     em.emit(base, "_clones = []")
-    em.emit(base, "_tc = cr.transition_counts")
+    em.emit(base, "_tc = cr.counts")
     em.emit(base, "for instance in _pool.live():")
     em.emit(base + 1, "_st = instance.states")
     em.emit(base + 1, "_bind = instance.binding")
@@ -690,7 +720,7 @@ def _emit_event_body(
             em.emit(base + 1 + ind, text)
     # Per-triple enabled flags and the match count.
     flags = []
-    for i, (src_c, _, _, _, _) in enumerate(triple_consts):
+    for i, (src_c, _, _, _, _, _) in enumerate(triple_consts):
         sid = body[i][2]
         m = symbol_plans[sid].match_var
         f = f"_f{i}"
@@ -701,7 +731,9 @@ def _emit_event_body(
     em.emit(base + 2, "continue")
     em.emit(base + 1, "if _n == 1:")
     first = True
-    for i, (src_c, tr_c, srct_c, dfs_c, took_site) in enumerate(triple_consts):
+    for i, (src_c, tr_c, ix_c, srct_c, dfs_c, took_site) in enumerate(
+        triple_consts
+    ):
         sid = body[i][2]
         m = symbol_plans[sid].match_var
         dst_c = dfs_c  # strict: frozenset const; else dst tuple const
@@ -720,7 +752,7 @@ def _emit_event_body(
                 f"instance.states = _st.difference({srct_c})"
                 f".union({dst_c})",
             )
-        em.emit(base + 4, f"_tc[{tr_c}] = _tc.get({tr_c}, 0) + 1")
+        em.emit(base + 4, f"_tc[{ix_c}] += 1")
         if took_site:
             em.emit(base + 4, "instance.saw_site = True")
             em.emit(base + 4, "cr.sites_reached += 1")
@@ -747,7 +779,7 @@ def _emit_event_body(
                 base + 5,
                 f"_cl.states = _st.difference({srct_c}).union({dst_c})",
             )
-        em.emit(base + 5, f"_tc[{tr_c}] = _tc.get({tr_c}, 0) + 1")
+        em.emit(base + 5, f"_tc[{ix_c}] += 1")
         if took_site:
             em.emit(base + 5, "_cl.saw_site = True")
             em.emit(base + 5, "cr.sites_reached += 1")
@@ -756,7 +788,7 @@ def _emit_event_body(
         em.emit(base + 3, "continue")
     em.emit(base + 1, "else:")
     em.emit(base + 2, "_mt = []")
-    for i, (_, tr_c, _, _, _) in enumerate(triple_consts):
+    for i, (_, tr_c, _, _, _, _) in enumerate(triple_consts):
         sid = body[i][2]
         m = symbol_plans[sid].match_var
         em.emit(base + 2, f"if _f{i}:")
@@ -854,17 +886,18 @@ def generate_source(
     except _Unsupported as exc:
         return GeneratedSource(fallback_reason=exc.reason)
 
-    triple_consts: List[Tuple[str, str, str, str, bool]] = []
+    triple_consts: List[Tuple[str, str, str, str, str, bool]] = []
     for src, transition, _sid in body:
         src_c = em.const(src, "S")
         tr_c = em.const(transition, "T")
+        ix_c = em.const(automaton.transition_index[transition], "I")
         srct_c = em.const((src,), "ST")
         if automaton.strict:
             dfs_c = em.const(frozenset((transition.dst,)), "D")
         else:
             dfs_c = em.const((transition.dst,), "D")
         triple_consts.append(
-            (src_c, tr_c, srct_c, dfs_c,
+            (src_c, tr_c, ix_c, srct_c, dfs_c,
              transition.kind is TransitionKind.SITE)
         )
 
@@ -889,6 +922,10 @@ def generate_source(
             "_interp": tesla_update_state,
             "_plan": plan,
             "_mat": _materialise,
+            "_AI": AutomatonInstance,
+            "_A": automaton,
+            "_ENTRY": automaton.entry_states,
+            "_fi": _fi,
             "_slow": _instance_slow_step,
             "_addc": _add_clones,
             "_already": _upd_already_satisfied,
@@ -1002,19 +1039,26 @@ def generate_key_source(
     initiated: FrozenSet[str],
     lazy: bool,
     governed: bool,
+    automata: Dict[str, Automaton],
 ) -> GeneratedSource:
     """Generate ``run(store, event)``: one dispatch key's whole share of
-    one context (``work`` is the manager's per-context plan).
+    one context (``work`` is the manager's per-context plan; ``automata``
+    maps its class names to their automata).
 
     Lazy mode inlines the §5.2.2 bound record — ``begin`` of every bound
-    the key opens, the join fast path of every body class (same epoch:
-    record the class as touched, if its occurrence was admitted) and
-    ``end`` of every bound it closes, visiting only touched classes —
-    and calls each class's generated step in plan order.  Eager mode
-    calls ``handle_init``/``handle_cleanup`` per class.  The namespace
-    holds the plan's class names (``_N*``) and bounds (``_B*``); the
-    caller binds the steps (``_S<i>``, one per body class in order) and
-    the runtime's collaborators.
+    the key opens, the join of every body class and ``end`` of every
+    bound it closes, visiting only touched classes — and calls each
+    class's generated step in plan order.  Ungoverned, the join is
+    inlined whole (a new epoch resets the class, counts its «init»
+    transitions and records it as touched) and each touched class closes
+    through its generated cleanup (:func:`compile_cleanup`, ``_CU`` maps
+    class names to them).  Governed, the join's new-epoch branch is
+    ``lazy_join_bound`` (its admission gate) and cleanup is
+    ``handle_cleanup``.  Eager mode calls ``handle_init``/
+    ``handle_cleanup`` per class.  The namespace holds the plan's class
+    names (``_N*``), bounds (``_B*``) and «init» transition indices
+    (``_I*``); the caller binds the steps (``_S<i>``, one per body class
+    in order) and the runtime's collaborators.
     """
     em = _Emitter()
     names: Dict[str, str] = {}
@@ -1080,7 +1124,27 @@ def generate_key_source(
                 "        if cr.active:",
                 f"            _tch[{b}].add({n})",
                 "    else:",
-                f"        _join(cr, {b}, _tr, _gov)",
+            ]
+            if governed:
+                lines.append(f"        _join(cr, {b}, _tr, _gov)")
+            else:
+                # lazy_join_bound's ungoverned new-epoch branch.
+                automaton = automata[name]
+                lines += [
+                    f"        cr.seen_epoch = _eps[{b}]",
+                    "        cr.pool._instances = []",
+                    "        cr.active = True",
+                    "        cr.pending = True",
+                    "        cr.lazy_binding = {}",
+                    f"        cr.lazy_entry_ts = _tr.entry_ts.get({b}, 0.0)",
+                    "        cr.overflow_mark = cr.pool.overflows",
+                    "        cr.overflow_reported = False",
+                ]
+                for transition in automaton.init_transitions:
+                    i = em.const(automaton.transition_index[transition], "I")
+                    lines.append(f"        cr.counts[{i}] += 1")
+                lines.append(f"        _tch[{b}].add({n})")
+            lines += [
                 "else:",
                 "    cr.active = False",
             ]
@@ -1088,6 +1152,8 @@ def generate_key_source(
         _emit_unit(em, 1, n, "body", governed, lines)
     cleanup = "_cleanup(cr, event, _hub, cr.plan_for(_KEY, _EPOCH))"
     if lazy:
+        if not governed:
+            cleanup = "_CU[_n](cr, event)"
         for bound in work.cleanup_bounds:
             b = bound_const(bound)
             em.emit(1, f"if _open.get({b}):")
@@ -1110,6 +1176,7 @@ def compile_key_function(
     initiated: FrozenSet[str],
     lazy: bool,
     governed: bool,
+    automata: Dict[str, Automaton],
     steps: List[Any],
     bindings: Dict[str, Any],
 ):
@@ -1117,10 +1184,10 @@ def compile_key_function(
     the process-wide code cache and return its ``run``.  ``steps`` are
     the body classes' generated steps in plan order; ``bindings``
     supplies the runtime's collaborators (``_hub``, ``_contain``,
-    ``_join``, ``_init``, ``_cleanup``, ``_gov``, ``_now``, ``_charge``,
-    ``_admit``, ``_rate``, ``_KEY``, ``_EPOCH``)."""
+    ``_join``, ``_init``, ``_cleanup``, ``_CU``, ``_gov``, ``_now``,
+    ``_charge``, ``_admit``, ``_rate``, ``_KEY``, ``_EPOCH``)."""
     generated = generate_key_source(key, context, work, initiated, lazy,
-                                    governed)
+                                    governed, automata)
     namespace = generated.namespace
     namespace.update(bindings)
     namespace["_TAE"] = TemporalAssertionError
@@ -1130,6 +1197,93 @@ def compile_key_function(
     exec(_cached_code(_KEY_CODE_CACHE, generated.source, filename),
          namespace)
     return namespace["run"]
+
+
+# ---------------------------------------------------------------------------
+# Cleanup functions: one generated bound close per class
+# ---------------------------------------------------------------------------
+
+
+def generate_cleanup_source(
+    automaton: Automaton, plan: TransitionPlan
+) -> GeneratedSource:
+    """Generate ``cleanup(cr, event)``: ``handle_cleanup`` for one class
+    (``plan`` is its plan for its cleanup key), with the class's facts
+    computed here once — which cleanup transition the event takes and
+    which states accept.
+
+    The first cleanup transition whose symbol constrains nothing always
+    matches, so its count is folded in; otherwise the plan's matchers
+    are tried in order.  Then the class closes: every instance is
+    expunged, accepting ones count as accepts, and ones that passed the
+    site but cannot accept are errors.  Lifecycle notifications are the
+    reference's (``hub.detailed`` calls ``handle_cleanup``), and so is a
+    deadline class's whole cleanup, which first expires late
+    obligations.
+    """
+    em = _Emitter()
+    entries = plan.cleanup
+    deadline = automaton.deadline_s is not None
+    folded = bool(entries) and entries[0][1] is _match_nothing
+    em.lines.append(
+        f"# tesla-jit v{CODEGEN_VERSION} cleanup deadline={deadline} "
+        f"folded={folded} matchers={0 if folded else len(entries)}"
+    )
+    em.emit(0, "def cleanup(cr, event):")
+    reference = "_cleanup(cr, event, _hub, cr.plan_for(_KEY, _ep.value))"
+    if deadline:
+        em.emit(1, reference)
+        return GeneratedSource(source=em.source(), namespace=em.namespace)
+    em.emit(1, "if not cr.active:")
+    em.emit(2, "return")
+    em.emit(1, "if _hub.detailed:")
+    em.emit(2, f"return {reference}")
+    for k, (transition, matcher) in enumerate(entries):
+        i = em.const(automaton.transition_index[transition], "I")
+        if folded:
+            em.emit(1, f"cr.counts[{i}] += 1")
+            break
+        m = em.const(matcher, "M")
+        em.emit(1, f"{'if' if k == 0 else 'elif'} {m}(event, _E) is not None:")
+        em.emit(2, f"cr.counts[{i}] += 1")
+    em.emit(1, "cr.active = False")
+    em.emit(1, "cr.pending = False")
+    em.emit(1, "_pool = cr.pool")
+    em.emit(1, "_inst = _pool._instances")
+    em.emit(1, "if _inst:")
+    em.emit(2, "_pool._instances = []")
+    em.emit(2, "for instance in _inst:")
+    em.emit(3, "if _CS.isdisjoint(instance.states):")
+    em.emit(4, "if instance.saw_site:")
+    em.emit(5, "cr.errors += 1")
+    em.emit(5, "_cerr(cr, event, _hub, instance)")
+    em.emit(3, "else:")
+    em.emit(4, "cr.accepts += 1")
+    return GeneratedSource(source=em.source(), namespace=em.namespace)
+
+
+def compile_cleanup(automaton: Automaton, key: PlanKey, hub, cleanup):
+    """Compile one class's cleanup (see :func:`generate_cleanup_source`)
+    for its cleanup ``key`` through the key functions' code cache, bound
+    to the runtime's ``hub`` and reference ``cleanup`` (the manager's
+    ``handle_cleanup``)."""
+    plan = build_transition_plan(automaton, key)
+    generated = generate_cleanup_source(automaton, plan)
+    namespace = generated.namespace
+    namespace.update(
+        {
+            "_hub": hub,
+            "_cleanup": cleanup,
+            "_cerr": cleanup_error,
+            "_CS": automaton.cleanup_states,
+            "_KEY": key,
+            "_ep": interest_epoch,
+            "_E": EMPTY_BINDING,
+        }
+    )
+    exec(_cached_code(_KEY_CODE_CACHE, generated.source,
+                      "<tesla-jit cleanup>"), namespace)
+    return namespace["cleanup"]
 
 
 # ---------------------------------------------------------------------------
@@ -1312,8 +1466,6 @@ def dump_sources(
 ) -> List[Tuple[PlanKey, GeneratedSource]]:
     """Generated source for every body dispatch key of one automaton,
     in deterministic key order (the CLI's ``codegen --dump`` surface)."""
-    from .plans import build_transition_plan
-
     keys = set()
     for t in automaton.transitions:
         if t.kind not in (TransitionKind.EVENT, TransitionKind.SITE):

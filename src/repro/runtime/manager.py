@@ -319,6 +319,8 @@ class TeslaRuntime:
         self._body_index: Dict[DispatchKey, List[str]] = {}
         #: Dispatch plans, one per key, built lazily from the indexes.
         self._key_plans: Dict[DispatchKey, _KeyPlan] = {}
+        #: Each class's generated cleanup (:meth:`_cleanup_fn`).
+        self._cleanup_fns: Dict[str, object] = {}
         #: ``handle_event``'s per-key dispatch entries (DESIGN §5.7); each
         #: registered translator keeps its own, built by
         #: :meth:`build_entry` and retired with these.
@@ -554,36 +556,28 @@ class TeslaRuntime:
             self.global_store.register(automaton)
         else:
             self.thread_stores.register(automaton)
+        # Nothing uninstalls, so the sync-point and thread-local key sets
+        # (see ``_sync_keys``/``_local_keys``) only grow by this
+        # automaton's keys.
+        sync = keys["init"] | keys["cleanup"]
+        for key in keys["body"]:
+            if key[0] is EventKind.ASSERTION_SITE:
+                sync.add(key)
+        if automaton.strict:
+            # A strict automaton can raise on any referenced body event
+            # it cannot consume, so each is a sync point.
+            sync |= keys["body"]
+        self._sync_keys = self._sync_keys | sync
+        if context is not Context.GLOBAL:
+            self._local_keys = (
+                self._local_keys | keys["init"] | keys["cleanup"] | keys["body"]
+            )
         # The indexes changed; plans are rebuilt on next dispatch, and the
         # interest epoch bump invalidates every hook-point interest cache
         # and per-class transition-plan cache in the process.
         self._key_plans.clear()
-        self._rebuild_deferred_keys()
         self._retire_entries()
         interest_epoch.bump()
-
-    def _rebuild_deferred_keys(self) -> None:
-        """Recompute the sync-point and thread-local key sets (see
-        ``_sync_keys``/``_local_keys``) from every installed automaton."""
-        sync = set()
-        local = set()
-        for name, automaton in self.automata.items():
-            keys = _dispatch_keys_of(automaton)
-            sync |= keys["init"]
-            sync |= keys["cleanup"]
-            for key in keys["body"]:
-                if key[0] is EventKind.ASSERTION_SITE:
-                    sync.add(key)
-            if automaton.strict:
-                # A strict automaton can raise on any referenced body
-                # event it cannot consume, so each is a sync point.
-                sync |= keys["body"]
-            if self.contexts[name] is not Context.GLOBAL:
-                local |= keys["init"]
-                local |= keys["cleanup"]
-                local |= keys["body"]
-        self._sync_keys = frozenset(sync)
-        self._local_keys = frozenset(local)
 
     # -- store access ------------------------------------------------------------
 
@@ -710,15 +704,24 @@ class TeslaRuntime:
                 )
             steps.append(entry.step)
         gov = self.governor
+        cleanups = None
+        if self.lazy and gov is None and work.cleanup_bounds:
+            # Every class this key can close, whatever its plan says: a
+            # class shed after it joined is still touched and still closes.
+            cleanups = {
+                name: self._cleanup_fn(name, key)
+                for name in self._cleanup_index[key]
+            }
         run = compile_key_function(
             key, context, work, plan.initiated, self.lazy, gov is not None,
-            steps,
+            self.automata, steps,
             {
                 "_hub": self.hub,
                 "_contain": self.supervisor.contain,
                 "_join": lazy_join_bound,
                 "_init": handle_init,
                 "_cleanup": handle_cleanup,
+                "_CU": cleanups,
                 "_gov": gov,
                 "_now": gov.now if gov is not None else None,
                 "_charge": self._charge,
@@ -731,6 +734,18 @@ class TeslaRuntime:
         self.key_fns_built += 1
         work.fn = run
         return run
+
+    def _cleanup_fn(self, name: str, key: DispatchKey):
+        """Class ``name``'s generated cleanup for its cleanup ``key``,
+        built on first use and kept: it depends only on the automaton."""
+        fn = self._cleanup_fns.get(name)
+        if fn is None:
+            from .codegen import compile_cleanup
+
+            fn = self._cleanup_fns[name] = compile_cleanup(
+                self.automata[name], key, self.hub, handle_cleanup
+            )
+        return fn
 
     def _fallback_fn(
         self, work: _ContextPlan, plan: _KeyPlan, key: DispatchKey,
@@ -811,7 +826,7 @@ class TeslaRuntime:
                 if reason is None:
                     source = generate_key_source(
                         key, context, work, plan.initiated, self.lazy,
-                        self.governor is not None,
+                        self.governor is not None, self.automata,
                     ).source
                 out.append((key, context, source, reason))
         return out

@@ -15,7 +15,8 @@ one re-entrant lock.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from collections.abc import Mapping
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.automaton import Automaton, Transition
 from ..core.events import EventKind
@@ -70,6 +71,36 @@ class BoundTracker:
         return self.touched.pop(bound, set())
 
 
+class TransitionCounts(Mapping):
+    """Read-only ``{Transition: times taken}`` view of one class's
+    position-indexed counts (:attr:`ClassRuntime.counts`), holding only
+    transitions taken at least once — figure 9's weights and coverage
+    read it."""
+
+    __slots__ = ("_transitions", "_counts")
+
+    def __init__(self, transitions: Sequence[Transition], counts: List[int]) -> None:
+        self._transitions = transitions
+        self._counts = counts
+
+    def __getitem__(self, transition: Transition) -> int:
+        for t, n in zip(self._transitions, self._counts):
+            if n and t == transition:
+                return n
+        raise KeyError(transition)
+
+    def __iter__(self) -> Iterator[Transition]:
+        for t, n in zip(self._transitions, self._counts):
+            if n:
+                yield t
+
+    def __len__(self) -> int:
+        return sum(1 for n in self._counts if n)
+
+    def __repr__(self) -> str:  # pragma: no cover - repr convenience
+        return f"TransitionCounts({dict(self.items())!r})"
+
+
 class ClassRuntime:
     """Per-store state for one automaton class.
 
@@ -90,7 +121,7 @@ class ClassRuntime:
         "overflow_mark",
         "overflow_reported",
         "sample_rate",
-        "transition_counts",
+        "counts",
         "errors",
         "accepts",
         "sites_reached",
@@ -137,8 +168,10 @@ class ClassRuntime:
         #: admitted.  1 = unsampled; violations carry this value so a
         #: sampled finding can never report as full coverage.
         self.sample_rate = 1
-        #: Transition → times taken; drives figure 9's weighted graphs.
-        self.transition_counts: Dict[Transition, int] = {}
+        #: Times each transition was taken, indexed by its position
+        #: (``automaton.transition_index``); generated code bumps these
+        #: by constant index.  Drives figure 9's weighted graphs.
+        self.counts: List[int] = [0] * len(automaton.transitions)
         self.errors = 0
         self.accepts = 0
         self.sites_reached = 0
@@ -165,9 +198,12 @@ class ClassRuntime:
         self.gen_seconds = 0.0
 
     def count_transition(self, transition: Transition) -> None:
-        self.transition_counts[transition] = (
-            self.transition_counts.get(transition, 0) + 1
-        )
+        self.counts[self.automaton.transition_index[transition]] += 1
+
+    @property
+    def transition_counts(self) -> TransitionCounts:
+        """Transition → times taken (a read-only view of :attr:`counts`)."""
+        return TransitionCounts(self.automaton.transitions, self.counts)
 
     def plan_for(self, key: DispatchKey, epoch: int) -> TransitionPlan:
         """The compiled plan for ``key``, rebuilt lazily on epoch change.

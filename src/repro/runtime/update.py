@@ -158,6 +158,9 @@ def _materialise(
     binding: Dict[str, Any],
     entry_ts: float = 0.0,
 ) -> None:
+    """Create a fresh instance at the entry states and pool it, reporting
+    an overflow once per bound.  Generated steps inline the case where the
+    pool has room (``codegen._emit_event_body``); change them together."""
     instance = AutomatonInstance(
         automaton=cr.automaton,
         states=cr.automaton.entry_states,
@@ -226,7 +229,11 @@ def handle_cleanup(
     hub: NotificationHub,
     plan: Optional[TransitionPlan] = None,
 ) -> None:
-    """Close the temporal bound: finalise every instance and reset."""
+    """Close the temporal bound: finalise every instance and reset.
+
+    The reference for tesla-jit's generated per-class cleanup
+    (``codegen.generate_cleanup_source``); change them together.
+    """
     if not cr.active:
         return
     if _fi._active is not None:
@@ -259,27 +266,38 @@ def handle_cleanup(
                 )
         elif instance.saw_site:
             cr.errors += 1
-            violation = TemporalViolation(
-                automaton=cr.automaton.name,
-                reason=(
-                    "temporal bound closed before the automaton accepted "
-                    "(an 'eventually' obligation was never discharged)"
-                ),
-                event=event,
-                binding=instance.binding_items(),
-                sampling_rate=cr.sample_rate,
-            )
-            hub.emit(
-                Notification(
-                    kind=NotificationKind.ERROR,
-                    automaton=cr.automaton.name,
-                    instance_name=instance.name,
-                    binding=instance.binding_items(),
-                    event=event,
-                    violation=violation,
-                )
-            )
+            cleanup_error(cr, event, hub, instance)
         # else: never reached the assertion site — the bypass path.
+
+
+def cleanup_error(
+    cr: ClassRuntime,
+    event: RuntimeEvent,
+    hub: NotificationHub,
+    instance: AutomatonInstance,
+) -> None:
+    """Report an instance that passed the site but had not accepted when
+    its bound closed (the always-on ERROR notification)."""
+    violation = TemporalViolation(
+        automaton=cr.automaton.name,
+        reason=(
+            "temporal bound closed before the automaton accepted "
+            "(an 'eventually' obligation was never discharged)"
+        ),
+        event=event,
+        binding=instance.binding_items(),
+        sampling_rate=cr.sample_rate,
+    )
+    hub.emit(
+        Notification(
+            kind=NotificationKind.ERROR,
+            automaton=cr.automaton.name,
+            instance_name=instance.name,
+            binding=instance.binding_items(),
+            event=event,
+            violation=violation,
+        )
+    )
 
 
 def _step(
@@ -360,6 +378,9 @@ def lazy_join_bound(
     the class inactive, so every event inside it — including the
     assertion site — takes the ordinary "outside the bound" ignore path,
     and cleanup never visits the class (it is not recorded as touched).
+
+    An ungoverned key function inlines this join
+    (``codegen.generate_key_source``); change them together.
     """
     if tracker.open.get(bound):
         epoch = tracker.epoch[bound]

@@ -78,6 +78,19 @@ class TestSetattr:
         SubWidget().state = "y"
         assert events
 
+    def test_subclass_sinks_are_its_own(self):
+        parent, child = [], []
+        widget = Widget()
+        attach_field_hook(Widget, "state", parent.append)
+        attach_field_hook(SubWidget, "state", child.append)
+        widget.state = "x"
+        assert [e.retval for e in parent] == ["x"]
+        assert child == []
+        detach_field_hook(SubWidget, "state", child.append)
+        widget.state = "y"
+        assert [e.retval for e in parent] == ["x", "y"]
+        assert Widget._tesla_field_sinks["state"] == [parent.append]
+
 
 class TestCompoundHelpers:
     def test_field_inc_emits_increment_op(self):

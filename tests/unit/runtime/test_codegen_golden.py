@@ -3,7 +3,8 @@
 ``tests/fixtures/golden_codegen.txt`` is the committed output of
 ``dump_sources`` for a fixed representative assertion under clean lint
 facts — every specialized ``step`` function the generator emits for it,
-plus the key function a default runtime generates for its body key —
+plus the key functions a default runtime generates for its first body
+key and for its bound-closing key, and the class's generated cleanup —
 byte for byte.  A diff here means the generator's output
 changed — which is allowed, but only deliberately:
 
@@ -44,6 +45,7 @@ from repro.runtime.codegen import (
     CodegenFacts,
     compile_plan_step,
     dump_sources,
+    generate_cleanup_source,
 )
 from repro.runtime.manager import TeslaRuntime
 from repro.runtime.plans import build_transition_plan
@@ -88,18 +90,19 @@ def golden_facts():
 
 
 GOLDEN_KEY = (EventKind.RETURN, "golden_check")
+CLEANUP_KEY = (EventKind.RETURN, "golden_bound")
 
 
-def golden_key_function() -> str:
+def golden_key_function(wanted=GOLDEN_KEY) -> str:
     """The key function a default (lazy, ungoverned) runtime generates
-    for the golden assertion's first body key, global context."""
+    for one of the golden assertion's keys, global context."""
     runtime = TeslaRuntime(lint="off")
     runtime.install_assertion(golden_assertion())
     for key, context, source, reason in runtime.key_function_sources():
-        if key == GOLDEN_KEY and context == "global":
+        if key == wanted and context == "global":
             assert reason is None, f"golden key fell back: {reason}"
             return source
-    raise AssertionError(f"no key function for {GOLDEN_KEY}")
+    raise AssertionError(f"no key function for {wanted}")
 
 
 def generate_golden_text() -> str:
@@ -112,9 +115,15 @@ def generate_golden_text() -> str:
         )
         parts.append(gen.source.rstrip("\n"))
         parts.append("")
-    kind, name = GOLDEN_KEY
-    parts.append(f"## key function {kind.name}:{name} global")
-    parts.append(golden_key_function().rstrip("\n"))
+    for kind, name in (GOLDEN_KEY, CLEANUP_KEY):
+        parts.append(f"## key function {kind.name}:{name} global")
+        parts.append(golden_key_function((kind, name)).rstrip("\n"))
+        parts.append("")
+    parts.append(f"## cleanup {automaton.name}")
+    cleanup = generate_cleanup_source(
+        automaton, build_transition_plan(automaton, CLEANUP_KEY)
+    )
+    parts.append(cleanup.source.rstrip("\n"))
     parts.append("")
     return "\n".join(parts)
 

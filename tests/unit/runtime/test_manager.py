@@ -54,6 +54,42 @@ class TestInstallation:
         assert runtime.observes((EventKind.RETURN, "check"))
         assert not runtime.observes((EventKind.CALL, "unrelated"))
 
+    def test_deferred_key_sets_grow_by_one_derivation_per_install(
+        self, monkeypatch
+    ):
+        """Installing Table-1 ``All`` derives each automaton's keys once,
+        and the sync-point and thread-local sets equal a from-scratch
+        recomputation over every installed automaton."""
+        import repro.runtime.manager as manager
+        from repro.core.events import EventKind
+        from repro.kernel.assertions import assertion_sets
+
+        derive = manager._dispatch_keys_of
+        derived = []
+
+        def counting(automaton):
+            derived.append(automaton.name)
+            return derive(automaton)
+
+        monkeypatch.setattr(manager, "_dispatch_keys_of", counting)
+        runtime = TeslaRuntime(lint="off")
+        runtime.install_assertions(assertion_sets()["All"])
+        assert sorted(derived) == sorted(runtime.automata)
+
+        sync, local = set(), set()
+        for name, automaton in runtime.automata.items():
+            keys = derive(automaton)
+            sync |= keys["init"] | keys["cleanup"]
+            sync |= {k for k in keys["body"]
+                     if k[0] is EventKind.ASSERTION_SITE}
+            if automaton.strict:
+                sync |= keys["body"]
+            if runtime.contexts[name] is not Context.GLOBAL:
+                local |= keys["init"] | keys["cleanup"] | keys["body"]
+        assert runtime._sync_keys == sync
+        assert runtime._local_keys == local
+        assert local  # All has thread-local classes
+
 
 class TestDispatchLifecycle:
     def _run_pass(self, runtime, name):
