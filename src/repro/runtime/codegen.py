@@ -1212,9 +1212,9 @@ def generate_cleanup_source(
     computed here once — which cleanup transition the event takes and
     which states accept.
 
-    The first cleanup transition whose symbol constrains nothing always
-    matches, so its count is folded in; otherwise the plan's matchers
-    are tried in order.  Then the class closes: every instance is
+    When the first cleanup transition's symbol constrains nothing, it
+    matches every event of the key, so its count is folded in; otherwise
+    the plan's matchers are tried in order.  Then the class closes: every instance is
     expunged, accepting ones count as accepts, and ones that passed the
     site but cannot accept are errors.  Lifecycle notifications are the
     reference's (``hub.detailed`` calls ``handle_cleanup``), and so is a

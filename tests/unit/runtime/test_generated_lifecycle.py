@@ -8,11 +8,12 @@ closes each class through a generated cleanup, counting transitions by
 index.  ``lazy_join_bound``, ``_materialise`` and ``handle_cleanup``
 stay the reference semantics, and several paths keep calling them:
 overflow, armed fault injection, ``hub.detailed``, deadline classes and
-governed runtimes.  Every test here runs one trace through a compiled
-runtime and through ``compile=False`` and requires the same verdicts,
-violation order, transition counts, pool statistics and notification
-stream — so a generated shortcut that drifts from its helper, or a
-fallback that stops being taken, shows up as a difference.
+governed runtimes.  The differential tests run one trace through a
+compiled runtime and through ``compile=False`` and require the same
+verdicts, violation order, transition counts, pool statistics,
+notification stream, weights and coverage, so a generated shortcut that
+drifts from its helper shows up as a difference; the spy tests check
+that each fallback condition still reaches its helper.
 """
 
 from __future__ import annotations
