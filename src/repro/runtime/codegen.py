@@ -31,7 +31,8 @@ touched class closes through its own generated cleanup
 (:func:`compile_cleanup`); transition counts are list slots bumped by
 constant index.  ``lazy_join_bound``, ``_materialise`` and
 ``handle_cleanup`` stay the reference semantics and are still called
-where the generated form would differ: governed admission, a full pool,
+where the generated form would differ: governed admission (the join
+only), a full pool,
 armed fault injection, a detailed hub and deadline classes.
 
 Each distinct generated function is ``compile()``d once per process
@@ -1050,12 +1051,11 @@ def generate_key_source(
     bound it closes, visiting only touched classes — and calls each
     class's generated step in plan order.  Ungoverned, the join is
     inlined whole (a new epoch resets the class, counts its «init»
-    transitions and records it as touched) and each touched class closes
-    through its generated cleanup (:func:`compile_cleanup`, ``_CU`` maps
-    class names to them).  Governed, the join's new-epoch branch is
-    ``lazy_join_bound`` (its admission gate) and cleanup is
-    ``handle_cleanup``.  Eager mode calls ``handle_init``/
-    ``handle_cleanup`` per class.  The namespace holds the plan's class
+    transitions and records it as touched); governed, the join's
+    new-epoch branch is ``lazy_join_bound`` (its admission gate).  Each
+    touched class closes through its generated cleanup
+    (:func:`compile_cleanup`, ``_CU`` maps class names to them).  Eager
+    mode calls ``handle_init``/``handle_cleanup`` per class.  The namespace holds the plan's class
     names (``_N*``), bounds (``_B*``) and «init» transition indices
     (``_I*``); the caller binds the steps (``_S<i>``, one per body class
     in order) and the runtime's collaborators.
@@ -1150,18 +1150,16 @@ def generate_key_source(
             ]
         lines += ["cr.gen_hits += 1", f"_S{index}(cr, event, _hub)"]
         _emit_unit(em, 1, n, "body", governed, lines)
-    cleanup = "_cleanup(cr, event, _hub, cr.plan_for(_KEY, _EPOCH))"
     if lazy:
-        if not governed:
-            cleanup = "_CU[_n](cr, event)"
         for bound in work.cleanup_bounds:
             b = bound_const(bound)
             em.emit(1, f"if _open.get({b}):")
             em.emit(2, f"_open[{b}] = False")
             em.emit(2, f"for _n in sorted(_tch.pop({b}, ())):")
             _emit_unit(em, 3, "_n", "cleanup", governed,
-                       ["cr = _cls[_n]", cleanup])
+                       ["cr = _cls[_n]", "_CU[_n](cr, event)"])
     else:
+        cleanup = "_cleanup(cr, event, _hub, cr.plan_for(_KEY, _EPOCH))"
         for name in work.cleanup_names:
             n = name_const(name)
             _emit_unit(em, 1, n, "cleanup", governed,

@@ -705,7 +705,7 @@ class TeslaRuntime:
             steps.append(entry.step)
         gov = self.governor
         cleanups = None
-        if self.lazy and gov is None and work.cleanup_bounds:
+        if self.lazy and work.cleanup_bounds:
             # Every class this key can close, whatever its plan says: a
             # class shed after it joined is still touched and still closes.
             cleanups = {

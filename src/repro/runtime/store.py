@@ -15,8 +15,8 @@ one re-entrant lock.
 from __future__ import annotations
 
 import threading
-from collections.abc import Mapping
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from ..core.automaton import Automaton, Transition
 from ..core.events import EventKind
@@ -69,36 +69,6 @@ class BoundTracker:
             return set()
         self.open[bound] = False
         return self.touched.pop(bound, set())
-
-
-class TransitionCounts(Mapping):
-    """Read-only ``{Transition: times taken}`` view of one class's
-    position-indexed counts (:attr:`ClassRuntime.counts`), holding only
-    transitions taken at least once — figure 9's weights and coverage
-    read it."""
-
-    __slots__ = ("_transitions", "_counts")
-
-    def __init__(self, transitions: Sequence[Transition], counts: List[int]) -> None:
-        self._transitions = transitions
-        self._counts = counts
-
-    def __getitem__(self, transition: Transition) -> int:
-        for t, n in zip(self._transitions, self._counts):
-            if n and t == transition:
-                return n
-        raise KeyError(transition)
-
-    def __iter__(self) -> Iterator[Transition]:
-        for t, n in zip(self._transitions, self._counts):
-            if n:
-                yield t
-
-    def __len__(self) -> int:
-        return sum(1 for n in self._counts if n)
-
-    def __repr__(self) -> str:  # pragma: no cover - repr convenience
-        return f"TransitionCounts({dict(self.items())!r})"
 
 
 class ClassRuntime:
@@ -201,9 +171,12 @@ class ClassRuntime:
         self.counts[self.automaton.transition_index[transition]] += 1
 
     @property
-    def transition_counts(self) -> TransitionCounts:
-        """Transition → times taken (a read-only view of :attr:`counts`)."""
-        return TransitionCounts(self.automaton.transitions, self.counts)
+    def transition_counts(self) -> Mapping[Transition, int]:
+        """Transition → times taken, for transitions taken at least once
+        (a read-only snapshot of :attr:`counts`)."""
+        return MappingProxyType({
+            t: n for t, n in zip(self.automaton.transitions, self.counts) if n
+        })
 
     def plan_for(self, key: DispatchKey, epoch: int) -> TransitionPlan:
         """The compiled plan for ``key``, rebuilt lazily on epoch change.

@@ -8,7 +8,7 @@ closes each class through a generated cleanup, counting transitions by
 index.  ``lazy_join_bound``, ``_materialise`` and ``handle_cleanup``
 stay the reference semantics, and several paths keep calling them:
 overflow, armed fault injection, ``hub.detailed``, deadline classes and
-governed runtimes.  The differential tests run one trace through a
+the governed join.  The differential tests run one trace through a
 compiled runtime and through ``compile=False`` and require the same
 verdicts, violation order, transition counts, pool statistics,
 notification stream, weights and coverage, so a generated shortcut that
@@ -393,7 +393,7 @@ class TestGeneratedPathIsTaken:
     def test_governed_runtime_joins_through_the_helper(self, calls):
         runtime = self._runtime(overhead_budget=0.05, clock=FakeClock())
         _bound_cycle(runtime)
-        assert calls == ["lazy_join_bound", "handle_cleanup"]
+        assert calls == ["lazy_join_bound"]
 
     def test_deadline_class_cleans_up_through_the_helper(self, calls):
         runtime = TeslaRuntime(policy=LogAndContinue(), clock=FakeClock())
