@@ -1,17 +1,18 @@
 """Supervision overhead: disarmed fault points + containment boundaries.
 
 The fault-contained runtime threads two things through the dispatch hot
-path: guarded fault points (``if _active is not None`` before any call)
-and per-unit try/except containment boundaries in the generated key
-functions (``_run_plan`` on the plan walk) and the hook fan-out loops.  Both are designed to be free when nothing faults —
+path: guarded fault points (``if _active is not None`` before any call,
+in the generated steps and cleanups among other places) and per-unit
+try/except containment boundaries in the generated key functions and the
+hook fan-out loops.  Both are designed to be free when nothing faults —
 CPython 3.11's zero-cost exception handling makes an untaken ``try``
 costless, and a disarmed fault point is one module-attribute load — so the
 PR-2 compiled-dispatch numbers must survive.
 
 This bench replays the dispatch-fastpath workload through the compiled
 runtime twice — supervised-but-disarmed (the new default) and with an
-armed injector at rate 0 (every fault point consults the injector but
-never fires) — and pins:
+armed injector at rate 0 (the same generated code, every fault point
+consulting the injector but never firing) — and pins:
 
 * disarmed overhead vs the recorded events/s of the same workload is a
   no-op by construction (same code path); what we pin instead is the

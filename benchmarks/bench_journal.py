@@ -14,10 +14,10 @@ pipeline it rides on, so this bench pins three numbers:
   debugging loop's latency.
 * **journal density** — bytes/event on disk for a representative trace.
 
-Those three come from a scalar trace, whose repeated event shapes hit
-the encoder's plain-shape blob cache almost every time.  Real kernel
-and GUI traces carry live objects instead (vnodes, views, geometry
-values), which the cache never holds, so a second **object trace** —
+Those three come from a scalar trace of repeated all-scalar event
+shapes.  Real kernel and GUI traces carry live objects instead (vnodes,
+views, geometry values), which the writer snapshots as opaque reprs, so
+a second **object trace** —
 default-repr objects, a frozen dataclass argument, site scopes holding
 an object — reports its own plain and journalled µs/event and record
 overhead as extra rows, with no bar of its own.

@@ -32,9 +32,9 @@ Commands
     contract (0 clean, 1 warnings under ``--fail-on warning``, 2 errors).
 ``codegen <suite> [--assertion NAME] [--dump]``
     Show what tesla-jit generates for a suite: a summary row per
-    (assertion, dispatch key) — generated vs fallback with the reason —
-    or, with ``--dump``, the full generated Python source (0 ok, 2
-    unknown suite/assertion).
+    (assertion, dispatch key) with its elision count, or, with
+    ``--dump``, the full generated Python source (0 ok, 2 unknown
+    suite/assertion).
 ``replay <journal> [--config …] [--at-seqno N] [--json]``
     Replay a recorded trace journal offline through any runtime
     configuration, cross-checked against the independent LTL oracle
@@ -293,9 +293,8 @@ def cmd_prove(args: argparse.Namespace) -> int:
 def cmd_codegen(args: argparse.Namespace) -> int:
     """Show what tesla-jit generates for an assertion suite.
 
-    Default output is one summary row per (assertion, dispatch key):
-    generated or fallback (with the generator's reason) plus elision
-    counts.  ``--dump`` prints the full generated source — every step,
+    Default output is one summary row per (assertion, dispatch key)
+    with its elision count.  ``--dump`` prints the full generated source — every step,
     then every key function (one dispatch function per key and context)
     — the debuggability surface for "what does my assertion actually
     run".
@@ -303,7 +302,7 @@ def cmd_codegen(args: argparse.Namespace) -> int:
     """
     from .analysis.lint import available_suites, lint_assertions, load_suite
     from .core.translate import translate_all
-    from .runtime.codegen import CODEGEN_VERSION, CodegenFacts, dump_sources
+    from .runtime.codegen import CodegenFacts, dump_sources
 
     known = available_suites()
     if args.suite not in known:
@@ -331,19 +330,6 @@ def cmd_codegen(args: argparse.Namespace) -> int:
     for automaton in translate_all(assertions):
         for key, gen in dump_sources(automaton, facts):
             label = f"{key[0].value}:{key[1]}"
-            if gen.fallback_reason is not None:
-                if args.dump:
-                    print(
-                        f"# tesla-jit v{CODEGEN_VERSION} "
-                        f"automaton={automaton.name} key={label} "
-                        f"FALLBACK: {gen.fallback_reason}"
-                    )
-                else:
-                    print(
-                        f"{automaton.name:<36} {label:<30} "
-                        f"{'fallback':<10} {gen.fallback_reason}"
-                    )
-                continue
             if args.dump:
                 print(gen.source)
                 print()
@@ -360,15 +346,8 @@ def cmd_codegen(args: argparse.Namespace) -> int:
 
         runtime = TeslaRuntime(lint="off")
         runtime.install_assertions(assertions)
-        for key, context, source, reason in runtime.key_function_sources():
-            if reason is not None:
-                print(
-                    f"# tesla-jit v{CODEGEN_VERSION} "
-                    f"key={key[0].name}:{key[1]} context={context} "
-                    f"FALLBACK: {reason}"
-                )
-            else:
-                print(source)
+        for _key, _context, source in runtime.key_function_sources():
+            print(source)
             print()
     return 0
 

@@ -146,27 +146,19 @@ class DispatchStats:
     flush_seconds: float = 0.0
     last_flush_seconds: float = 0.0
     #: tesla-jit counters (all zero for ``compile=False`` runtimes).
-    #: ``gen_fallback_plans`` counts *plans* the generator declined
-    #: (cached as fallbacks), ``gen_fallback_hits`` counts events those
-    #: plans carried through the compiled plan walk.
     gen_hits: int = 0
     gen_misses: int = 0
-    gen_fallback_plans: int = 0
-    gen_fallback_hits: int = 0
     gen_invalidations: int = 0
     cached_steps: int = 0
     gen_elided_guards: int = 0
     gen_elided_transitions: int = 0
     gen_seconds: float = 0.0
     #: Key functions (one generated dispatch function per key and
-    #: context): how many were generated, how many are resident now, how
-    #: many (key, context) pairs fell back as a whole to the plan walk,
-    #: and the events those carried.  ``gen_hits`` still counts one hit
-    #: per class per event its generated step ran.
+    #: context): how many were generated and how many are resident now.
+    #: ``gen_hits`` counts one hit per class per event its generated
+    #: step ran.
     key_fns_built: int = 0
     key_fns_resident: int = 0
-    fallback_keys: int = 0
-    fallback_key_events: int = 0
     #: Dispatch entries (one generated function per dispatch key, for
     #: ``handle_event`` and for each event translator): built so far and
     #: resident now.  Any runtime, compiled or not, dispatches through
@@ -201,7 +193,7 @@ def dispatch_stats(runtime) -> DispatchStats:
     from ..runtime.epoch import interest_epoch, interest_stats
 
     plan_hits = plan_misses = plan_invalidations = cached_plans = 0
-    gen_hits = gen_misses = gen_fallback_plans = gen_fallback_hits = 0
+    gen_hits = gen_misses = 0
     gen_invalidations = cached_steps = 0
     gen_elided_guards = gen_elided_transitions = 0
     gen_seconds = 0.0
@@ -215,8 +207,6 @@ def dispatch_stats(runtime) -> DispatchStats:
             cached_plans += cr.plan_cache_size
             gen_hits += cr.gen_hits
             gen_misses += cr.gen_misses
-            gen_fallback_plans += cr.gen_fallback_plans
-            gen_fallback_hits += cr.gen_fallback_hits
             gen_invalidations += cr.gen_invalidations
             cached_steps += cr.gen_cache_size
             gen_elided_guards += cr.gen_elided_guards
@@ -245,8 +235,6 @@ def dispatch_stats(runtime) -> DispatchStats:
         extra.update(
             key_fns_built=key_fns["built"],
             key_fns_resident=len(key_fns["resident"]),
-            fallback_keys=len(key_fns["fallback_keys"]),
-            fallback_key_events=key_fns["fallback_events"],
             entries_built=key_fns["entries_built"],
             entries_resident=key_fns["entries_resident"],
         )
@@ -265,8 +253,6 @@ def dispatch_stats(runtime) -> DispatchStats:
         cached_plans=cached_plans,
         gen_hits=gen_hits,
         gen_misses=gen_misses,
-        gen_fallback_plans=gen_fallback_plans,
-        gen_fallback_hits=gen_fallback_hits,
         gen_invalidations=gen_invalidations,
         cached_steps=cached_steps,
         gen_elided_guards=gen_elided_guards,
@@ -279,56 +265,43 @@ def dispatch_stats(runtime) -> DispatchStats:
 
 
 def codegen_report(runtime) -> Optional[dict]:
-    """tesla-jit effectiveness: which dispatch keys generated, which fell
-    back (and why), what elision bought, and what generation cost.
+    """tesla-jit effectiveness: which dispatch keys generated, what
+    elision bought, and what generation cost.
 
     Returns ``None`` for ``compile=False`` runtimes.  Step counts
     are per *key label* (``kind:name``) aggregated over every class
     runtime holding a cached step for that key — a key observed by three
     classes that all generated shows ``3``.  ``key_functions`` counts the
     generated key functions and lists the resident ones
-    (``kind:name@context``); ``fallback_keys`` maps each (key, context)
-    that fell back as a whole to the first declining class's reason;
-    ``entries`` counts the dispatch entries built and resident.
+    (``kind:name@context``); ``entries`` counts the dispatch entries built and resident.
     """
     if not getattr(runtime, "compiled", False):
         return None
     generated: Dict[str, int] = {}
-    fallbacks: Dict[str, dict] = {}
     gen_seconds = 0.0
-    elided_guards = elided_transitions = fallback_hits = 0
+    elided_guards = elided_transitions = 0
     stores = list(runtime.global_store.all_stores())
     stores.extend(runtime.thread_stores.all_stores())
     for store in stores:
         for cr in store:
-            summary = cr.gen_summary()
-            for label in summary["generated_keys"]:
+            for label in cr.generated_keys():
                 generated[label] = generated.get(label, 0) + 1
-            for label, reason in summary["fallback_keys"]:
-                row = fallbacks.setdefault(
-                    label, {"classes": 0, "reason": reason}
-                )
-                row["classes"] += 1
             gen_seconds += cr.gen_seconds
             elided_guards += cr.gen_elided_guards
             elided_transitions += cr.gen_elided_transitions
-            fallback_hits += cr.gen_fallback_hits
     key_fns = runtime.key_fn_summary()
     return {
         "generated": dict(sorted(generated.items())),
-        "fallbacks": dict(sorted(fallbacks.items())),
         "key_functions": {
             "built": key_fns["built"],
             "resident": key_fns["resident"],
         },
-        "fallback_keys": key_fns["fallback_keys"],
         "entries": {
             "built": key_fns["entries_built"],
             "resident": key_fns["entries_resident"],
         },
         "elided_guards": elided_guards,
         "elided_transitions": elided_transitions,
-        "fallback_hits": fallback_hits,
         "gen_seconds": gen_seconds,
     }
 
@@ -374,13 +347,10 @@ def format_dispatch_stats(stats: DispatchStats) -> str:
         )
         lines.append(
             f"key functions        {stats.key_fns_built} built, "
-            f"{stats.key_fns_resident} resident, {stats.fallback_keys} "
-            f"fallback keys ({stats.fallback_key_events} plan-walk events)"
+            f"{stats.key_fns_resident} resident"
         )
         lines.append(
-            f"codegen              {stats.gen_fallback_plans} fallback "
-            f"plans ({stats.gen_fallback_hits} interpreter events), "
-            f"{stats.gen_elided_guards} guards elided, "
+            f"codegen              {stats.gen_elided_guards} guards elided, "
             f"{stats.gen_elided_transitions} transitions elided, "
             f"{stats.gen_seconds * 1e3:.2f}ms generating"
         )

@@ -67,7 +67,7 @@ class HealthReport:
     #: assertions were elided at install under ``prove="prune"``;
     #: ``None`` unless the runtime proves installed batches.
     prove: Optional[dict] = None
-    #: tesla-jit summary (DESIGN §5.7): per-key generated/fallback counts,
+    #: tesla-jit summary (DESIGN §5.7): per-key generated-step counts,
     #: elision totals and generation cost; ``None`` for ``compile=False``.
     codegen: Optional[dict] = None
     #: Overhead-governor summary (DESIGN §5.8): budget, measured spend
@@ -222,19 +222,11 @@ def format_health(report: HealthReport) -> str:
         cg = report.codegen
         lines.append(
             f"  codegen: generated={sum(cg['generated'].values())} "
-            f"fallback={sum(r['classes'] for r in cg['fallbacks'].values())} "
             f"elided_guards={cg['elided_guards']} "
             f"elided_transitions={cg['elided_transitions']} "
             f"gen_time={cg['gen_seconds'] * 1e3:.2f}ms "
             f"key_fns={len(cg['key_functions']['resident'])}"
         )
-        for label, row in cg["fallbacks"].items():
-            lines.append(
-                f"    fallback {label:<28} x{row['classes']} "
-                f"({row['reason']})"
-            )
-        for label, reason in cg["fallback_keys"].items():
-            lines.append(f"    fallback key {label:<24} ({reason})")
     if report.governor is not None:
         g = report.governor
         state = "TRIPPED" if g.get("tripped") else "active"

@@ -1,23 +1,30 @@
 """tesla-jit: compile :class:`TransitionPlan` objects to generated Python.
 
-Walking a compiled plan (DESIGN §5.2) still *interprets* a chain of
-closures per event: ``plan.enabled`` probes each body triple, each triple
-calls a compiled matcher closure, and every match result is re-examined
-by ``tesla_update_state``.  Every ``compile=True`` runtime therefore
-evaluates body events through this module instead, which emits
+A :class:`TransitionPlan` hoists everything one automaton does for one
+dispatch key out of the event loop (DESIGN §5.2), but walking it would
+still *interpret* a chain of closures per event.  Every ``compile=True``
+runtime therefore evaluates body events through code this module emits:
 specialized Python *source* per (automaton, dispatch-key) plan — matcher
 checks, bind extraction and transition application fused into a single
 ``exec``-compiled function with no per-step closure dispatch:
 
 * event-static work (arity checks, ``Const``/``Flags``/``Bitmask``/
   ``AddressOf`` filters, ``Var`` value extraction) is hoisted out of the
-  instance loop and evaluated once per event;
+  instance loop and evaluated once per event; a symbol with a pattern
+  the generator cannot decompose (any other :class:`Pattern` subclass)
+  is matched per instance by its compiled matcher, which calls the
+  pattern's own ``match``, as ``compile_pattern`` does;
 * the per-instance loop is unrolled over the plan's body triples, with
   the dominant single-match/no-new-binding case stepped inline
   (``frozenset`` state update + transition counting, no function calls);
 * multi-match and clone-producing cases delegate to
   :func:`_instance_slow_step`, which reuses the interpreter's own
-  ``_step``/dedupe/clone machinery so verdicts stay bit-identical.
+  ``_step``/dedupe/clone machinery so verdicts stay bit-identical;
+* timed automata (DESIGN §5.9) expire deadlines before the event
+  (``expire_deadlines``) and send every match of a clock-guarded
+  transition through the interpreter's ``_filter_guards``, reporting
+  exceeded rate guards with ``rate_violations`` — one copy of the guard
+  semantics, shared with the interpreter.
 
 Every event, synchronous or drained in a batch, is evaluated by the one
 per-event ``step(cr, event, hub)``.  One level up, the manager runs each
@@ -32,8 +39,17 @@ touched class closes through its own generated cleanup
 constant index.  ``lazy_join_bound``, ``_materialise`` and
 ``handle_cleanup`` stay the reference semantics and are still called
 where the generated form would differ: governed admission (the join
-only), a full pool,
-armed fault injection, a detailed hub and deadline classes.
+only), a full pool, armed fault injection (materialise only), a
+detailed hub and deadline classes (cleanup only).
+
+Generation never declines: generated code is the only evaluator behind
+``compile=True``.  Steps visit the ``update.step`` fault point and
+cleanups ``update.cleanup``, each behind the disarmed ``_fi._active``
+test, so armed fault injection runs the same code.  A generated step
+bails out to the interpreter at call time when the notification hub is
+in detailed mode, whose lifecycle notifications the lean generated code
+deliberately omits (it emits only the always-on ERROR and OVERFLOW
+notifications).
 
 Each distinct generated function is ``compile()``d once per process
 (:data:`_CODE_CACHE`, :data:`_KEY_CODE_CACHE`); a later runtime
@@ -47,17 +63,6 @@ transitions whose source state can never be occupied (outside the
 forward closure of the entry states over EVENT/SITE transitions) are
 dropped from the generated code entirely — guard elision extended from
 "skip a check" to "the check never exists".
-
-The generator is deliberately *loud* about its limits: any plan it
-cannot specialize (an unknown :class:`Pattern` subclass, an exotic
-event expression, a timed automaton) yields a :class:`GenerationFallback`
-carrying the reason, the whole key falls back to the compiled plan walk,
-and the fallback is counted in ``dispatch_stats``.  Generated code has no
-fault points, so the runtime walks the compiled plans instead of calling
-it while fault injection is armed; and a generated function bails out to
-the interpreter at call time when the notification hub is in detailed
-mode, whose lifecycle notifications the lean generated code deliberately
-omits (it emits only the always-on ERROR and OVERFLOW notifications).
 
 Determinism contract: for one (automaton, key, facts) triple the
 generated source is byte-identical across runs and processes — all
@@ -103,23 +108,27 @@ from ..core.patterns import (
 )
 from ..errors import TemporalAssertionError, TemporalViolation
 from . import faultinject as _fi
-from .epoch import interest_epoch
 from .instance import AutomatonInstance
 from .notify import Notification, NotificationKind
 from .plans import PlanKey, TransitionPlan, build_transition_plan
 from .update import (
+    _FP_CLEANUP,
+    _FP_STEP,
     _already_satisfied as _upd_already_satisfied,
+    _filter_guards,
     _materialise,
     _same_binding,
     _step,
     cleanup_error,
+    expire_deadlines,
+    rate_violations,
     tesla_update_state,
 )
 
 #: Bump on any change to the generated source layout (see the golden
 #: fixture's upgrade protocol in
 #: ``tests/unit/runtime/test_codegen_golden.py``).
-CODEGEN_VERSION = 5
+CODEGEN_VERSION = 6
 
 #: Sentinel for "this symbol did not match" in generated code.  Distinct
 #: from ``None`` so generated locals can never be confused with a
@@ -206,31 +215,11 @@ class CodegenFacts:
 CodegenFacts.NONE = CodegenFacts()
 
 
-class GenerationFallback:
-    """Why a plan could not be specialized (stored in the step cache so
-    the decision is made once per key, not per event).
-
-    ``step`` is a ``None`` class attribute so cache consumers
-    discriminate with one attribute load, no isinstance.
-    """
-
-    __slots__ = ("reason",)
-
-    step = None
-
-    def __init__(self, reason: str) -> None:
-        self.reason = reason
-
-    def __repr__(self) -> str:  # pragma: no cover - repr convenience
-        return f"<GenerationFallback {self.reason!r}>"
-
-
 class GeneratedSource:
     """The outcome of source generation for one plan."""
 
     __slots__ = (
         "source",
-        "fallback_reason",
         "elided_guards",
         "elided_transitions",
         "namespace",
@@ -239,13 +228,11 @@ class GeneratedSource:
     def __init__(
         self,
         source: str = "",
-        fallback_reason: Optional[str] = None,
         elided_guards: int = 0,
         elided_transitions: int = 0,
         namespace: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.source = source
-        self.fallback_reason = fallback_reason
         self.elided_guards = elided_guards
         self.elided_transitions = elided_transitions
         self.namespace = namespace
@@ -280,13 +267,16 @@ class CompiledStep:
 # ---------------------------------------------------------------------------
 
 
-def _instance_slow_step(cr, instance, matched_pairs, hub, event, clones, enabled):
+def _instance_slow_step(cr, instance, matched_pairs, hub, event, clones,
+                        enabled, rate_blocked=None):
     """The multi-match / clone-producing tail of the instance walk.
 
     Byte-for-byte the same algorithm as the general branch of
     ``tesla_update_state`` (split by new bindings, dedupe extensions,
     clone, re-step the clone), reusing the interpreter's ``_step`` so
-    transition counting and site accounting stay identical.  Returns
+    transition counting and site accounting stay identical.  A
+    clock-guarded automaton passes its per-event ``rate_blocked`` set,
+    and each clone's matches are filtered by its guards.  Returns
     ``(any_progress, site_taken)`` for this instance.
     """
     progress = False
@@ -312,6 +302,10 @@ def _instance_slow_step(cr, instance, matched_pairs, hub, event, clones, enabled
             continue
         clone = instance.clone(extension)
         clone_matches = enabled(clone.states, event, clone.binding)
+        if rate_blocked is not None and clone_matches:
+            clone_matches = _filter_guards(
+                clone, clone_matches, event, rate_blocked
+            )
         complete = [t for t, new in clone_matches if not new]
         if complete:
             progress = True
@@ -380,14 +374,6 @@ def _strict_error(cr, event, hub) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _Unsupported(Exception):
-    """Raised internally when a plan cannot be specialized."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
-
-
 class _Emitter:
     """Accumulates source lines and the exec namespace side by side, so a
     constant is *named* in the source and *bound* in the namespace in one
@@ -423,6 +409,30 @@ class _SymbolPlan:
         self.instance_block: List[Tuple[int, str]] = []
 
 
+def _decomposable(pattern: Pattern) -> bool:
+    """Whether :func:`_pattern_value_checks` can split ``pattern`` into
+    event-static tests and variable extraction."""
+    if isinstance(pattern, AddressOf):
+        return _decomposable(pattern.inner)
+    return isinstance(pattern, (Any_, Const, Var, Flags, Bitmask))
+
+
+def _symbol_decomposable(expr) -> bool:
+    """Whether every pattern of a body symbol's event expression is
+    :func:`_decomposable` (a site symbol always is)."""
+    if isinstance(expr, AssertionSite):
+        return True
+    if isinstance(expr, (FunctionCall, FunctionReturn)):
+        patterns = list(expr.args or ())
+        if isinstance(expr, FunctionReturn) and expr.retval is not None:
+            patterns.append(expr.retval)
+    elif isinstance(expr, FieldAssign):
+        patterns = [p for p in (expr.target, expr.value) if p is not None]
+    else:
+        return False
+    return all(_decomposable(p) for p in patterns)
+
+
 def _pattern_value_checks(
     em: _Emitter,
     pattern: Pattern,
@@ -435,7 +445,8 @@ def _pattern_value_checks(
 
     Appends the pattern's *event-static* predicate to ``static``, and for
     ``Var`` patterns records ``(name, local)`` in ``variables`` plus the
-    guarded extraction assignment in ``extract``.
+    guarded extraction assignment in ``extract``.  ``pattern`` must be
+    :func:`_decomposable`.
     """
     if isinstance(pattern, Any_):
         return
@@ -467,24 +478,36 @@ def _pattern_value_checks(
         _pattern_value_checks(
             em, pattern.inner, f"{value_expr}.value", static, variables, extract
         )
-        return
-    raise _Unsupported(f"unsupported-pattern:{type(pattern).__name__}")
 
 
 def _compile_symbol(
     em: _Emitter,
     symbol_id: int,
     symbol,
-    automaton: Automaton,
+    matcher,
     facts: CodegenFacts,
 ) -> Tuple[_SymbolPlan, int]:
-    """Generate the prologue + per-instance block for one event symbol.
+    """Generate the prologue + per-instance block for one event symbol
+    (``matcher`` is its compiled matcher from the plan).
 
     Returns the fragments and the number of arity guards elided.
     """
     expr = symbol.expr
     plan = _SymbolPlan(f"_m{symbol_id}")
     elided_guards = 0
+
+    if not _symbol_decomposable(expr):
+        # A pattern the generator cannot decompose may read the
+        # instance's binding: match per instance with the symbol's
+        # compiled matcher, normalising "learned nothing" to ``_E``.
+        m = plan.match_var
+        call = em.const(matcher, "M")
+        plan.instance_block.append((0, f"{m} = {call}(event, _bind)"))
+        plan.instance_block.append((0, f"if {m} is None:"))
+        plan.instance_block.append((1, f"{m} = _NO"))
+        plan.instance_block.append((0, f"elif not {m}:"))
+        plan.instance_block.append((1, f"{m} = _E"))
+        return plan, elided_guards
 
     if isinstance(expr, AssertionSite):
         # Site symbols constrain only the scope variables the site
@@ -565,8 +588,6 @@ def _compile_symbol(
             _pattern_value_checks(
                 em, expr.value, "_ret", static, variables, extract
             )
-    else:
-        raise _Unsupported(f"unsupported-event:{type(expr).__name__}")
 
     ok = f"_ok{symbol_id}"
     m = plan.match_var
@@ -662,11 +683,16 @@ def _emit_event_body(
     symbol_plans: Dict[int, _SymbolPlan],
     triple_consts: List[Tuple[str, str, str, str, str, bool]],
 ) -> None:
-    """Emit the per-event evaluation (lazy materialise, prologue,
-    instance walk, endgame) at indentation ``base``."""
+    """Emit the per-event evaluation (deadline expiry, lazy materialise,
+    prologue, instance walk, rate violations, endgame) at indentation
+    ``base``."""
     kind = key[0]
     is_site_key = kind is EventKind.ASSERTION_SITE
     strict = automaton.strict
+
+    if automaton.deadline_s is not None:
+        # Pre-event expiry (DESIGN §5.9), before the event is processed.
+        em.emit(base, "_expire(cr, event.timestamp, hub, event)")
 
     # Lazy initialisation (section 5.2.2): the first relevant event of a
     # bound materialises the wildcard instance — inline while the pool has
@@ -709,9 +735,17 @@ def _emit_event_body(
         for ind, text in symbol_plans[sid].prologue:
             em.emit(base + ind, text)
 
+    # Triples whose transition carries a clock guard: any match of one
+    # sends the instance through ``_guards`` (the interpreter's
+    # ``_filter_guards``) and the slow path.
+    guarded = [i for i, (_, t, _) in enumerate(body) if t.guard is not None]
+    unguarded = [i for i in range(len(body)) if i not in guarded]
+
     em.emit(base, "_prog = False")
     em.emit(base, "_site = False")
     em.emit(base, "_clones = []")
+    if guarded:
+        em.emit(base, "_rb = set()")
     em.emit(base, "_tc = cr.counts")
     em.emit(base, "for instance in _pool.live():")
     em.emit(base + 1, "_st = instance.states")
@@ -730,73 +764,29 @@ def _emit_event_body(
     em.emit(base + 1, f"_n = {' + '.join(flags)}")
     em.emit(base + 1, "if not _n:")
     em.emit(base + 2, "continue")
-    em.emit(base + 1, "if _n == 1:")
-    first = True
-    for i, (src_c, tr_c, ix_c, srct_c, dfs_c, took_site) in enumerate(
-        triple_consts
-    ):
-        sid = body[i][2]
-        m = symbol_plans[sid].match_var
-        dst_c = dfs_c  # strict: frozenset const; else dst tuple const
-        kw = "if" if first else "elif"
-        first = False
-        em.emit(base + 2, f"{kw} _f{i}:")
-        em.emit(base + 3, f"if {m} is _E:")
-        # Inline single-transition step (update._step's len==1 branch,
-        # hub.detailed known False here).
-        em.emit(base + 4, "_prog = True")
-        if strict:
-            em.emit(base + 4, f"instance.states = {dst_c}")
-        else:
-            em.emit(
-                base + 4,
-                f"instance.states = _st.difference({srct_c})"
-                f".union({dst_c})",
-            )
-        em.emit(base + 4, f"_tc[{ix_c}] += 1")
-        if took_site:
-            em.emit(base + 4, "instance.saw_site = True")
-            em.emit(base + 4, "cr.sites_reached += 1")
-            em.emit(base + 4, "_site = True")
-        em.emit(base + 4, "continue")
-        # Single match with a new binding: the clone's only completing
-        # transition is this one (any other triple that could complete
-        # for the clone would have matched this instance too, making
-        # _n >= 2), so the interpreter's clone-and-re-step collapses to
-        # a dedupe probe plus an inline step — no matcher re-evaluation.
-        em.emit(base + 3, "_nb2 = dict(_bind)")
-        em.emit(base + 3, f"_nb2.update({m})")
-        em.emit(base + 3, "if _pool.find(_nb2) is None:")
-        em.emit(base + 4, "for _c in _clones:")
-        em.emit(base + 5, "if _c.same_binding(_nb2):")
-        em.emit(base + 6, "break")
-        em.emit(base + 4, "else:")
-        em.emit(base + 5, f"_cl = instance.clone({m})")
-        em.emit(base + 5, "_prog = True")
-        if strict:
-            em.emit(base + 5, f"_cl.states = {dst_c}")
-        else:
-            em.emit(
-                base + 5,
-                f"_cl.states = _st.difference({srct_c}).union({dst_c})",
-            )
-        em.emit(base + 5, f"_tc[{ix_c}] += 1")
-        if took_site:
-            em.emit(base + 5, "_cl.saw_site = True")
-            em.emit(base + 5, "cr.sites_reached += 1")
-            em.emit(base + 5, "_site = True")
-        em.emit(base + 5, "_clones.append(_cl)")
-        em.emit(base + 3, "continue")
-    em.emit(base + 1, "else:")
-    em.emit(base + 2, "_mt = []")
+    slow = base + 1
+    if unguarded:
+        single = "_n == 1"
+        if guarded:
+            single += " and not (" + " or ".join(
+                f"_f{i}" for i in guarded) + ")"
+        em.emit(base + 1, f"if {single}:")
+        _emit_single_steps(em, base + 2, automaton, body, symbol_plans,
+                           triple_consts, unguarded)
+        em.emit(base + 1, "else:")
+        slow = base + 2
+    em.emit(slow, "_mt = []")
     for i, (_, tr_c, _, _, _, _) in enumerate(triple_consts):
         sid = body[i][2]
         m = symbol_plans[sid].match_var
-        em.emit(base + 2, f"if _f{i}:")
-        em.emit(base + 3, f"_mt.append(({tr_c}, {m}))")
+        em.emit(slow, f"if _f{i}:")
+        em.emit(slow + 1, f"_mt.append(({tr_c}, {m}))")
+    if guarded:
+        em.emit(slow, "_mt = _guards(instance, _mt, event, _rb)")
     em.emit(
         base + 1,
-        "_p, _s = _slow(cr, instance, _mt, hub, event, _clones, _enabled)",
+        "_p, _s = _slow(cr, instance, _mt, hub, event, _clones, _enabled"
+        + (", _rb)" if guarded else ")"),
     )
     em.emit(base + 1, "if _p:")
     em.emit(base + 2, "_prog = True")
@@ -804,8 +794,84 @@ def _emit_event_body(
     em.emit(base + 2, "_site = True")
     em.emit(base, "if _clones:")
     em.emit(base + 1, "_addc(cr, _clones, hub)")
+    if guarded:
+        em.emit(base, "if _rb:")
+        em.emit(base + 1, "_ratev(cr, event, hub, _rb)")
 
     _emit_endgame(em, base, is_site_key, strict)
+
+
+def _emit_single_steps(
+    em: _Emitter,
+    base: int,
+    automaton: Automaton,
+    body: List[Tuple[int, Transition, int]],
+    symbol_plans: Dict[int, _SymbolPlan],
+    triple_consts: List[Tuple[str, str, str, str, str, bool]],
+    indices: List[int],
+) -> None:
+    """The single-match branch of the instance walk for the triples in
+    ``indices``: the matched triple steps inline (``_step``'s one
+    transition branch, ``hub.detailed`` known False here), or for a new
+    binding its clone does; every branch ends the instance's turn."""
+    strict = automaton.strict
+    timed = automaton.timed
+    first = True
+    for i in indices:
+        _, _, ix_c, srct_c, dst_c, took_site = triple_consts[i]
+        m = symbol_plans[body[i][2]].match_var
+        kw = "if" if first else "elif"
+        first = False
+        em.emit(base, f"{kw} _f{i}:")
+        em.emit(base + 1, f"if {m} is _E:")
+        em.emit(base + 2, "_prog = True")
+        # strict: dst_c is a frozenset const; else a dst tuple const.
+        if strict:
+            em.emit(base + 2, f"instance.states = {dst_c}")
+        else:
+            em.emit(
+                base + 2,
+                f"instance.states = _st.difference({srct_c})"
+                f".union({dst_c})",
+            )
+        em.emit(base + 2, f"_tc[{ix_c}] += 1")
+        if timed:
+            em.emit(base + 2, "instance.last_ts = event.timestamp")
+        if took_site:
+            em.emit(base + 2, "instance.saw_site = True")
+            em.emit(base + 2, "cr.sites_reached += 1")
+            em.emit(base + 2, "_site = True")
+        em.emit(base + 2, "continue")
+        # Single match with a new binding: the clone's only completing
+        # transition is this one (any other triple that could complete
+        # for the clone would have matched this instance too, making
+        # _n >= 2), so the interpreter's clone-and-re-step collapses to
+        # a dedupe probe plus an inline step — no matcher re-evaluation.
+        em.emit(base + 1, "_nb2 = dict(_bind)")
+        em.emit(base + 1, f"_nb2.update({m})")
+        em.emit(base + 1, "if _pool.find(_nb2) is None:")
+        em.emit(base + 2, "for _c in _clones:")
+        em.emit(base + 3, "if _c.same_binding(_nb2):")
+        em.emit(base + 4, "break")
+        em.emit(base + 2, "else:")
+        em.emit(base + 3, f"_cl = instance.clone({m})")
+        em.emit(base + 3, "_prog = True")
+        if strict:
+            em.emit(base + 3, f"_cl.states = {dst_c}")
+        else:
+            em.emit(
+                base + 3,
+                f"_cl.states = _st.difference({srct_c}).union({dst_c})",
+            )
+        em.emit(base + 3, f"_tc[{ix_c}] += 1")
+        if timed:
+            em.emit(base + 3, "_cl.last_ts = event.timestamp")
+        if took_site:
+            em.emit(base + 3, "_cl.saw_site = True")
+            em.emit(base + 3, "cr.sites_reached += 1")
+            em.emit(base + 3, "_site = True")
+        em.emit(base + 3, "_clones.append(_cl)")
+        em.emit(base + 1, "continue")
 
 
 def _emit_endgame(em: _Emitter, base: int, is_site_key: bool, strict: bool) -> None:
@@ -842,50 +908,38 @@ def generate_source(
     plan: TransitionPlan,
     facts: Optional[CodegenFacts] = None,
 ) -> GeneratedSource:
-    """Generate the specialized ``step`` source for one plan.
-
-    Returns a :class:`GeneratedSource`; an unspecializable plan yields
-    one with ``fallback_reason`` set and no source.
-    """
+    """Generate the specialized ``step`` source for one plan."""
     if facts is None:
         facts = CodegenFacts.NONE
     key = plan.key
     em = _Emitter()
-    try:
-        if automaton.timed:
-            # Timed automata (DESIGN §5.9) need per-event deadline expiry
-            # and clock-guard filtering, which live in the interpreter's
-            # tesla_update_state; a generated step would bypass both.
-            # Refuse every plan of a timed automaton — the loud, counted
-            # fallback keeps verdicts exact at interpreter speed.
-            raise _Unsupported("timed-automaton:clock-guards")
-        occupiable = _occupiable_states(automaton)
-        # tesla-prove widening: an occupancy fact intersects the forward
-        # closure with the prove fixpoint's occupied-state union and —
-        # being a proof in its own right — lifts the lint-clean gate.
-        proved_occ = facts.occupancy.get(automaton.name)
-        if proved_occ is not None:
-            occupiable = occupiable & proved_occ
-        may_elide = facts.clean or proved_occ is not None
-        body: List[Tuple[int, Transition, int]] = []
-        elided_transitions = 0
-        for src, transition, _matcher in plan.body:
-            if may_elide and src not in occupiable:
-                elided_transitions += 1
-                continue
-            body.append((src, transition, transition.symbol))
+    occupiable = _occupiable_states(automaton)
+    # tesla-prove widening: an occupancy fact intersects the forward
+    # closure with the prove fixpoint's occupied-state union and —
+    # being a proof in its own right — lifts the lint-clean gate.
+    proved_occ = facts.occupancy.get(automaton.name)
+    if proved_occ is not None:
+        occupiable = occupiable & proved_occ
+    may_elide = facts.clean or proved_occ is not None
+    body: List[Tuple[int, Transition, int]] = []
+    matchers: Dict[int, Any] = {}
+    elided_transitions = 0
+    for src, transition, matcher in plan.body:
+        if may_elide and src not in occupiable:
+            elided_transitions += 1
+            continue
+        body.append((src, transition, transition.symbol))
+        matchers[transition.symbol] = matcher
 
-        symbol_plans: Dict[int, _SymbolPlan] = {}
-        elided_guards = 0
-        for _, _, sid in body:
-            if sid not in symbol_plans:
-                sym_plan, elided = _compile_symbol(
-                    em, sid, automaton.symbols[sid], automaton, facts
-                )
-                symbol_plans[sid] = sym_plan
-                elided_guards += elided
-    except _Unsupported as exc:
-        return GeneratedSource(fallback_reason=exc.reason)
+    symbol_plans: Dict[int, _SymbolPlan] = {}
+    elided_guards = 0
+    for _, _, sid in body:
+        if sid not in symbol_plans:
+            sym_plan, elided = _compile_symbol(
+                em, sid, automaton.symbols[sid], matchers[sid], facts
+            )
+            symbol_plans[sid] = sym_plan
+            elided_guards += elided
 
     triple_consts: List[Tuple[str, str, str, str, str, bool]] = []
     for src, transition, _sid in body:
@@ -905,13 +959,15 @@ def generate_source(
     header = (
         f"# tesla-jit v{CODEGEN_VERSION} automaton={automaton.name} "
         f"key={key[0].name}:{key[1]} strict={automaton.strict} "
-        f"triples={len(body)} elided_guards={elided_guards} "
+        f"timed={automaton.timed} triples={len(body)} elided_guards={elided_guards} "
         f"elided_transitions={elided_transitions}"
     )
     em.lines.append(header)
     em.emit(0, "def step(cr, event, hub):")
     em.emit(1, "if hub.detailed:")
-    em.emit(2, "return _interp(cr, event, hub, True, _plan)")
+    em.emit(2, "return _interp(cr, event, hub, True)")
+    em.emit(1, "if _fi._active is not None:")
+    em.emit(2, "_fi.fault_point(_FP)")
     em.emit(1, "if not cr.active:")
     em.emit(2, "return")
     em.emit(1, "_pool = cr.pool")
@@ -921,7 +977,7 @@ def generate_source(
     namespace.update(
         {
             "_interp": tesla_update_state,
-            "_plan": plan,
+            "_FP": _FP_STEP,
             "_mat": _materialise,
             "_AI": AutomatonInstance,
             "_A": automaton,
@@ -933,6 +989,9 @@ def generate_source(
             "_serr": _site_error,
             "_xerr": _strict_error,
             "_enabled": plan.enabled,
+            "_expire": expire_deadlines,
+            "_guards": _filter_guards,
+            "_ratev": rate_violations,
             "_E": EMPTY_BINDING,
             "_NO": _NO,
             "_UB": UNBOUND,
@@ -972,11 +1031,8 @@ def compile_plan_step(
     plan: TransitionPlan,
     facts: Optional[CodegenFacts] = None,
 ):
-    """Compile one plan to a :class:`CompiledStep`, or a
-    :class:`GenerationFallback` naming why it could not be specialized."""
+    """Compile one plan to a :class:`CompiledStep`."""
     generated = generate_source(automaton, plan, facts)
-    if generated.fallback_reason is not None:
-        return GenerationFallback(generated.fallback_reason)
     namespace = generated.namespace
     key_label = f"{plan.key[0].name}:{plan.key[1]}"
     filename = f"<tesla-jit {automaton.name} {key_label}>"
@@ -1098,7 +1154,7 @@ def generate_key_source(
             em.emit(2, f"_tch[{b}] = set()")
             em.emit(2, f"_tr.entry_ts[{b}] = event.timestamp")
     else:
-        init = "_init(cr, event, _hub, False, cr.plan_for(_KEY, _EPOCH))"
+        init = "_init(cr, event, _hub, False)"
         for name in work.init_names:
             n = name_const(name)
             if governed:
@@ -1159,7 +1215,7 @@ def generate_key_source(
             _emit_unit(em, 3, "_n", "cleanup", governed,
                        ["cr = _cls[_n]", "_CU[_n](cr, event)"])
     else:
-        cleanup = "_cleanup(cr, event, _hub, cr.plan_for(_KEY, _EPOCH))"
+        cleanup = "_cleanup(cr, event, _hub)"
         for name in work.cleanup_names:
             n = name_const(name)
             _emit_unit(em, 1, n, "cleanup", governed,
@@ -1183,7 +1239,7 @@ def compile_key_function(
     the body classes' generated steps in plan order; ``bindings``
     supplies the runtime's collaborators (``_hub``, ``_contain``,
     ``_join``, ``_init``, ``_cleanup``, ``_CU``, ``_gov``, ``_now``,
-    ``_charge``, ``_admit``, ``_rate``, ``_KEY``, ``_EPOCH``)."""
+    ``_charge``, ``_admit``, ``_rate``)."""
     generated = generate_key_source(key, context, work, initiated, lazy,
                                     governed, automata)
     namespace = generated.namespace
@@ -1202,25 +1258,27 @@ def compile_key_function(
 # ---------------------------------------------------------------------------
 
 
-def generate_cleanup_source(
-    automaton: Automaton, plan: TransitionPlan
-) -> GeneratedSource:
-    """Generate ``cleanup(cr, event)``: ``handle_cleanup`` for one class
-    (``plan`` is its plan for its cleanup key), with the class's facts
-    computed here once — which cleanup transition the event takes and
-    which states accept.
+def generate_cleanup_source(automaton: Automaton) -> GeneratedSource:
+    """Generate ``cleanup(cr, event)``: ``handle_cleanup`` for one class,
+    with the class's facts computed here once — which cleanup transition
+    the event takes and which states accept.  A class has exactly one
+    cleanup key, so its cleanup transitions are all on that key.
 
     When the first cleanup transition's symbol constrains nothing, it
     matches every event of the key, so its count is folded in; otherwise
-    the plan's matchers are tried in order.  Then the class closes: every instance is
-    expunged, accepting ones count as accepts, and ones that passed the
-    site but cannot accept are errors.  Lifecycle notifications are the
-    reference's (``hub.detailed`` calls ``handle_cleanup``), and so is a
-    deadline class's whole cleanup, which first expires late
-    obligations.
+    the symbols' compiled matchers are tried in order.  Then the class
+    closes: every instance is expunged, accepting ones count as accepts,
+    and ones that passed the site but cannot accept are errors.
+    Lifecycle notifications are the reference's (``hub.detailed`` calls
+    ``handle_cleanup``), and so is a deadline class's whole cleanup,
+    which first expires late obligations.
     """
     em = _Emitter()
-    entries = plan.cleanup
+    entries = [
+        (t, automaton.symbols[t.symbol].compile_matcher())
+        for t in automaton.transitions
+        if t.kind is TransitionKind.CLEANUP and t.symbol is not None
+    ]
     deadline = automaton.deadline_s is not None
     folded = bool(entries) and entries[0][1] is _match_nothing
     em.lines.append(
@@ -1228,14 +1286,15 @@ def generate_cleanup_source(
         f"folded={folded} matchers={0 if folded else len(entries)}"
     )
     em.emit(0, "def cleanup(cr, event):")
-    reference = "_cleanup(cr, event, _hub, cr.plan_for(_KEY, _ep.value))"
     if deadline:
-        em.emit(1, reference)
+        em.emit(1, "_cleanup(cr, event, _hub)")
         return GeneratedSource(source=em.source(), namespace=em.namespace)
     em.emit(1, "if not cr.active:")
     em.emit(2, "return")
     em.emit(1, "if _hub.detailed:")
-    em.emit(2, f"return {reference}")
+    em.emit(2, "return _cleanup(cr, event, _hub)")
+    em.emit(1, "if _fi._active is not None:")
+    em.emit(2, "_fi.fault_point(_FP)")
     for k, (transition, matcher) in enumerate(entries):
         i = em.const(automaton.transition_index[transition], "I")
         if folded:
@@ -1260,13 +1319,11 @@ def generate_cleanup_source(
     return GeneratedSource(source=em.source(), namespace=em.namespace)
 
 
-def compile_cleanup(automaton: Automaton, key: PlanKey, hub, cleanup):
+def compile_cleanup(automaton: Automaton, hub, cleanup):
     """Compile one class's cleanup (see :func:`generate_cleanup_source`)
-    for its cleanup ``key`` through the key functions' code cache, bound
-    to the runtime's ``hub`` and reference ``cleanup`` (the manager's
-    ``handle_cleanup``)."""
-    plan = build_transition_plan(automaton, key)
-    generated = generate_cleanup_source(automaton, plan)
+    through the key functions' code cache, bound to the runtime's
+    ``hub`` and reference ``cleanup`` (the manager's ``handle_cleanup``)."""
+    generated = generate_cleanup_source(automaton)
     namespace = generated.namespace
     namespace.update(
         {
@@ -1274,8 +1331,8 @@ def compile_cleanup(automaton: Automaton, key: PlanKey, hub, cleanup):
             "_cleanup": cleanup,
             "_cerr": cleanup_error,
             "_CS": automaton.cleanup_states,
-            "_KEY": key,
-            "_ep": interest_epoch,
+            "_fi": _fi,
+            "_FP": _FP_CLEANUP,
             "_E": EMPTY_BINDING,
         }
     )
@@ -1295,13 +1352,11 @@ def _static_tests(
     """Append one pattern's event-static tests (``Var``/``Any_`` add
     none); a pattern the generator cannot decompose is tested by its
     compiled predicate."""
-    static: List[str] = []
-    try:
-        _pattern_value_checks(em, pattern, value_expr, static, [], [])
-    except _Unsupported:
+    if _decomposable(pattern):
+        _pattern_value_checks(em, pattern, value_expr, tests, [], [])
+    else:
         check = em.const(compile_static_check(pattern), "P")
-        static = [f"{check}({value_expr})"]
-    tests.extend(static)
+        tests.append(f"{check}({value_expr})")
 
 
 def _symbol_test(em: _Emitter, symbol, elide_arity: bool) -> Optional[str]:
@@ -1423,7 +1478,7 @@ def generate_entry_source(
         else:
             em.emit(2, "store = _current()")
         em.emit(indent, "fn = work.fn")
-        em.emit(indent, "if fn is not None and _fi._active is None:")
+        em.emit(indent, "if fn is not None:")
         em.emit(indent + 1, f"fn({store}, event)")
         em.emit(indent, "else:")
         em.emit(indent + 1, f"_run_context(work, {store}, event, plan, _KEY)")
@@ -1445,7 +1500,7 @@ def compile_entry(
     through the process-wide code cache and return it.  ``bindings``
     supplies the runtime's collaborators (``_rt``, ``_now``, ``_sup``,
     ``_govern``, ``_plans``, ``_plan_for``, ``_ep``, ``_lock``,
-    ``_gstore``, ``_current``, ``_fi``, ``_run_context``,
+    ``_gstore``, ``_current``, ``_run_context``,
     ``_dispatch_local``, ``_enqueue``, ``_drain``, ``_handle``) and the
     translator's ``_cnt`` cell."""
     generated = generate_entry_source(chain, dispatch, stamp, governed,

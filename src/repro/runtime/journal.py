@@ -51,11 +51,7 @@ snapshot and counted in ``stats()['opaque_values']``: replay can still
 by value.
 
 One flat writer, :func:`_write_value`, produces every value's bytes;
-event heads and ``object.__repr__`` snapshots are memoised, and a single
-blob cache serves repeated all-scalar events (see :func:`encode_batch`).
-The cache yields the plain writer's bytes for exact-type scalar
-payloads; a ``str`` or ``bytes`` subclass equal to a cached value is a
-known gap (ROADMAP.md).
+event heads and ``object.__repr__`` snapshots are memoised.
 
 Changing any of this encoding requires bumping :data:`JOURNAL_VERSION`;
 ``tests/unit/runtime/test_journal_schema.py`` pins the golden bytes.
@@ -245,29 +241,9 @@ def _write_value(out: bytearray, value: Any) -> int:
     return 1
 
 
-#: Scalar types that encode purely from (type, value) — safe to cache.
-#: Containers are excluded from cacheability checks at store time:
-#: ``((1,),) == ((True,),)`` would collide, and a shallow type check on
-#: the outer tuple could not tell them apart.
-_SCALAR_TYPES = frozenset(
-    (str, int, float, bytes, bool, type(None))
-)
-
-#: (thread id, kind, op, name, args, retval) → (blob, ret guard, args
-#: guard) for events with no target, scope or stack and a scalar
-#: payload.  On a hit the per-event encode cost is one tuple build and
-#: one dict probe returning the pre-encoded inner body.  The key alone
-#: is ambiguous across numeric types (``1 == True == 1.0`` and they hash
-#: alike), so entries whose values carry numeric payloads keep a guard —
-#: the retval class and/or the original args tuple — that a hit must
-#: type-match before the cached bytes are trusted.  Float zeros are
-#: never stored: ``-0.0 == 0.0`` with the same type, so no type guard
-#: could keep their signs apart.
-_SUFFIX_CACHE: Dict[tuple, Tuple[bytes, Optional[type], Optional[tuple]]] = {}
-_SUFFIX_CACHE_MAX = 4096
-
 #: (thread id, kind, op, name) → encoded thread id ‖ kind ‖ op ‖ name.
 _HEAD_CACHE: Dict[tuple, bytes] = {}
+_HEAD_CACHE_MAX = 4096
 
 #: Encoded ``()``; the target, scope and stack of an event that has
 #: none of them (None, ``{}``, ``()``); and that tail after a None retval.
@@ -286,7 +262,7 @@ def _encode_head(key: tuple) -> bytes:
     out.append(kind_index)
     out.append(_OP_NONE if op is None else _OP_INDEX[op])
     _write_str(out, name)
-    if len(_HEAD_CACHE) >= _SUFFIX_CACHE_MAX:
+    if len(_HEAD_CACHE) >= _HEAD_CACHE_MAX:
         _HEAD_CACHE.clear()
     _HEAD_CACHE[key] = head = bytes(out)
     return head
@@ -329,34 +305,6 @@ def _write_event(out: bytearray, event: RuntimeEvent) -> int:
     return opaque
 
 
-def _cache_blob(event: RuntimeEvent, key: tuple) -> Optional[bytes]:
-    """Encode *event*'s inner body and cache it when the shape allows.
-
-    Returns the blob when cached, None when the event must take the
-    uncached path (a non-scalar or float-zero value)."""
-    scalars = _SCALAR_TYPES
-    numeric_args = False
-    for value in event.args:
-        cls = type(value)
-        if cls not in scalars or (cls is float and value == 0.0):
-            return None
-        if cls is int or cls is float or cls is bool:
-            numeric_args = True
-    retval = event.retval
-    cls = type(retval)
-    if cls not in scalars or (cls is float and retval == 0.0):
-        return None
-    out = bytearray()
-    _write_event(out, event)
-    blob = bytes(out)
-    ret_guard = cls if cls is int or cls is float or cls is bool else None
-    if len(_SUFFIX_CACHE) >= _SUFFIX_CACHE_MAX:
-        _SUFFIX_CACHE.clear()
-    args_guard = event.args if numeric_args else None
-    _SUFFIX_CACHE[key] = (blob, ret_guard, args_guard)
-    return blob
-
-
 def encode_event(seqno: int, event: RuntimeEvent) -> Tuple[bytes, int]:
     """Encode one slot as an ``E`` record body; returns (body, opaques)."""
     if seqno < 0:
@@ -393,16 +341,10 @@ def encode_batch(
     A batch whose seqnos form a contiguous ascending range — every
     drain-pass batch does, the merge is seqno-sorted over a gap-free
     counter — becomes one framed ``B`` record: the frame (length prefix
-    + CRC) and the base seqno are paid once.  An event with no target,
-    scope or stack and a scalar payload resolves to a cached
-    pre-encoded blob (one dict probe plus one byte concatenation);
-    everything else is written straight into the record by
-    :func:`_write_event`, with memoised heads and default-repr
-    snapshots.  Both paths produce the same bytes for exact-type
-    scalar payloads; a hit only type-checks numeric values, so a
-    ``str``/``bytes`` subclass equal to a cached value gets the cached
-    bytes, not its opaque snapshot (a known gap, see ROADMAP.md).
-    Anything non-contiguous falls back to per-event ``E`` records.
+    + CRC) and the base seqno are paid once.  Each event is written
+    straight into the record by :func:`_write_event`, with memoised
+    heads and default-repr snapshots.  Anything non-contiguous falls
+    back to per-event ``E`` records.
     """
     if not isinstance(slots, list):
         slots = list(slots)
@@ -412,56 +354,16 @@ def encode_batch(
     base = slots[0][0]
     if base < 0 or slots[-1][0] - base + 1 != count:
         return _encode_fallback(slots)
-    probe = _SUFFIX_CACHE.get
     pack = _F64.pack
     body = bytearray((_REC_BATCH,))
     _write_uvarint(body, count)
     _write_uvarint(body, base)
     opaques = 0
-    for want, slot in enumerate(slots, base):
-        seqno, event = slot
+    for want, (seqno, event) in enumerate(slots, base):
         if seqno != want:  # not actually contiguous: start over
             return _encode_fallback(slots)
-        blob = None
-        # Instance-dict subscripts with literal keys are the cheapest
-        # field access CPython offers (~2x faster here than attrgetter).
-        # This depends on RuntimeEvent staying a plain, non-slots
-        # dataclass, so every field lives in the instance __dict__
-        # (pinned by tests/unit/core/test_events.py).
-        d = event.__dict__
-        if not d["scope"] and not d["stack"] and d["target"] is None:
-            key = (
-                d["thread_id"], d["kind"], d["op"],
-                d["name"], d["args"], d["retval"],
-            )
-            try:
-                entry = probe(key)
-            except TypeError:  # unhashable payload: uncached path
-                entry = key = None
-            if entry is not None:
-                blob, ret_guard, args_guard = entry
-                # Key equality is not type equality (1 == True == 1.0):
-                # entries with numeric payloads carry guards that must
-                # type-match before the cached bytes are trusted.
-                if (
-                    ret_guard is not None
-                    and ret_guard is not d["retval"].__class__
-                ):
-                    blob = None
-                elif args_guard is not None:
-                    for a, b in zip(d["args"], args_guard):
-                        if type(a) is not type(b):
-                            blob = None
-                            break
-            elif key is not None:
-                blob = _cache_blob(event, key)
-        if blob is None:
-            opaques += _write_event(body, event)
-        else:
-            body += blob
-        # Capture timestamp travels outside the cached blob so the blob
-        # stays valid across events that differ only in capture time.
-        body += pack(d["timestamp"])
+        opaques += _write_event(body, event)
+        body += pack(event.timestamp)
     frame = _U32.pack(len(body)) + body + _U32.pack(zlib.crc32(body))
     return frame, count, 1, opaques
 

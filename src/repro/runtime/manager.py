@@ -37,7 +37,6 @@ from ..core.automaton import Automaton, TransitionKind
 from ..core.events import EventKind, RuntimeEvent
 from ..core.translate import translate_all
 from ..errors import ContextError, TemporalAssertionError
-from . import faultinject as _fi
 from .clock import MonotonicClock, as_clock
 from .drain import DrainController
 from .epoch import interest_epoch
@@ -102,7 +101,7 @@ class _ContextPlan:
     calling thread's local store)."""
 
     __slots__ = ("init_names", "init_bounds", "body", "cleanup_names",
-                 "cleanup_bounds", "fn", "fallback")
+                 "cleanup_bounds", "fn")
 
     def __init__(self) -> None:
         self.init_names: List[str] = []
@@ -111,14 +110,17 @@ class _ContextPlan:
         self.body: List[Tuple[str, BoundId]] = []
         self.cleanup_names: List[str] = []
         self.cleanup_bounds: List[BoundId] = []
-        #: The compiled runtime's ``fn(store, event)`` for this share,
-        #: built on first dispatch: the generated key function, or for a
-        #: fallback key (``fallback`` names why) the counted plan walk.
+        #: The compiled runtime's generated key function
+        #: ``fn(store, event)`` for this share, built on first dispatch.
         self.fn = None
-        self.fallback: Optional[str] = None
 
     def empty(self) -> bool:
         return not (self.init_names or self.body or self.cleanup_names)
+
+
+def _skipped_step(cr, event, hub) -> None:
+    """Stands in for a step whose generation faulted (see
+    :meth:`TeslaRuntime._build_key_fn`)."""
 
 
 class _KeyPlan:
@@ -240,18 +242,12 @@ class TeslaRuntime:
         #: Whether dispatch uses the compiled fast path or the interpreted
         #: engine.  Compiled dispatch runs one tesla-jit generated function
         #: per (dispatch key, context), which calls each class's generated
-        #: step (DESIGN §5.7); a key with any class the generator can't
-        #: specialize falls back as a whole (loudly, counted) to the
-        #: compiled transition-plan walk.  Both produce identical
-        #: verdicts; ``compile=False`` is the paper-faithful reference
-        #: interpreter the benchmarks compare against.
+        #: step (DESIGN §5.7).  Both produce identical verdicts;
+        #: ``compile=False`` is the paper-faithful reference interpreter
+        #: the benchmarks compare against.
         self.compiled = compile
-        #: Key-function accounting (``dispatch_stats``/``codegen_report``):
-        #: functions generated, fallback keys with their reason, and the
-        #: events fallback keys carried through the plan walk.
+        #: Key functions generated (``dispatch_stats``/``codegen_report``).
         self.key_fns_built = 0
-        self.key_fn_fallbacks: Dict[str, str] = {}
-        self.fallback_key_events = 0
         #: Memoized :class:`~repro.runtime.codegen.CodegenFacts` snapshot,
         #: keyed by interest epoch (installs both change lint facts and
         #: bump the epoch, so staleness rides the same invalidation).
@@ -682,11 +678,14 @@ class TeslaRuntime:
         key: DispatchKey,
     ):
         """Build one context's dispatch function for ``key`` (caller holds
-        the lock serialising ``store``).
+        the lock serialising ``store``): the generated key function over
+        every body class's generated step, kept on ``work``.
 
-        The generated key function calls every body class's generated
-        step; if the generator declines any of them the key falls back as
-        a whole to a counted walk of the compiled plans.
+        A fault while generating class X's step (``plans.build``,
+        ``store.plan_for``) is contained and attributed to X, and X's
+        step is skipped for this event only: the function is built
+        around the gap, run once by the caller and not kept, so the next
+        event generates X again.
         """
         from .codegen import compile_key_function
 
@@ -694,22 +693,26 @@ class TeslaRuntime:
         epoch = plan.epoch
         facts = self._codegen_facts(epoch)
         steps = []
+        complete = True
         for name, _bound in work.body:
             if name in plan.initiated:
                 continue
-            entry = store.get(name).gen_entry(key, epoch, facts)
-            if entry.step is None:
-                return self._fallback_fn(
-                    work, plan, key, context, f"{name}: {entry.reason}"
-                )
-            steps.append(entry.step)
+            try:
+                steps.append(store.get(name).gen_entry(key, epoch, facts).step)
+            except TemporalAssertionError:
+                raise
+            except Exception as exc:
+                if not self.supervisor.contain(name, "body", exc):
+                    raise
+                steps.append(_skipped_step)
+                complete = False
         gov = self.governor
         cleanups = None
         if self.lazy and work.cleanup_bounds:
             # Every class this key can close, whatever its plan says: a
             # class shed after it joined is still touched and still closes.
             cleanups = {
-                name: self._cleanup_fn(name, key)
+                name: self._cleanup_fn(name)
                 for name in self._cleanup_index[key]
             }
         run = compile_key_function(
@@ -727,66 +730,37 @@ class TeslaRuntime:
                 "_charge": self._charge,
                 "_admit": gov.admit_bound if gov is not None else None,
                 "_rate": gov.sample_rate if gov is not None else None,
-                "_KEY": key,
-                "_EPOCH": epoch,
             },
         )
         self.key_fns_built += 1
-        work.fn = run
+        if complete:
+            work.fn = run
         return run
 
-    def _cleanup_fn(self, name: str, key: DispatchKey):
-        """Class ``name``'s generated cleanup for its cleanup ``key``,
-        built on first use and kept: it depends only on the automaton."""
+    def _cleanup_fn(self, name: str):
+        """Class ``name``'s generated cleanup, built on first use and
+        kept: it depends only on the automaton."""
         fn = self._cleanup_fns.get(name)
         if fn is None:
             from .codegen import compile_cleanup
 
             fn = self._cleanup_fns[name] = compile_cleanup(
-                self.automata[name], key, self.hub, handle_cleanup
+                self.automata[name], self.hub, handle_cleanup
             )
         return fn
 
-    def _fallback_fn(
-        self, work: _ContextPlan, plan: _KeyPlan, key: DispatchKey,
-        context: str, reason: str,
-    ):
-        """A fallback key's dispatch: the compiled plan walk, reported by
-        ``codegen_report`` and counted per event and per class it
-        carries."""
-        self.key_fn_fallbacks[f"{key[0].value}:{key[1]}@{context}"] = reason
-        names = [n for n, _ in work.body if n not in plan.initiated]
-        initiated = plan.initiated
-        run_plan = self._run_plan
-
-        def walk(store: Store, event: RuntimeEvent) -> None:
-            self.fallback_key_events += 1
-            classes = store._classes
-            for name in names:
-                classes[name].gen_fallback_hits += 1
-            run_plan(work, store, store.tracker, event, initiated, key)
-
-        work.fallback = reason
-        work.fn = walk
-        return walk
-
     def key_fn_summary(self) -> Dict[str, object]:
         """Key-function accounting for ``dispatch_stats`` and
-        ``codegen_report``: functions built, the resident ones, fallback
-        (key, context) pairs with their reason, and their events."""
+        ``codegen_report``: functions built and the resident ones."""
         resident = []
         for key, plan in list(self._key_plans.items()):
             for context, work in (("global", plan.glob),
                                   ("local", plan.local)):
-                if work is not None and work.fn is not None and (
-                    work.fallback is None
-                ):
+                if work is not None and work.fn is not None:
                     resident.append(f"{key[0].value}:{key[1]}@{context}")
         return {
             "built": self.key_fns_built,
             "resident": sorted(resident),
-            "fallback_keys": dict(sorted(self.key_fn_fallbacks.items())),
-            "fallback_events": self.fallback_key_events,
             "entries_built": self.entries_built,
             "entries_resident": len(self._entries) + sum(
                 len(t._entries) for t in list(self._translators)
@@ -794,14 +768,11 @@ class TeslaRuntime:
         }
 
     def key_function_sources(self):
-        """``(key, context, source, fallback reason)`` for every dispatch
-        key and context, in deterministic key order — the CLI's
-        ``codegen --dump`` surface.  A key whose classes the generator
-        declines carries the first reason and no source."""
-        from .codegen import generate_key_source, generate_source
-        from .plans import build_transition_plan
+        """``(key, context, source)`` for every dispatch key and context,
+        in deterministic key order — the CLI's ``codegen --dump``
+        surface."""
+        from .codegen import generate_key_source
 
-        facts = self._codegen_facts(interest_epoch.value)
         keys = set(self._init_index) | set(self._body_index)
         keys |= set(self._cleanup_index)
         out = []
@@ -811,24 +782,11 @@ class TeslaRuntime:
                                   ("local", plan.local)):
                 if work is None:
                     continue
-                reason = None
-                for name, _bound in work.body:
-                    if name in plan.initiated:
-                        continue
-                    automaton = self.automata[name]
-                    gen = generate_source(
-                        automaton, build_transition_plan(automaton, key), facts
-                    )
-                    if gen.fallback_reason is not None:
-                        reason = f"{name}: {gen.fallback_reason}"
-                        break
-                source = None
-                if reason is None:
-                    source = generate_key_source(
-                        key, context, work, plan.initiated, self.lazy,
-                        self.governor is not None, self.automata,
-                    ).source
-                out.append((key, context, source, reason))
+                source = generate_key_source(
+                    key, context, work, plan.initiated, self.lazy,
+                    self.governor is not None, self.automata,
+                ).source
+                out.append((key, context, source))
         return out
 
     # -- dispatch ---------------------------------------------------------------
@@ -883,7 +841,6 @@ class TeslaRuntime:
                 "_lock": self.global_store.lock,
                 "_gstore": self.global_store.store,
                 "_current": self.thread_stores.current,
-                "_fi": _fi,
                 "_run_context": self._run_context,
                 "_dispatch_local": self._dispatch_local,
                 "_enqueue": drain.enqueue if drain is not None else None,
@@ -924,7 +881,7 @@ class TeslaRuntime:
         if work is not None:
             store = self.thread_stores.current()
             fn = work.fn
-            if fn is not None and _fi._active is None:
+            if fn is not None:
                 fn(store, event)
             else:
                 self._run_context(work, store, event, plan, key)
@@ -938,7 +895,7 @@ class TeslaRuntime:
         global lock from the first event with global work to the end of
         the batch.  Each event runs its global share and then its
         thread-local share through the one per-event path (its key
-        function, or :meth:`_run_plan`), exactly as :meth:`handle_event`
+        function, or the interpreter's :meth:`_run_plan`), exactly as :meth:`handle_event`
         does, so every observable stream — violation order across classes
         included — is the one per-event dispatch produces.
 
@@ -988,7 +945,7 @@ class TeslaRuntime:
                         lock = gs.lock
                         lock.acquire()
                     fn = work.fn
-                    if fn is not None and _fi._active is None:
+                    if fn is not None:
                         fn(gs.store, event)
                     else:
                         self._run_context(work, gs.store, event, plan, key)
@@ -997,7 +954,7 @@ class TeslaRuntime:
                     if local_store is None:
                         local_store = self.thread_stores.current()
                     fn = work.fn
-                    if fn is not None and _fi._active is None:
+                    if fn is not None:
                         fn(local_store, event)
                     else:
                         self._run_context(work, local_store, event, plan,
@@ -1016,15 +973,14 @@ class TeslaRuntime:
         plan: _KeyPlan,
         key: DispatchKey,
     ) -> None:
-        """One context's share of one event when its key function cannot
-        run: not built yet (build it, then run it), a ``compile=False``
-        runtime, or an armed fault injector (walk the compiled plans,
-        whose fault points the generated code deliberately omits)."""
-        if self.compiled and _fi._active is None:
+        """One context's share of one event when it has no key function:
+        a compiled runtime builds one and runs it; a ``compile=False``
+        runtime interprets."""
+        if self.compiled:
             self._build_key_fn(work, store, plan, key)(store, event)
         else:
             self._run_plan(work, store, store.tracker, event,
-                           plan.initiated, key)
+                           plan.initiated)
 
     def _run_plan(
         self,
@@ -1033,13 +989,11 @@ class TeslaRuntime:
         tracker: BoundTracker,
         event: RuntimeEvent,
         initiated: frozenset,
-        key: DispatchKey,
     ) -> None:
         """One context's share of one event, walking the plan (caller
         holds the global lock for the global context; thread-local
         contexts need none).  This is ``compile=False``'s reference
-        interpreter, and the compiled plan walk for fallback keys and
-        armed fault injection.
+        interpreter.
 
         Every per-class unit of work runs inside a containment boundary:
         a fault in one class's matchers, plans or pool is routed through
@@ -1049,13 +1003,8 @@ class TeslaRuntime:
         ``TemporalAssertionError`` always propagates — it is the fail-stop
         *violation* policy speaking, not a monitor fault.
         """
-        compiled = self.compiled
         supervisor = self.supervisor
         gov = self.governor
-        if compiled:
-            # One epoch read per (event, context); each class's plan_for
-            # is a dict probe plus an integer compare.
-            epoch = interest_epoch.value
         if self.lazy:
             # One epoch bump per distinct bound — "a per-context record of
             # common initialisation events" — independent of how many
@@ -1077,10 +1026,7 @@ class TeslaRuntime:
                         if not gov.admit_bound(name):
                             continue
                         cr.sample_rate = gov.sample_rate(name)
-                    handle_init(
-                        cr, event, self.hub, lazy=False,
-                        plan=cr.plan_for(key, epoch) if compiled else None,
-                    )
+                    handle_init(cr, event, self.hub, lazy=False)
                 except TemporalAssertionError:
                     raise
                 except Exception as exc:
@@ -1099,10 +1045,7 @@ class TeslaRuntime:
                 cr = store.get(name)
                 if self.lazy:
                     lazy_join_bound(cr, bound, tracker, governor=gov)
-                tesla_update_state(
-                    cr, event, self.hub, self.lazy,
-                    plan=cr.plan_for(key, epoch) if compiled else None,
-                )
+                tesla_update_state(cr, event, self.hub, self.lazy)
             except TemporalAssertionError:
                 raise
             except Exception as exc:
@@ -1119,10 +1062,7 @@ class TeslaRuntime:
                     t0 = gov.now() if gov is not None else 0.0
                     try:
                         cr = store.get(name)
-                        handle_cleanup(
-                            cr, event, self.hub,
-                            plan=cr.plan_for(key, epoch) if compiled else None,
-                        )
+                        handle_cleanup(cr, event, self.hub)
                     except TemporalAssertionError:
                         raise
                     except Exception as exc:
@@ -1136,10 +1076,7 @@ class TeslaRuntime:
                 t0 = gov.now() if gov is not None else 0.0
                 try:
                     cr = store.get(name)
-                    handle_cleanup(
-                        cr, event, self.hub,
-                        plan=cr.plan_for(key, epoch) if compiled else None,
-                    )
+                    handle_cleanup(cr, event, self.hub)
                 except TemporalAssertionError:
                     raise
                 except Exception as exc:
@@ -1254,7 +1191,6 @@ class TeslaRuntime:
         self.global_store.reset()
         self.thread_stores.reset()
         self.events_processed = 0
-        self.fallback_key_events = 0
         self._max_event_ts = 0.0
         self.timer_checks = 0
         self.timer_expiries = 0

@@ -1,4 +1,4 @@
-"""Per-(class, event-key) transition plans: the compiled dispatch path.
+"""Per-(class, event-key) transition plans: tesla-jit's input.
 
 The interpreted engine re-derives, on every event, facts that depend only
 on the automaton and the event's dispatch key: which transitions could

@@ -104,8 +104,6 @@ class ClassRuntime:
         "_gen_epoch",
         "gen_hits",
         "gen_misses",
-        "gen_fallback_plans",
-        "gen_fallback_hits",
         "gen_invalidations",
         "gen_elided_guards",
         "gen_elided_transitions",
@@ -152,16 +150,14 @@ class ClassRuntime:
         self.plan_hits = 0
         self.plan_misses = 0
         self.plan_invalidations = 0
-        #: tesla-jit generated step functions (DESIGN §5.7), keyed like
-        #: plans; an entry is a ``CompiledStep`` or a ``GenerationFallback``
-        #: (the "can't specialize" decision is cached too, so the compiled
-        #: interpreter fallback costs one dict probe, not a regeneration).
+        #: tesla-jit generated steps (DESIGN §5.7), ``CompiledStep``s
+        #: keyed like plans.  ``gen_hits`` counts the events generated
+        #: steps ran (the key functions bump it), ``gen_misses`` the
+        #: generations.
         self._gen: Dict[DispatchKey, object] = {}
         self._gen_epoch = -1
         self.gen_hits = 0
         self.gen_misses = 0
-        self.gen_fallback_plans = 0
-        self.gen_fallback_hits = 0
         self.gen_invalidations = 0
         self.gen_elided_guards = 0
         self.gen_elided_transitions = 0
@@ -179,7 +175,8 @@ class ClassRuntime:
         })
 
     def plan_for(self, key: DispatchKey, epoch: int) -> TransitionPlan:
-        """The compiled plan for ``key``, rebuilt lazily on epoch change.
+        """The compiled plan for ``key`` (the generator's input), rebuilt
+        lazily on epoch change.
 
         ``epoch`` is the caller's snapshot of the global interest epoch
         (read once per event, outside any per-class loop).  The caller
@@ -203,8 +200,7 @@ class ClassRuntime:
         return plan
 
     def gen_entry(self, key: DispatchKey, epoch: int, facts):
-        """The cached tesla-jit entry for ``key``: a ``CompiledStep``, or
-        a ``GenerationFallback`` naming why the generator declined.
+        """The cached tesla-jit ``CompiledStep`` for ``key``.
 
         Same caching discipline as :meth:`plan_for`: valid while
         ``_gen_epoch`` matches the caller's interest-epoch snapshot, and
@@ -231,42 +227,13 @@ class ClassRuntime:
             entry = compile_plan_step(self.automaton, plan, facts)
             self.gen_seconds += perf_counter() - start
             self._gen[key] = entry
-            if entry.step is None:
-                self.gen_fallback_plans += 1
-            else:
-                self.gen_elided_guards += entry.elided_guards
-                self.gen_elided_transitions += entry.elided_transitions
+            self.gen_elided_guards += entry.elided_guards
+            self.gen_elided_transitions += entry.elided_transitions
         return entry
 
-    def step_for(self, key: DispatchKey, epoch: int, facts):
-        """The tesla-jit generated step for ``key``, or ``None`` when the
-        generator declined this plan; a cache hit counts as ``gen_hits``
-        (or ``gen_fallback_hits``).  See :meth:`gen_entry`."""
-        misses = self.gen_misses
-        entry = self.gen_entry(key, epoch, facts)
-        fresh = self.gen_misses != misses
-        if entry.step is None:
-            if not fresh:
-                self.gen_fallback_hits += 1
-            return None
-        if not fresh:
-            self.gen_hits += 1
-        return entry
-
-    def gen_summary(self) -> Dict[str, object]:
-        """Per-key generated/fallback split for the codegen report."""
-        generated = []
-        fallback = []
-        for key, entry in self._gen.items():
-            label = f"{key[0].value}:{key[1]}"
-            if entry.step is None:
-                fallback.append((label, entry.reason))
-            else:
-                generated.append(label)
-        return {
-            "generated_keys": sorted(generated),
-            "fallback_keys": sorted(fallback),
-        }
+    def generated_keys(self) -> List[str]:
+        """The ``kind:name`` labels of the cached generated steps."""
+        return sorted(f"{key[0].value}:{key[1]}" for key in self._gen)
 
     @property
     def plan_cache_size(self) -> int:
@@ -293,10 +260,9 @@ class ClassRuntime:
         self.plan_invalidations = 0
         self.gen_hits = 0
         self.gen_misses = 0
-        self.gen_fallback_hits = 0
         self.gen_invalidations = 0
-        # gen_fallback_plans / gen_elided_* / gen_seconds describe the
-        # cache's *contents* (which survive the reset), not traffic.
+        # gen_elided_* / gen_seconds describe the cache's *contents*
+        # (which survive the reset), not traffic.
 
 
 class Store:

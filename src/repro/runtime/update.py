@@ -38,13 +38,11 @@ from typing import Any, Dict, List, Optional
 
 from ..core.automaton import Transition, TransitionKind
 from ..core.events import EventKind, RuntimeEvent
-from ..core.patterns import EMPTY_BINDING
 from ..errors import TemporalViolation
 from . import faultinject as _fi
 from .faultinject import fault_site
 from .instance import AutomatonInstance
 from .notify import Notification, NotificationHub, NotificationKind
-from .plans import TransitionPlan
 from .store import BoundId, BoundTracker, ClassRuntime
 
 _FP_INIT = fault_site("update.init")
@@ -75,16 +73,6 @@ def _match_static(cr: ClassRuntime, event: RuntimeEvent, kind: TransitionKind):
         if t.kind is not kind or t.symbol is None:
             continue
         got = cr.automaton.symbols[t.symbol].match(event, {})
-        if got is not None:
-            return t, got
-    return None, None
-
-
-def _match_plan_entries(entries, event: RuntimeEvent):
-    """Compiled counterpart of :func:`_match_static`: first matching bound
-    transition from a plan's precomputed init/cleanup entries."""
-    for t, matcher in entries:
-        got = matcher(event, EMPTY_BINDING)
         if got is not None:
             return t, got
     return None, None
@@ -198,7 +186,6 @@ def handle_init(
     event: RuntimeEvent,
     hub: NotificationHub,
     lazy: bool,
-    plan: Optional[TransitionPlan] = None,
 ) -> None:
     """Open the temporal bound for this class."""
     if cr.active:
@@ -207,10 +194,7 @@ def handle_init(
         return
     if _fi._active is not None:
         _fi.fault_point(_FP_INIT)
-    if plan is not None:
-        transition, binding = _match_plan_entries(plan.init, event)
-    else:
-        transition, binding = _match_static(cr, event, TransitionKind.INIT)
+    transition, binding = _match_static(cr, event, TransitionKind.INIT)
     cr.active = True
     cr.overflow_mark = cr.pool.overflows
     cr.overflow_reported = False
@@ -227,7 +211,6 @@ def handle_cleanup(
     cr: ClassRuntime,
     event: RuntimeEvent,
     hub: NotificationHub,
-    plan: Optional[TransitionPlan] = None,
 ) -> None:
     """Close the temporal bound: finalise every instance and reset.
 
@@ -243,10 +226,7 @@ def handle_cleanup(
         # expire first so the verdict names the budget that was missed,
         # identically in sync, deferred and batched configurations.
         expire_deadlines(cr, event.timestamp, hub, event)
-    if plan is not None:
-        transition, _ = _match_plan_entries(plan.cleanup, event)
-    else:
-        transition, _ = _match_static(cr, event, TransitionKind.CLEANUP)
+    transition, _ = _match_static(cr, event, TransitionKind.CLEANUP)
     if transition is not None:
         cr.count_transition(transition)
     cr.active = False
@@ -424,14 +404,13 @@ def tesla_update_state(
     event: RuntimeEvent,
     hub: NotificationHub,
     lazy: bool = True,
-    plan: Optional[TransitionPlan] = None,
 ) -> None:
     """Process one event for one automaton class (body and site events).
 
     Bound entry/exit events must be routed to :func:`handle_init` /
     :func:`handle_cleanup` by the caller (the manager's dispatch loop).
-    When ``plan`` is supplied (the compiled fast path) transition lookup
-    uses its precompiled matchers; the verdicts are identical either way,
+    This is the reference semantics: tesla-jit's generated steps
+    (``codegen.generate_source``) must agree with it on every trace,
     which ``tests/differential`` pins down over randomized traces.
     """
     if _fi._active is not None:
@@ -472,7 +451,7 @@ def tesla_update_state(
     site_taken = False
     any_progress = False
     clones: List[AutomatonInstance] = []
-    enabled = automaton.enabled if plan is None else plan.enabled
+    enabled = automaton.enabled
     rate_blocked: Optional[set] = None
     # pool.live() is the list itself: clones are accumulated aside and
     # added after the walk, so nothing mutates it under iteration.
@@ -559,25 +538,7 @@ def tesla_update_state(
                 )
 
     if rate_blocked:
-        # One violation per exceeded rate guard per event — not one per
-        # blocked instance, so configurations with different instance
-        # populations (lazy vs eager) report identical counts.
-        for guard in sorted(rate_blocked, key=lambda g: g.sort_key()):
-            cr.errors += 1
-            violation = TemporalViolation(
-                automaton=automaton.name,
-                reason=RATE_REASON,
-                event=event,
-                sampling_rate=cr.sample_rate,
-            )
-            hub.emit(
-                Notification(
-                    kind=NotificationKind.ERROR,
-                    automaton=automaton.name,
-                    event=event,
-                    violation=violation,
-                )
-            )
+        rate_violations(cr, event, hub, rate_blocked)
 
     if is_site_event and not site_taken and _already_satisfied(cr, event):
         # The assertion site can execute several times within one bound
@@ -641,6 +602,34 @@ def tesla_update_state(
                 kind=NotificationKind.IGNORED,
                 automaton=automaton.name,
                 event=event,
+            )
+        )
+
+
+def rate_violations(
+    cr: ClassRuntime,
+    event: RuntimeEvent,
+    hub: NotificationHub,
+    rate_blocked: set,
+) -> None:
+    """Report the rate guards ``event`` exceeded (collected by
+    :func:`_filter_guards`): one violation per exceeded guard per event —
+    not one per blocked instance, so configurations with different
+    instance populations (lazy vs eager) report identical counts."""
+    for guard in sorted(rate_blocked, key=lambda g: g.sort_key()):
+        cr.errors += 1
+        violation = TemporalViolation(
+            automaton=cr.automaton.name,
+            reason=RATE_REASON,
+            event=event,
+            sampling_rate=cr.sample_rate,
+        )
+        hub.emit(
+            Notification(
+                kind=NotificationKind.ERROR,
+                automaton=cr.automaton.name,
+                event=event,
+                violation=violation,
             )
         )
 

@@ -56,8 +56,9 @@ def monitoring(
     interposition table; ``lazy=False`` selects the pre-optimisation
     runtime (the figure 13 ablation); ``capacity`` bounds instance pools;
     ``compile=False`` disables the compiled fast path — tesla-jit's
-    generated step functions over compiled transition plans (DESIGN §5.7)
-    — and runs the reference interpreter instead (the dispatch-cost
+    generated key functions and step functions, the only evaluator of a
+    compiled runtime (DESIGN §5.7) — and runs the reference interpreter
+    instead (the dispatch-cost
     ablation measured by ``benchmarks/bench_dispatch_fastpath.py``);
     ``failure_policy`` selects
     how faults *inside the monitor* are handled (fail-stop default,

@@ -150,10 +150,10 @@ def chaos_assertions(n_classes: int = 3):
 CONFIGS = [
     ("naive", dict(lazy=False, compile=False)),
     ("lazy", dict(lazy=True, compile=False)),
-    # The compiled rows normally run tesla-jit's generated steps; an armed
-    # injector routes them through the compiled plan walk instead, so
-    # every fault site stays reachable and the verdict/containment
-    # contract is unchanged.
+    # The compiled rows run tesla-jit's generated code, armed or not: its
+    # steps and cleanups visit the update.* fault points, and generating
+    # a step visits store.plan_for and plans.build, so every fault site
+    # stays reachable and the verdict/containment contract is unchanged.
     ("compiled", dict(lazy=True, compile=True)),
     ("deferred", dict(lazy=True, compile=True, deferred="manual")),
     ("deferred-bg", dict(lazy=True, compile=True, deferred=True)),

@@ -3,10 +3,10 @@
 Timed assertions (DESIGN §5.9) move part of the semantics off the event
 *order* and onto the event *timestamps*: clock guards filter transitions,
 deadlines expire without a successor event, sliding rate windows count
-occurrences per span of capture time.  Every layer that toucheds a trace —
+occurrences per span of capture time.  Every layer that touches a trace —
 the naive interpreter, lazy instantiation, the compiled path (whose
-tesla-jit generator refuses timed automata, so it must fall back loudly,
-per plan, to the compiled transition-plan walk), the deferred ring/drain
+tesla-jit steps generate the clock guards and pre-event deadline expiry
+from the interpreter's own guard helpers), the deferred ring/drain
 pipeline and batched dispatch —
 therefore has a new way to diverge.  This module is the timed counterpart
 of ``test_mode_equivalence.py``:
@@ -220,10 +220,10 @@ CONFIGS = [
     ("naive", dict(lazy=False, compile=False)),
     ("lazy", dict(lazy=True, compile=False)),
     ("batched", dict(lazy=True, compile=False)),
-    # tesla-jit refuses clock guards per plan and falls back to the
-    # compiled plan walk — the compiled rows prove the fallback is loud
-    # but semantically invisible, per event and per batch.
+    # tesla-jit generates the clock guards: the compiled rows pin the
+    # generated steps against the interpreter, per event and per batch.
     ("compiled", dict(lazy=True, compile=True)),
+    ("compiled-eager", dict(lazy=False, compile=True)),
     ("compiled-batched", dict(lazy=True, compile=True)),
     ("deferred", dict(lazy=True, compile=False, deferred="manual")),
     ("deferred-compiled", dict(lazy=True, compile=True, deferred="manual")),
@@ -250,6 +250,22 @@ def replay(name: str, runtime: TeslaRuntime, events: List[RuntimeEvent]):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(timed_scenarios())
+# Each guard exactly at its boundary.  ``since_entry`` (the deadline's
+# guard): t_done exactly 5 ms after bound entry is still in time.
+@example(((("deadline", 5.0),), [(("enter",), 0.0), (("site", 0), 0.0),
+                                 (("done",), 0.005)], 0.0, True))
+# ``since_prev`` (within_ms): t_prep exactly 5 ms after the last step.
+@example(((("within", 5.0),), [(("enter",), 0.0), (("prep",), 0.005),
+                               (("site", 0), 0.0)], 0.0, True))
+# The rate window at its cutoff: a mark exactly ``per`` old still counts,
+# so the third tick is blocked.
+@example(((("rate", 5.0),), [(("enter",), 0.0), (("site", 0), 0.0),
+                             (("tick",), 0.0), (("tick",), 0.0),
+                             (("tick",), 0.005)], 0.0, True))
+# The deadline one ulp past its budget: 0.004 + 0.004 + 0.001 exceeds
+# 0.004 + 0.005.
+@example(((("deadline", 5.0),), [(("enter",), 0.004), (("site", 0), 0.004)],
+          0.001, False))
 def test_all_timed_modes_agree(scenario):
     specs, steps, trailing, close = scenario
     events = events_of(steps, trailing, close, len(specs))

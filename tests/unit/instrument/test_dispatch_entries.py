@@ -6,7 +6,7 @@ the translator's forwarded/dropped counts and the runtime's dispatch
 prologue in one function, which hooks call directly.  These tests pin
 what the entries must keep from the layered path they replace:
 invalidation on the very next hooked event, exact translator counts,
-fault containment, the plan walk under armed injection, verdicts equal
+fault containment, generated code under armed injection, verdicts equal
 to ``compile=False`` for every hook flavour, and plain sinks next to the
 translator.
 """
@@ -283,7 +283,7 @@ class TestFaults:
         assert translator.forwarded == 0
         assert runtime.supervisor.fault_counts == {"(dispatch)": 3}
 
-    def test_armed_injection_takes_the_plan_walk(self):
+    def test_armed_injection_runs_the_generated_code(self):
         runtime = _runtime(_check("de_a", ANY("x")))
         _attach(runtime)
         cr = runtime.class_runtime("de_a")
@@ -294,16 +294,19 @@ class TestFaults:
 
         de_bound(body)
         assert (cr.accepts, cr.gen_hits) == (1, 2)  # check and site
-        faultinject.arm(faultinject.FaultInjector(seed=1, rate=0.0))
+        injector = faultinject.FaultInjector(seed=1, rate=0.0)
+        faultinject.arm(injector)
         try:
             de_bound(body)
         finally:
             faultinject.disarm()
-        # The generated key functions carry no fault points, so armed
-        # dispatch walks the compiled plans instead.
-        assert (cr.accepts, cr.gen_hits) == (2, 2)
+        # Armed dispatch runs the same generated code, whose steps and
+        # cleanups visit their fault points.
+        assert (cr.accepts, cr.gen_hits) == (2, 4)
+        assert injector.checks["update.step"] == 2
+        assert injector.checks["update.cleanup"] == 1
         de_bound(body)
-        assert (cr.accepts, cr.gen_hits) == (3, 4)
+        assert (cr.accepts, cr.gen_hits) == (3, 6)
 
 
 def _flavour_assertions():

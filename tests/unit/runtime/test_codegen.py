@@ -1,6 +1,7 @@
 """Unit tests for tesla-jit: source generation, the process-wide code
-cache, the per-class step cache, and the runtime fallback contract
-(DESIGN §5.7)."""
+cache, the per-class step cache, and the runtime contract — generated
+code is every compiled runtime's evaluator, with the interpreter only
+behind a detailed hub (DESIGN §5.7)."""
 
 from __future__ import annotations
 
@@ -22,14 +23,14 @@ from repro.core.events import (
     call_event,
     return_event,
 )
-from repro.core.patterns import Pattern
+from repro.core.ast import FunctionReturn
+from repro.core.patterns import EMPTY_BINDING, Pattern
 from repro.core.translate import translate
 from repro.runtime import codegen
 from repro.runtime.clock import FakeClock
 from repro.runtime.codegen import (
     CODEGEN_VERSION,
     CodegenFacts,
-    GenerationFallback,
     compile_plan_step,
     generate_source,
 )
@@ -61,7 +62,8 @@ def _body_entry(automaton, key, facts=None):
 
 class _OpaquePattern(Pattern):
     """Matches anything via the interpreter's duck-typed protocol, but is
-    unknown to the generator's isinstance chain — a fallback trigger."""
+    unknown to the generator's isinstance chain: the generated step calls
+    its own ``match``."""
 
     def match(self, value, binding):
         return binding
@@ -70,12 +72,46 @@ class _OpaquePattern(Pattern):
         return "opaque"
 
 
+class _Suffix(Pattern):
+    """An event-static custom pattern: strings ending in ``suffix``."""
+
+    def __init__(self, suffix):
+        self.suffix = suffix
+
+    def match(self, value, binding):
+        if isinstance(value, str) and value.endswith(self.suffix):
+            return {}
+        return None
+
+    def describe(self):
+        return f"*{self.suffix}"
+
+
+class _SameLength(Pattern):
+    """A binding-dependent custom pattern: binds ``name`` when it is
+    free, else matches values as long as the bound one."""
+
+    def __init__(self, name):
+        self.name = name
+
+    @property
+    def variables(self):
+        return (self.name,)
+
+    def match(self, value, binding):
+        if self.name not in binding:
+            return {self.name: value}
+        return {} if len(value) == len(binding[self.name]) else None
+
+    def describe(self):
+        return f"len=={self.name}"
+
+
 class TestGenerateSource:
     def test_body_key_generates_both_variants(self):
         automaton = translate(_assertion())
         plan = build_transition_plan(automaton, (EventKind.RETURN, "cg_check"))
         gen = generate_source(automaton, plan, _facts())
-        assert gen.fallback_reason is None
         assert f"# tesla-jit v{CODEGEN_VERSION} " in gen.source
         assert "def step(cr, event, hub):" in gen.source
         # Batches run the per-event step; no batch variant is emitted.
@@ -87,7 +123,7 @@ class TestGenerateSource:
         assert "'cg_check'" not in gen.source
         assert '"cg_check"' not in gen.source
 
-    def test_unsupported_pattern_falls_back_with_reason(self):
+    def test_unknown_pattern_generates_a_match_call(self):
         weird = tesla_global(
             call("cg_bound"),
             returnfrom("cg_bound"),
@@ -96,9 +132,10 @@ class TestGenerateSource:
         )
         automaton = translate(weird)
         entry = _body_entry(automaton, (EventKind.RETURN, "cg_check"))
-        assert isinstance(entry, GenerationFallback)
-        assert entry.step is None
-        assert entry.reason == "unsupported-pattern:_OpaquePattern"
+        assert entry.step is not None
+        # The symbol is matched per instance by its compiled matcher,
+        # bound as a namespace constant.
+        assert "(event, _bind)" in entry.source
 
     def test_arity_guards_elided_only_under_clean_facts(self):
         automaton = translate(_assertion())
@@ -118,6 +155,23 @@ class TestGenerateSource:
         assert dirty.elided_guards == 0
         assert unproven.elided_guards == 0
 
+    @pytest.mark.parametrize("suite", ["examples", "kernel", "sslx", "gui",
+                                       "slo"])
+    def test_every_corpus_plan_compiles(self, suite):
+        """Generation declines nothing: every plan of every in-repo
+        assertion (the timed SLO suite included) compiles to a step."""
+        from repro.analysis.lint import load_suite
+        from repro.core.translate import translate_all
+
+        assertions, _ = load_suite(suite)
+        steps = 0
+        for automaton in translate_all(assertions):
+            for key, _gen in codegen.dump_sources(automaton):
+                entry = _body_entry(automaton, key)
+                assert callable(entry.step), (automaton.name, key)
+                steps += 1
+        assert steps > 0
+
     def test_site_key_generates(self):
         automaton = translate(_assertion())
         entry = _body_entry(
@@ -132,21 +186,21 @@ class TestStepCache:
         key = (EventKind.RETURN, "cg_check")
         epoch = interest_epoch.value
         facts = _facts()
-        first = cr.step_for(key, epoch, facts)
-        assert first is not None
-        assert (cr.gen_misses, cr.gen_hits) == (1, 0)
-        assert cr.step_for(key, epoch, facts) is first
-        assert (cr.gen_misses, cr.gen_hits) == (1, 1)
+        first = cr.gen_entry(key, epoch, facts)
+        assert first.step is not None
+        assert cr.gen_misses == 1
+        assert cr.gen_entry(key, epoch, facts) is first
+        assert cr.gen_misses == 1
         assert cr.gen_cache_size == 1
         assert cr.gen_seconds > 0.0
         assert cr.gen_elided_guards > 0
         stale_epoch = interest_epoch.bump()
-        rebuilt = cr.step_for(key, stale_epoch, facts)
-        assert rebuilt is not None and rebuilt is not first
+        rebuilt = cr.gen_entry(key, stale_epoch, facts)
+        assert rebuilt is not first
         assert cr.gen_invalidations == 1
-        assert (cr.gen_misses, cr.gen_hits) == (2, 1)
+        assert cr.gen_misses == 2
 
-    def test_fallback_is_cached_not_regenerated(self):
+    def test_unknown_pattern_step_is_cached(self):
         weird = tesla_global(
             call("cg_bound"),
             returnfrom("cg_bound"),
@@ -156,24 +210,18 @@ class TestStepCache:
         cr = ClassRuntime(translate(weird))
         key = (EventKind.RETURN, "cg_check")
         epoch = interest_epoch.value
-        assert cr.step_for(key, epoch, None) is None
-        assert cr.gen_fallback_plans == 1
-        assert cr.step_for(key, epoch, None) is None
-        # Second probe hit the cached decision: no second generation.
-        assert cr.gen_fallback_plans == 1
-        assert cr.gen_fallback_hits == 1
-        summary = cr.gen_summary()
-        assert summary["generated_keys"] == []
-        assert summary["fallback_keys"] == [
-            ("return:cg_check", "unsupported-pattern:_OpaquePattern")
-        ]
+        first = cr.gen_entry(key, epoch, None)
+        assert first.step is not None
+        assert cr.gen_entry(key, epoch, None) is first
+        assert cr.gen_misses == 1
+        assert cr.generated_keys() == ["return:cg_check"]
 
     def test_reset_keeps_cache_but_zeroes_traffic_counters(self):
         cr = ClassRuntime(translate(_assertion(name="cg_reset_cls")))
         key = (EventKind.RETURN, "cg_check")
         epoch = interest_epoch.value
-        cr.step_for(key, epoch, _facts())
-        cr.step_for(key, epoch, _facts())
+        cr.gen_entry(key, epoch, _facts())
+        cr.gen_entry(key, epoch, _facts())
         elided = cr.gen_elided_guards
         cr.reset()
         assert cr.gen_cache_size == 1
@@ -298,7 +346,6 @@ class TestRuntimeFallbackContract:
         jitted = _run(events, compile=True)
         assert _verdict(naive) == _verdict(jitted)
         cr = jitted.class_runtime("cg_cls")
-        assert cr.gen_fallback_plans == 0
         assert cr.gen_hits > 0
         assert naive.class_runtime("cg_cls").gen_cache_size == 0
 
@@ -351,21 +398,21 @@ class TestRuntimeFallbackContract:
         assert _verdict(jitted) == _verdict(compiled)
         assert seen, "detailed handler saw no notifications"
 
-    def test_armed_faultinject_defers_to_interpreter(self):
-        """With an injector armed the generated fast path is bypassed so
-        fault points stay reachable; a rate-0 injector must not change
-        verdicts."""
+    def test_armed_faultinject_runs_generated_code(self):
+        """An armed injector runs the same generated code, whose fault
+        points it visits; a rate-0 injector must not change verdicts."""
         events = _trace()
         jitted = _run(events, compile=True)
-        arm(FaultInjector(seed=3, rate=0.0))
+        injector = FaultInjector(seed=3, rate=0.0)
+        arm(injector)
         try:
             armed = _run(events, compile=True)
         finally:
             disarm()
         assert _verdict(armed) == _verdict(jitted)
         cr = armed.class_runtime("cg_cls")
-        assert cr.gen_hits + cr.gen_misses == 0
-        assert cr.plan_hits > 0
+        assert cr.gen_hits == jitted.class_runtime("cg_cls").gen_hits > 0
+        assert injector.checks["update.step"] == cr.gen_hits
 
     def test_batch_drain_matches_sync_dispatch(self):
         events = _trace(rounds=8)
@@ -379,10 +426,9 @@ class TestRuntimeFallbackContract:
         assert _verdict(batched) == _verdict(sync)
         assert batched.class_runtime("cg_cls").gen_hits > 0
 
-    def test_batch_drain_fallback_class_uses_interpreter(self):
-        """A class whose plan cannot be specialized still gets correct
-        verdicts through ``dispatch_batch`` — the compiled plan walk
-        carries each of its events."""
+    def test_batch_drain_custom_pattern_class_runs_generated(self):
+        """A class with a pattern the generator cannot decompose gets its
+        verdicts from generated code through ``dispatch_batch`` too."""
         weird = tesla_global(
             call("cg_bound"),
             returnfrom("cg_bound"),
@@ -395,9 +441,9 @@ class TestRuntimeFallbackContract:
             name="cg_cls",
         )
 
-        def run(batched):
+        def run(batched, compile=True):
             runtime = TeslaRuntime(
-                lazy=True, policy=LogAndContinue(), compile=True,
+                lazy=True, policy=LogAndContinue(), compile=compile,
             )
             runtime.install_assertion(weird)
             events = _trace(rounds=8)
@@ -412,6 +458,92 @@ class TestRuntimeFallbackContract:
         compiled = run(False)
         jitted = run(True)
         assert _verdict(jitted) == _verdict(compiled)
-        cr = jitted.class_runtime("cg_cls")
-        assert cr.gen_fallback_plans > 0
-        assert cr.gen_fallback_hits > 0
+        assert _verdict(jitted) == _verdict(run(True, compile=False))
+        assert jitted.class_runtime("cg_cls").gen_hits > 0
+
+
+class TestCustomPatterns:
+    """Custom :class:`Pattern` subclasses generate, and the generated
+    steps agree with the interpreter."""
+
+    @staticmethod
+    def _assertion():
+        return tesla_global(
+            call("cg_bound"),
+            returnfrom("cg_bound"),
+            previously(
+                fn("cg_check", _Suffix("c"), _SameLength("v")) == 0
+            ),
+            name="cg_custom",
+        )
+
+    @staticmethod
+    def _trace():
+        events = []
+        values = ["a", "bb", "cc", "ddd", "e"]
+        for r in range(6):
+            events.append(call_event("cg_bound", ()))
+            for k, value in enumerate(values[r % 3:]):
+                cred = "ac" if (r + k) % 3 else "ax"
+                events.append(return_event("cg_check", (cred, value), 0))
+            for value in ("bb", "zz", "ddd", "q"):
+                events.append(assertion_site_event("cg_custom", {"v": value}))
+            events.append(return_event("cg_bound", (), 0))
+        return events
+
+    def _observe(self, compile, batched):
+        runtime = TeslaRuntime(policy=LogAndContinue(), compile=compile)
+        runtime.install_assertion(self._assertion())
+        events = self._trace()
+        if batched:
+            runtime.dispatch_batch(events)
+        else:
+            for event in events:
+                runtime.handle_event(event)
+        cr = runtime.class_runtime("cg_custom")
+        return runtime, (
+            (cr.accepts, cr.errors, cr.sites_reached),
+            dict(cr.transition_counts),
+            [(v.reason, v.binding) for v in runtime.hub.policy.violations],
+        )
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["sync", "batch"])
+    def test_custom_patterns_agree_with_the_interpreter(self, batched):
+        jitted, generated = self._observe(True, batched)
+        _, reference = self._observe(False, batched)
+        assert generated == reference
+        accepts, errors, _ = generated[0]
+        assert accepts > 0 and errors > 0
+        cr = jitted.class_runtime("cg_custom")
+        assert cr.gen_hits > 0
+        assert cr.generated_keys() == [
+            "assertion-site:cg_custom", "return:cg_check",
+        ]
+
+    def test_matcher_learning_nothing_steps_in_place(self):
+        """A return pattern alone is matched by the pattern's own
+        ``match``, which returns a fresh empty dict here: the generated
+        step must step the instance in place, not try to clone it."""
+        assertion = tesla_global(
+            call("cg_bound"),
+            returnfrom("cg_bound"),
+            previously(FunctionReturn("cg_check", None, _Suffix("c"))),
+            name="cg_raw",
+        )
+        automaton = translate(assertion)
+        plan = build_transition_plan(automaton, (EventKind.RETURN, "cg_check"))
+        ((_, _, matcher),) = plan.body
+        got = matcher(return_event("cg_check", (), "abc"), EMPTY_BINDING)
+        assert got == {} and got is not EMPTY_BINDING
+        verdicts = []
+        for compile in (True, False):
+            runtime = TeslaRuntime(policy=LogAndContinue(), compile=compile)
+            runtime.install_assertion(assertion)
+            for retval in ("abc", "abd"):
+                runtime.handle_event(call_event("cg_bound", ()))
+                runtime.handle_event(return_event("cg_check", (), retval))
+                runtime.handle_event(assertion_site_event("cg_raw", {}))
+                runtime.handle_event(return_event("cg_bound", (), 0))
+            cr = runtime.class_runtime("cg_raw")
+            verdicts.append((cr.accepts, cr.errors, len(cr.pool)))
+        assert verdicts[0] == verdicts[1] == (1, 1, 0)

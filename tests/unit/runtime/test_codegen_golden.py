@@ -12,7 +12,7 @@ changed — which is allowed, but only deliberately:
    version is embedded in each function's header comment, so the bump
    itself forces a fixture diff),
 2. re-run the differential harness so the new code shape is proven
-   equivalent to the compiled interpreter,
+   equivalent to the ``compile=False`` interpreter,
 3. regenerate the fixture:
    ``PYTHONPATH=src python -m tests.unit.runtime.test_codegen_golden``
 4. mention the bump in CHANGES.md.
@@ -58,7 +58,7 @@ UPGRADE_INSTRUCTIONS = (
     "The tesla-jit generated source changed. If this was intentional: bump "
     "CODEGEN_VERSION in src/repro/runtime/codegen.py, re-run the "
     "differential harness (tests/differential) to prove the new code shape "
-    "against the compiled interpreter, regenerate the fixture with "
+    "against the compile=False interpreter, regenerate the fixture with "
     "`PYTHONPATH=src python -m tests.unit.runtime.test_codegen_golden`, and "
     "note the bump in CHANGES.md. If it was NOT intentional, revert — "
     "silent generator drift surfaces later as perf regressions or "
@@ -98,9 +98,8 @@ def golden_key_function(wanted=GOLDEN_KEY) -> str:
     for one of the golden assertion's keys, global context."""
     runtime = TeslaRuntime(lint="off")
     runtime.install_assertion(golden_assertion())
-    for key, context, source, reason in runtime.key_function_sources():
+    for key, context, source in runtime.key_function_sources():
         if key == wanted and context == "global":
-            assert reason is None, f"golden key fell back: {reason}"
             return source
     raise AssertionError(f"no key function for {wanted}")
 
@@ -110,9 +109,6 @@ def generate_golden_text() -> str:
     parts = []
     for key, gen in dump_sources(automaton, golden_facts()):
         parts.append(f"## key {key[0].name}:{key[1]}")
-        assert gen.fallback_reason is None, (
-            f"golden assertion stopped generating: {gen.fallback_reason}"
-        )
         parts.append(gen.source.rstrip("\n"))
         parts.append("")
     for kind, name in (GOLDEN_KEY, CLEANUP_KEY):
@@ -120,9 +116,7 @@ def generate_golden_text() -> str:
         parts.append(golden_key_function((kind, name)).rstrip("\n"))
         parts.append("")
     parts.append(f"## cleanup {automaton.name}")
-    cleanup = generate_cleanup_source(
-        automaton, build_transition_plan(automaton, CLEANUP_KEY)
-    )
+    cleanup = generate_cleanup_source(automaton)
     parts.append(cleanup.source.rstrip("\n"))
     parts.append("")
     return "\n".join(parts)

@@ -7,13 +7,15 @@ functions, materialises the pending wildcard inline in its steps and
 closes each class through a generated cleanup, counting transitions by
 index.  ``lazy_join_bound``, ``_materialise`` and ``handle_cleanup``
 stay the reference semantics, and several paths keep calling them:
-overflow, armed fault injection, ``hub.detailed``, deadline classes and
-the governed join.  The differential tests run one trace through a
-compiled runtime and through ``compile=False`` and require the same
-verdicts, violation order, transition counts, pool statistics,
-notification stream, weights and coverage, so a generated shortcut that
-drifts from its helper shows up as a difference; the spy tests check
-that each fallback condition still reaches its helper.
+overflow and armed fault injection (materialise), ``hub.detailed`` and
+deadline classes (cleanup) and the governed join.  The differential
+tests run one trace through a compiled runtime and through
+``compile=False`` and require the same verdicts, violation order,
+transition counts, pool statistics, notification stream, weights and
+coverage, so a generated shortcut that drifts from its helper shows up
+as a difference; the spy tests check that each of those conditions
+still reaches its helper, and that no compiled event reaches the
+interpreter's plan walk.
 """
 
 from __future__ import annotations
@@ -31,10 +33,12 @@ from repro.core.dsl import (
     eventually,
     fn,
     previously,
+    rate_atmost,
     returnfrom,
     tesla_global,
     tesla_perthread,
     var,
+    within_ms,
 )
 from repro.core.events import (
     RuntimeEvent,
@@ -53,8 +57,10 @@ from repro.runtime.supervisor import FailOpen
 N_BOUNDS = 2
 N_VALUES = 3
 DEADLINE_CLASS = "lc_deadline"
-#: Fault sites both the interpreter and the compiled plan walk visit in
-#: the same order (``store.plan_for`` is the compiled walk's alone).
+WITHIN_CLASS = "lc_within"
+RATE_CLASS = "lc_rate"
+#: Fault sites both the interpreter and generated code visit in the same
+#: order (``store.plan_for`` and ``plans.build`` are generation's alone).
 SHARED_FAULT_SITES = (
     "update.init", "update.step", "update.cleanup", "prealloc.insert",
 )
@@ -89,6 +95,21 @@ def _deadline_assertion():
     )
 
 
+def _clock_assertions():
+    """One class per remaining guard form: ``since_prev`` (within_ms)
+    and the rate window."""
+    return [
+        tesla_global(
+            call("lc_bound0"), returnfrom("lc_bound0"),
+            previously(within_ms(5, call("lc_prep"))), name=WITHIN_CLASS,
+        ),
+        tesla_global(
+            call("lc_bound0"), returnfrom("lc_bound0"),
+            eventually(rate_atmost(2, call("lc_pulse"), 5)), name=RATE_CLASS,
+        ),
+    ]
+
+
 @st.composite
 def scenarios(draw):
     n = draw(st.integers(1, 4))
@@ -110,6 +131,9 @@ def scenarios(draw):
                   st.integers(0, N_VALUES - 1)),
         st.tuples(st.just("done")),
         st.tuples(st.just("deadline-site")),
+        st.tuples(st.just("prep")),
+        st.tuples(st.just("pulse")),
+        st.tuples(st.just("clock-site"), st.integers(0, 1)),
         st.tuples(st.just("tick"), st.integers(1, 4)),
     )
     ops = draw(st.lists(op, min_size=4, max_size=40))
@@ -123,6 +147,7 @@ def scenarios(draw):
         "capacity": draw(st.sampled_from([1, 2, 128])),
         "detailed": rarely(st.just(True), False),
         "deadline": draw(st.booleans()),
+        "clocks": draw(st.booleans()),
         "sampled": rarely(
             st.frozensets(st.integers(0, n - 1), min_size=1), frozenset()
         ),
@@ -141,7 +166,7 @@ def scenarios(draw):
 
 def _knobs(**changes):
     knobs = {"capacity": 128, "detailed": False, "deadline": False,
-             "sampled": frozenset(), "faults": None}
+             "clocks": False, "sampled": frozenset(), "faults": None}
     knobs.update(changes)
     return knobs
 
@@ -158,6 +183,12 @@ def _event(op) -> RuntimeEvent:
         return assertion_site_event(class_name(op[1]), {"v": f"val{op[2]}"})
     if kind == "done":
         return call_event("lc_done", ())
+    if kind == "prep":
+        return call_event("lc_prep", ())
+    if kind == "pulse":
+        return call_event("lc_pulse", ())
+    if kind == "clock-site":
+        return assertion_site_event((WITHIN_CLASS, RATE_CLASS)[op[1]], {})
     return assertion_site_event(DEADLINE_CLASS, {})
 
 
@@ -177,6 +208,8 @@ def _run(specs, ops, knobs, compile: bool):
     ]
     if knobs["deadline"]:
         assertions.append(_deadline_assertion())
+    if knobs["clocks"]:
+        assertions.extend(_clock_assertions())
     runtime.install_assertions(assertions)
     for index in sorted(knobs["sampled"]):
         runtime.governor.escalate_class(class_name(index), 1)
@@ -200,8 +233,8 @@ def _run(specs, ops, knobs, compile: bool):
     runtime.hub.emit = recording_emit
     injector = None
     if knobs["faults"] is not None:
-        # Armed for the ops in [start, stop): the compiled runtime walks
-        # its plans there and must hand state back to generated code.
+        # Armed for the ops in [start, stop): generated code visits its
+        # fault points and takes the materialise helper there.
         start, stop, sites, most = knobs["faults"]
         injector = FaultInjector(seed=0, rate=1.0, only=sites,
                                  max_faults=most)
@@ -218,6 +251,10 @@ def _run(specs, ops, knobs, compile: bool):
                 continue
             if op[0] in ("done", "deadline-site") and not knobs["deadline"]:
                 continue
+            if op[0] in ("prep", "pulse", "clock-site") and not (
+                knobs["clocks"]
+            ):
+                continue
             runtime.handle_event(_event(op))
     finally:
         faultinject.disarm()
@@ -228,6 +265,8 @@ def _names(specs, knobs):
     names = [class_name(index) for index in range(len(specs))]
     if knobs["deadline"]:
         names.append(DEADLINE_CLASS)
+    if knobs["clocks"]:
+        names += [WITHIN_CLASS, RATE_CLASS]
     return names
 
 
@@ -291,6 +330,44 @@ def observe(runtime, stream, names):
      ("check", 0, 1), ("site", 0, 0)],
     _knobs(faults=(2, 3, frozenset({"update.cleanup"}), 1)),
 ))
+# A deadline class joining a bound opened after time 0 measures its
+# deadline from the bound's entry stamp, not from 0.
+@example((
+    ((0, "global", "previously"),),
+    [("tick", 4), ("tick", 4), ("init", 0), ("deadline-site",),
+     ("tick", 1), ("done",)],
+    _knobs(deadline=True),
+))
+# The deadline's ``since_entry`` guard exactly at its limit: t_done 5 ms
+# after entry is in time.
+@example((
+    ((0, "global", "previously"),),
+    [("init", 0), ("deadline-site",), ("tick", 5), ("done",)],
+    _knobs(deadline=True),
+))
+# The deadline one ulp past its budget: 0.004 + 0.004 + 0.001 exceeds
+# 0.004 + 0.005, so the pre-event expiry fires on t_done.
+@example((
+    ((0, "global", "previously"),),
+    [("tick", 4), ("init", 0), ("deadline-site",), ("tick", 4),
+     ("tick", 1), ("done",)],
+    _knobs(deadline=True),
+))
+# ``since_prev`` (within_ms) exactly at its limit: t_prep 5 ms after the
+# bound entry, the instance's last step, is in time.
+@example((
+    ((0, "global", "previously"),),
+    [("init", 0), ("tick", 5), ("prep",), ("clock-site", 0)],
+    _knobs(clocks=True),
+))
+# The rate window at its cutoff: a mark exactly 5 ms old still counts,
+# so the third pulse is blocked.
+@example((
+    ((0, "global", "previously"),),
+    [("init", 0), ("clock-site", 1), ("pulse",), ("pulse",), ("tick", 5),
+     ("pulse",)],
+    _knobs(clocks=True),
+))
 def test_compiled_lifecycle_matches_the_interpreter(scenario):
     specs, ops, knobs = scenario
     names = _names(specs, knobs)
@@ -334,7 +411,7 @@ def _bound_cycle(runtime, value="val0", close_args=()):
 
 class TestGeneratedPathIsTaken:
     """The ungoverned lazy compiled runtime reaches none of the helpers on
-    a plain trace; each fallback condition reaches its helper."""
+    a plain trace; each condition that keeps a helper reaches it."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -394,6 +471,43 @@ class TestGeneratedPathIsTaken:
         runtime = self._runtime(overhead_budget=0.05, clock=FakeClock())
         _bound_cycle(runtime)
         assert calls == ["lazy_join_bound"]
+
+    def test_armed_timed_runtime_never_walks_plans(self, monkeypatch):
+        """With injection armed and a timed class installed, compiled
+        dispatch runs generated code only."""
+        walks = []
+        monkeypatch.setattr(
+            TeslaRuntime, "_run_plan",
+            lambda self, *args: walks.append(args),
+        )
+        clock = FakeClock()
+        runtime = TeslaRuntime(policy=LogAndContinue(), clock=clock)
+        runtime.install_assertions([
+            _deadline_assertion(), _assertion(0, 0, "perthread", "eventually"),
+        ])
+        injector = FaultInjector(seed=0, rate=0.0)
+        faultinject.arm(injector)
+        try:
+            for _ in range(2):
+                runtime.handle_event(call_event("lc_bound0", ()))
+                runtime.handle_event(assertion_site_event(DEADLINE_CLASS, {}))
+                runtime.handle_event(
+                    assertion_site_event(class_name(0), {"v": "val0"})
+                )
+                runtime.dispatch_batch([
+                    return_event("lc_check0", ("c", "val0"), 0),
+                    call_event("lc_done", ()),
+                ])
+                clock.advance(0.001)
+                runtime.handle_event(return_event("lc_bound0", (), 0))
+        finally:
+            faultinject.disarm()
+        assert walks == []
+        assert injector.checks["update.step"] > 0
+        for name in (DEADLINE_CLASS, class_name(0)):
+            cr = runtime.class_runtime(name)
+            assert (cr.accepts, cr.errors) == (2, 0)
+            assert cr.gen_hits > 0
 
     def test_deadline_class_cleans_up_through_the_helper(self, calls):
         runtime = TeslaRuntime(policy=LogAndContinue(), clock=FakeClock())

@@ -238,6 +238,28 @@ class TestBatchCache:
                 signs(event)
             )
 
+    @pytest.mark.parametrize("base", [str, bytes])
+    def test_str_and_bytes_subclasses_keep_their_opaque_snapshots(self, base):
+        # A subclass value equal to a plain one (and hashing alike) is
+        # outside the journallable domain: it must be snapshotted as
+        # opaque wherever it appears in a batch, as it is on its own.
+        subclass = type(f"Sub{base.__name__}", (base,), {})
+        value = base("x", "ascii") if base is bytes else "x"
+        name = f"jr_subclass_{base.__name__}"
+        plain = call_event(name, (value,))
+        sub = call_event(name, (subclass(value),))
+        _, _, _, alone = encode_batch([(0, sub)])
+        _, _, _, mixed = encode_batch([(0, plain), (1, sub)])
+        assert alone == 1
+        assert mixed == alone
+        buf = io.BytesIO()
+        writer = JournalWriter(buf)
+        writer.append_batch([(0, plain), (1, sub)])
+        writer.close()
+        decoded = read_journal(buf).events
+        assert decoded[0].args == (value,)
+        assert isinstance(decoded[1].args[0], Opaque)
+
 
 # -- writer equivalence --------------------------------------------------------
 

@@ -31,7 +31,9 @@ from repro.core.events import (
 )
 from repro.introspect import codegen_report, dispatch_stats
 from repro.runtime.clock import FakeClock
+from repro.runtime import faultinject
 from repro.runtime.epoch import interest_epoch
+from repro.runtime.faultinject import FaultInjector
 from repro.runtime.manager import TeslaRuntime
 from repro.runtime.notify import LogAndContinue
 from repro.runtime.supervisor import FailOpen, QuarantinePolicy
@@ -135,11 +137,70 @@ class TestPerClassFaultAttribution:
         # its verdicts are those of a fault-free run.
         assert verdicts["kf_second"] == (2, 0, 2)
         # And the fault really was raised by a generated step under the
-        # key function, not by a plan walk.
+        # key function.
         second = compiled.all_class_runtimes("kf_second")
         assert sum(cr.gen_hits for cr in second) > 0
         assert compiled.key_fns_built > 0
-        assert compiled.fallback_key_events == 0
+
+
+class TestGenerationFaults:
+    """A fault while class X's step is generated is contained, attributed
+    to X and skips X for that event only: the key function built around
+    the gap is not kept, and the next event's key function has X's step
+    again."""
+
+    @pytest.mark.parametrize("site", ["plans.build", "store.plan_for"])
+    @pytest.mark.parametrize(
+        "policy",
+        [FailOpen, lambda: QuarantinePolicy(threshold=2, window=100,
+                                            cooldown=1000)],
+        ids=["fail-open", "quarantine"],
+    )
+    def test_generation_fault_skips_the_class_once(self, site, policy):
+        runtime = TeslaRuntime(
+            policy=LogAndContinue(), failure_policy=policy(),
+        )
+        runtime.install_assertions([
+            _assertion("kf_first", 7),
+            _assertion("kf_second", ANY("x")),
+        ])
+        runtime.handle_event(call_event(BOUND, ()))
+        # The first body class generated faults; the second is unharmed.
+        injector = FaultInjector(seed=0, rate=1.0, only=[site], max_faults=1)
+        faultinject.arm(injector)
+        try:
+            runtime.handle_event(return_event(CHECK, (7,), 0))
+        finally:
+            faultinject.disarm()
+        assert injector.fired == {site: 1}
+        faults = [(f.automaton, f.stage, f.error_type)
+                  for f in runtime.supervisor.last_faults]
+        assert faults == [("kf_first", "body", "InjectedFault")]
+        assert not runtime.supervisor.is_shed("kf_first")
+        assert runtime._plan_for(KEY).glob.fn is None
+        first = runtime.class_runtime("kf_first")
+        assert len(first.pool) == 0  # its step never ran
+
+        def sites_and_close():
+            for name in ("kf_first", "kf_second"):
+                runtime.handle_event(assertion_site_event(name, {}))
+            runtime.handle_event(return_event(BOUND, (), 0))
+
+        sites_and_close()
+        # The next occurrence's key function carries kf_first's step.
+        runtime.handle_event(call_event(BOUND, ()))
+        runtime.handle_event(return_event(CHECK, (7,), 0))
+        sites_and_close()
+        work = runtime._plan_for(KEY).glob
+        assert work.fn is not None
+        steps = [work.fn.__globals__[f"_S{i}"] for i in range(2)]
+        assert first._gen[KEY].step in steps
+        verdicts = {
+            name: (cr.accepts, cr.errors)
+            for name in ("kf_first", "kf_second")
+            for cr in [runtime.class_runtime(name)]
+        }
+        assert verdicts == {"kf_first": (1, 1), "kf_second": (2, 0)}
 
 
 class TestSampledOccurrenceIsNotTouched:
@@ -187,7 +248,8 @@ class TestGovernorCharging:
     @pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "eager"])
     def test_charges_match_the_plan_walk(self, lazy):
         """The generated charging code charges each class the units the
-        plan walk charges it (budget 1.0 observes and never sheds)."""
+        interpreter's plan walk charges it (budget 1.0 observes and never
+        sheds)."""
 
         def ledger(compile):
             runtime = TeslaRuntime(
@@ -216,7 +278,7 @@ class TestGovernorCharging:
 class TestEagerGovernedSampling:
     def test_admission_matches_the_plan_walk(self):
         """Eager mode admits sampled occurrences at ``handle_init``: the
-        key function's generated admission must take the plan walk's
+        key function's generated admission must take the interpreter's
         decisions and produce its verdicts."""
 
         def run(compile):
@@ -264,7 +326,7 @@ def _spy_on_key_function(runtime):
     """Replace the check key's built function with a recorder so a test
     can tell whether that stale function is ever called again."""
     work = runtime._plan_for(KEY).glob
-    assert work.fn is not None and work.fallback is None
+    assert work.fn is not None
     calls = []
     real = work.fn
 
@@ -356,7 +418,6 @@ class TestObservability:
         stats = dispatch_stats(runtime)
         assert stats.key_fns_built == 3  # init, check and cleanup keys
         assert stats.key_fns_resident == 3
-        assert stats.fallback_keys == 0
         # One hit per class per event its generated step ran.
         assert (stats.gen_hits, stats.gen_misses) == (2, 2)
         _occurrence(runtime)
@@ -364,9 +425,10 @@ class TestObservability:
         report = codegen_report(runtime)
         assert report["key_functions"]["built"] == 3
         assert "return:kf_check@global" in report["key_functions"]["resident"]
-        assert report["fallback_keys"] == {}
 
-    def test_fallback_key_is_reported_and_walked(self):
+    def test_timed_class_shares_the_generated_key_function(self):
+        """A key observed by a timed and a plain class runs one generated
+        key function over both classes' generated steps."""
         from repro.core.dsl import deadline
 
         runtime = TeslaRuntime(policy=LogAndContinue(), clock=FakeClock())
@@ -381,14 +443,7 @@ class TestObservability:
         _occurrence(runtime)
         _occurrence(runtime)
         report = codegen_report(runtime)
-        assert report["fallback_keys"] == {
-            "return:kf_check@global": (
-                "kf_timed: timed-automaton:clock-guards"
-            ),
-        }
-        # The key falls back as a whole: even the plain class rides the
-        # plan walk, counted per event and per class.
-        assert runtime.class_runtime("kf_plain").gen_hits == 0
-        assert runtime.class_runtime("kf_plain").gen_fallback_hits == 2
-        assert runtime.fallback_key_events == 2
-        assert dispatch_stats(runtime).fallback_keys == 1
+        assert "return:kf_check@global" in report["key_functions"]["resident"]
+        assert report["generated"]["return:kf_check"] == 2
+        for name in ("kf_plain", "kf_timed"):
+            assert runtime.class_runtime(name).gen_hits == 2

@@ -1,7 +1,7 @@
 """Unit coverage for the timed runtime machinery (DESIGN §5.9): capture
 stamping, guard filtering, pre-event and flush-time deadline expiry,
-sliding rate windows, journal timestamp round-trips, codegen refusal and
-introspection counters."""
+sliding rate windows, journal timestamp round-trips, generated clock
+guards and introspection counters."""
 
 import pytest
 
@@ -9,9 +9,11 @@ from repro.core.dsl import (
     call,
     deadline,
     eventually,
+    fn,
     previously,
     rate_atmost,
     tesla_within,
+    var,
     within_ms,
 )
 from repro.core.events import (
@@ -22,7 +24,7 @@ from repro.core.events import (
 )
 from repro.core.translate import translate
 from repro.runtime.clock import FakeClock
-from repro.runtime.codegen import GenerationFallback, compile_plan_step
+from repro.runtime.codegen import compile_plan_step
 from repro.runtime.plans import build_transition_plan
 from repro.runtime.journal import decode_event, encode_event
 from repro.runtime.manager import TeslaRuntime
@@ -273,16 +275,102 @@ class TestRateWindows:
         assert reasons(runtime) == [RATE_REASON]
 
 
-class TestCodegenRefusal:
-    def test_timed_plan_generation_falls_back_with_reason(self):
-        automaton = translate(deadline_assertion())
-        key = (EventKind.CALL, "td_done")
-        plan = build_transition_plan(automaton, key)
-        entry = compile_plan_step(automaton, plan, None)
-        assert isinstance(entry, GenerationFallback)
-        assert entry.reason == "timed-automaton:clock-guards"
+class TestTimedCodegen:
+    @pytest.mark.parametrize(
+        "assertion, key, helper",
+        [
+            (deadline_assertion(), (EventKind.CALL, "td_done"), "_expire("),
+            (
+                tesla_within(
+                    "td_bound", previously(within_ms(5.0, call("td_prep"))),
+                    name="td_within",
+                ),
+                (EventKind.CALL, "td_prep"),
+                "_guards(",
+            ),
+            (
+                tesla_within(
+                    "td_bound", eventually(rate_atmost(2, call("td_tick"), 50.0)),
+                    name="td_rate",
+                ),
+                (EventKind.CALL, "td_tick"),
+                "_ratev(",
+            ),
+        ],
+        ids=["deadline", "within", "rate"],
+    )
+    def test_timed_plans_generate_their_clock_guards(
+        self, assertion, key, helper
+    ):
+        automaton = translate(assertion)
+        entry = compile_plan_step(
+            automaton, build_transition_plan(automaton, key), None
+        )
+        assert entry.step is not None
+        assert "timed=True" in entry.source
+        assert helper in entry.source
 
-    def test_codegen_runtime_records_the_fallback_loudly(self):
+    @pytest.mark.parametrize("late", [False, True], ids=["in-time", "late"])
+    def test_inline_step_restarts_the_since_prev_clock(self, late):
+        """An unguarded step taken inline still stamps the instance, so
+        the next ``within_ms`` guard measures from it, not from entry."""
+        assertion = tesla_within(
+            "td_bound",
+            previously(call("td_a"), within_ms(5.0, call("td_prep"))),
+            name="td_prev",
+        )
+        observed = []
+        for compile in (True, False):
+            runtime = runtime_with(
+                assertion, compile=compile, stamp_capture=False,
+                clock=FakeClock(),
+            )
+            gap = 0.006 if late else 0.002
+            for event, ts in (
+                (call_event("td_bound", ()), 0.0),
+                (call_event("td_a", ()), 0.010),
+                (call_event("td_prep", ()), 0.010 + gap),
+                (assertion_site_event("td_prev", {}), 0.020),
+                (return_event("td_bound", (), 0), 0.020),
+            ):
+                runtime.handle_event(stamped(event, ts))
+            cr = runtime.class_runtime("td_prev")
+            observed.append(((cr.accepts, cr.errors), reasons(runtime)))
+        assert observed[0] == observed[1]
+        assert observed[0][0] == ((0, 1) if late else (1, 0))
+
+    def test_guarded_clone_is_filtered_like_the_interpreter(self):
+        """A rate guard on a variable-binding event: the clone's own
+        matches go through the guard filter too."""
+        assertion = tesla_within(
+            "td_bound",
+            eventually(rate_atmost(1, fn("td_tick", var("v")) == 0, 50.0)),
+            name="td_rclone",
+        )
+        observed = []
+        for compile in (True, False):
+            runtime = runtime_with(
+                assertion, compile=compile, stamp_capture=False,
+                clock=FakeClock(),
+            )
+            for event, ts in (
+                (call_event("td_bound", ()), 0.0),
+                (assertion_site_event("td_rclone", {}), 0.0),
+                (return_event("td_tick", ("a",), 0), 0.001),
+                (return_event("td_tick", ("a",), 0), 0.002),
+                (return_event("td_tick", ("b",), 0), 0.003),
+                (return_event("td_bound", (), 0), 0.004),
+            ):
+                runtime.handle_event(stamped(event, ts))
+            cr = runtime.class_runtime("td_rclone")
+            observed.append((
+                (cr.accepts, cr.errors), reasons(runtime),
+                dict(cr.transition_counts),
+            ))
+        assert observed[0] == observed[1]
+        assert RATE_REASON in observed[0][1]
+
+    def test_compiled_runtime_runs_timed_classes_generated(self):
         clock = FakeClock()
         runtime = runtime_with(
             deadline_assertion(),
@@ -298,11 +386,10 @@ class TestCodegenRefusal:
         assert reasons(runtime) == []
         (cr,) = runtime.all_class_runtimes("td_cls")
         assert cr.accepts == 1
-        summary = cr.gen_summary()
-        assert any(
-            reason == "timed-automaton:clock-guards"
-            for _, reason in summary["fallback_keys"]
-        )
+        assert cr.gen_hits == 2  # the site and td_done
+        assert cr.generated_keys() == [
+            "assertion-site:td_cls", "call:td_done",
+        ]
 
 
 class TestJournalTimestamps:
