@@ -7,16 +7,17 @@ record of common bounds and materialising instances lazily brought the
 microbenchmarks under 7× and builds under 10% overhead.
 
 Here "Pre" is the eager runtime (``lazy=False``) and "Post" the optimised
-one (``lazy=True``), measured over the MAC and PROC assertion sets
+one (``lazy=True``), both on the paper-faithful interpreter
+(``compile=False``), measured over the MAC and PROC assertion sets
 (figure 13a's microbenchmark columns) and the OLTP and build
-macrobenchmarks under the full set (figure 13b).
+macrobenchmarks under the full set (figure 13b).  Every test here runs
+the same ``PRE``/``POST`` configurations.
 
-The shape test doubles as the repo's optimisation scoreboard: its "pre"
-and "post" rows run the paper-faithful interpreter (``compile=False``),
-and a third "jit" series stacks every later optimisation (the default
-compiled path: tesla-jit generated steps over compiled transition plans,
-DESIGN §5.2/§5.7) on the lazy runtime, so each change's effect on the
-paper's headline workloads stays visible in one table.
+The shape test doubles as the repo's optimisation scoreboard: a third
+"jit" series stacks every later optimisation (the default compiled path:
+tesla-jit generated steps, DESIGN §5.2/§5.7) on the lazy runtime, so
+each change's effect on the paper's headline workloads stays visible in
+one table.
 """
 
 from __future__ import annotations
@@ -32,16 +33,23 @@ from repro.kernel import (
     lmbench_open_close,
     oltp_workload,
 )
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.manager import TeslaRuntime
 
 from conftest import emit
 
 MICRO_ITERS = 100
 
+# Pre/post differ only in ``lazy``, both on the reference interpreter;
+# jit is the default compiled path on the lazy runtime.
+PRE = RuntimeConfig(lazy=False, compile=False)
+POST = RuntimeConfig(lazy=True, compile=False)
+JIT = RuntimeConfig()
 
-def run_micro(set_name, **kwargs):
+
+def run_micro(set_name, config):
     sets = assertion_sets()
-    session = Instrumenter(TeslaRuntime(**kwargs))
+    session = Instrumenter(TeslaRuntime.from_config(config))
     session.instrument(sets[set_name])
     kernel = KernelSystem()
     td = kernel.boot()
@@ -53,9 +61,9 @@ def run_micro(set_name, **kwargs):
         session.uninstrument()
 
 
-def run_macro(workload_name, **kwargs):
+def run_macro(workload_name, config):
     sets = assertion_sets()
-    session = Instrumenter(TeslaRuntime(**kwargs))
+    session = Instrumenter(TeslaRuntime.from_config(config))
     session.instrument(sets["All"])
     kernel = KernelSystem()
     td = kernel.boot()
@@ -79,10 +87,10 @@ def run_baseline_micro():
 
 
 @pytest.mark.parametrize("set_name", ["M", "P"])
-@pytest.mark.parametrize("lazy", [False, True], ids=["pre", "post"])
-def test_fig13a_micro(benchmark, set_name, lazy):
+@pytest.mark.parametrize("config", [PRE, POST], ids=["pre", "post"])
+def test_fig13a_micro(benchmark, set_name, config):
     sets = assertion_sets()
-    session = Instrumenter(TeslaRuntime(lazy=lazy))
+    session = Instrumenter(TeslaRuntime.from_config(config))
     session.instrument(sets[set_name])
     kernel = KernelSystem()
     td = kernel.boot()
@@ -93,10 +101,10 @@ def test_fig13a_micro(benchmark, set_name, lazy):
 
 
 @pytest.mark.parametrize("workload", ["oltp", "build"])
-@pytest.mark.parametrize("lazy", [False, True], ids=["pre", "post"])
-def test_fig13b_macro(benchmark, workload, lazy):
+@pytest.mark.parametrize("config", [PRE, POST], ids=["pre", "post"])
+def test_fig13b_macro(benchmark, workload, config):
     sets = assertion_sets()
-    session = Instrumenter(TeslaRuntime(lazy=lazy))
+    session = Instrumenter(TeslaRuntime.from_config(config))
     session.instrument(sets["All"])
     kernel = KernelSystem()
     td = kernel.boot()
@@ -111,27 +119,21 @@ def test_fig13b_macro(benchmark, workload, lazy):
 
 
 def test_fig13_shape(benchmark, results_dir):
-    # Pre/post differ only in ``lazy``, both on the reference
-    # interpreter; jit is the default compiled path on the lazy runtime.
-    PRE = dict(lazy=False, compile=False)
-    POST = dict(lazy=True, compile=False)
-    JIT = dict(lazy=True, compile=True)
-
     def run():
         baseline = run_baseline_micro()
         rows = {
-            "MAC micro (pre)": run_micro("M", **PRE),
-            "MAC micro (post)": run_micro("M", **POST),
-            "MAC micro (jit)": run_micro("M", **JIT),
-            "PROC micro (pre)": run_micro("P", **PRE),
-            "PROC micro (post)": run_micro("P", **POST),
-            "PROC micro (jit)": run_micro("P", **JIT),
-            "OLTP (pre)": run_macro("oltp", **PRE),
-            "OLTP (post)": run_macro("oltp", **POST),
-            "OLTP (jit)": run_macro("oltp", **JIT),
-            "Build (pre)": run_macro("build", **PRE),
-            "Build (post)": run_macro("build", **POST),
-            "Build (jit)": run_macro("build", **JIT),
+            "MAC micro (pre)": run_micro("M", PRE),
+            "MAC micro (post)": run_micro("M", POST),
+            "MAC micro (jit)": run_micro("M", JIT),
+            "PROC micro (pre)": run_micro("P", PRE),
+            "PROC micro (post)": run_micro("P", POST),
+            "PROC micro (jit)": run_micro("P", JIT),
+            "OLTP (pre)": run_macro("oltp", PRE),
+            "OLTP (post)": run_macro("oltp", POST),
+            "OLTP (jit)": run_macro("oltp", JIT),
+            "Build (pre)": run_macro("build", PRE),
+            "Build (post)": run_macro("build", POST),
+            "Build (jit)": run_macro("build", JIT),
         }
         return baseline, rows
 

@@ -113,6 +113,7 @@ from .runtime import (
     LogAndContinue,
     NotificationKind,
     ObjectMonitor,
+    RuntimeConfig,
     TeslaRuntime,
     instrument_object_assertion,
 )
@@ -179,6 +180,7 @@ __all__ = [
     "LogAndContinue",
     "NotificationKind",
     "ObjectMonitor",
+    "RuntimeConfig",
     "TeslaRuntime",
     "instrument_object_assertion",
     "monitoring",

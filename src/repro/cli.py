@@ -53,6 +53,7 @@ from typing import List, Optional
 
 from .core.manifest import ProgramManifest, UnitManifest, combine
 from .core.translate import translate
+from .replay import REPLAY_CONFIGS
 
 
 def _kernel_sets():
@@ -720,7 +721,9 @@ def build_parser() -> argparse.ArgumentParser:
     replay_parser.add_argument(
         "--config",
         default="naive",
-        help="replay configuration: naive (default), lazy, compiled, deferred",
+        metavar="{" + ",".join(REPLAY_CONFIGS) + "}",
+        help="replay configuration (default naive): "
+        + ", ".join(REPLAY_CONFIGS),
     )
     replay_parser.add_argument(
         "--manifest",

@@ -16,13 +16,14 @@ monitor in the 10k events before this violation").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..core.ast import Context, TemporalAssertion
 from ..core.translate import translate
 from ..errors import JournalError
 from ..runtime.clock import FakeClock
+from ..runtime.config import RuntimeConfig
 from ..runtime.journal import Journal, read_journal
 from ..runtime.manager import TeslaRuntime
 from ..runtime.notify import LogAndContinue
@@ -32,11 +33,11 @@ __all__ = ["REPLAY_CONFIGS", "ClassVerdict", "ReplayEngine", "ReplayResult"]
 #: Named replay configurations.  ``naive`` is the reference interpreter
 #: the differential suite anchors on; the others re-check the recorded
 #: window through the optimised paths.
-REPLAY_CONFIGS: Dict[str, Dict[str, Any]] = {
-    "naive": dict(lazy=False, compile=False),
-    "lazy": dict(lazy=True, compile=False),
-    "compiled": dict(lazy=True, compile=True),
-    "deferred": dict(lazy=True, compile=True, deferred="manual"),
+REPLAY_CONFIGS: Dict[str, RuntimeConfig] = {
+    "naive": RuntimeConfig(lazy=False, compile=False),
+    "lazy": RuntimeConfig(compile=False),
+    "compiled": RuntimeConfig(),
+    "deferred": RuntimeConfig(deferred="manual"),
 }
 
 #: Automata are immutable once translated (all mutable state lives in the
@@ -147,33 +148,42 @@ class ReplayEngine:
     # -- configuration -----------------------------------------------------
 
     @staticmethod
-    def _resolve_config(config: Union[str, Dict[str, Any]]):
+    def _resolve_config(
+        config: Union[str, RuntimeConfig, Dict[str, Any]]
+    ) -> Tuple[str, RuntimeConfig]:
         if isinstance(config, str):
-            kwargs = REPLAY_CONFIGS.get(config)
-            if kwargs is None:
+            resolved = REPLAY_CONFIGS.get(config)
+            if resolved is None:
                 raise JournalError(
                     f"unknown replay config {config!r}; known: "
                     f"{', '.join(sorted(REPLAY_CONFIGS))}"
                 )
-            return config, dict(kwargs)
-        kwargs = dict(config)
-        if kwargs.get("deferred") is True:
+            return config, resolved
+        if not isinstance(config, RuntimeConfig):
+            knobs = dict(config)
+            if "clock" in knobs:
+                knobs.setdefault("stamp_capture", False)
+            else:  # the replay's own clock keeps the recorded stamps
+                knobs.pop("stamp_capture", None)
+            config = RuntimeConfig(**knobs)
+        if config.deferred is True:
             # A background drainer adds nothing to a deterministic replay
             # and would leak a thread per run; manual mode is equivalent.
-            kwargs["deferred"] = "manual"
-        return "custom", kwargs
+            config = replace(config, deferred="manual")
+        return "custom", config
 
-    def _build_runtime(self, kwargs: Dict[str, Any], automata) -> TeslaRuntime:
+    def _build_runtime(self, config: RuntimeConfig, automata) -> TeslaRuntime:
         # Journalled events carry their capture timestamps; the replay
         # runtime must judge clock guards against *those*, not against
         # its own platform clock (which is a different epoch entirely).
-        # stamp_capture=False keeps the recorded stamps, and a FakeClock
-        # advanced along the trace makes timer expiry a pure function of
-        # the journal.
-        kwargs = dict(kwargs)
-        kwargs.setdefault("stamp_capture", False)
-        kwargs.setdefault("clock", FakeClock())
-        runtime = TeslaRuntime(policy=LogAndContinue(), **kwargs)
+        # Unless the config names a clock, each runtime keeps the recorded
+        # stamps on a fresh FakeClock advanced along the trace, so timer
+        # expiry is a pure function of the journal.
+        if config.clock is None:
+            config = replace(config, clock=FakeClock(), stamp_capture=False)
+        runtime = TeslaRuntime.from_config(
+            replace(config, policy=LogAndContinue())
+        )
         for automaton, assertion in automata:
             runtime.install_automaton(automaton, assertion.context)
         return runtime
@@ -183,7 +193,7 @@ class ReplayEngine:
             return self.slots
         return [slot for slot in self.slots if slot[0] <= upto_seqno]
 
-    def _plan_runtimes(self, kwargs: Dict[str, Any], slots):
+    def _plan_runtimes(self, config: RuntimeConfig, slots):
         """(runtime, its event slice) pairs reproducing live evaluation
         order: global automata see the merged stream, per-thread automata
         see their own thread's subsequence."""
@@ -200,16 +210,16 @@ class ReplayEngine:
             if pair[1].context is not Context.GLOBAL
         ]
         if len(thread_ids) <= 1 or not thread_autos:
-            return [(self._build_runtime(kwargs, self.automata), slots)]
+            return [(self._build_runtime(config, self.automata), slots)]
         plans = []
         if global_autos:
-            plans.append((self._build_runtime(kwargs, global_autos), slots))
+            plans.append((self._build_runtime(config, global_autos), slots))
         for tid in thread_ids:
             subsequence = [
                 slot for slot in slots if slot[1].thread_id == tid
             ]
             plans.append(
-                (self._build_runtime(kwargs, thread_autos), subsequence)
+                (self._build_runtime(config, thread_autos), subsequence)
             )
         return plans
 
@@ -233,13 +243,13 @@ class ReplayEngine:
 
     def run(
         self,
-        config: Union[str, Dict[str, Any]] = "naive",
+        config: Union[str, RuntimeConfig, Dict[str, Any]] = "naive",
         upto_seqno: Optional[int] = None,
     ) -> ReplayResult:
         """Replay the window and return per-class verdicts + violations."""
-        name, kwargs = self._resolve_config(config)
+        name, resolved = self._resolve_config(config)
         slots = self._window(upto_seqno)
-        plans = self._plan_runtimes(kwargs, slots)
+        plans = self._plan_runtimes(resolved, slots)
         end_ts = max((event.timestamp for _, event in slots), default=0.0)
         for runtime, slice_ in plans:
             self._feed(runtime, slice_, end_ts)
@@ -273,7 +283,7 @@ class ReplayEngine:
     def state_at(
         self,
         seqno: int,
-        config: Union[str, Dict[str, Any]] = "naive",
+        config: Union[str, RuntimeConfig, Dict[str, Any]] = "naive",
     ) -> Dict[str, Any]:
         """Automaton-state introspection after replaying up to ``seqno``.
 
@@ -283,9 +293,9 @@ class ReplayEngine:
         capture timestamp, so instances whose deadline already expired
         within the window show up as errors, not as live state.
         """
-        name, kwargs = self._resolve_config(config)
+        name, resolved = self._resolve_config(config)
         slots = self._window(seqno)
-        plans = self._plan_runtimes(kwargs, slots)
+        plans = self._plan_runtimes(resolved, slots)
         end_ts = max((event.timestamp for _, event in slots), default=0.0)
         for runtime, slice_ in plans:
             self._feed(runtime, slice_, end_ts)

@@ -27,10 +27,10 @@ matches an event whose stamp is close enough to the previously consumed
 event's, a ``deadline`` bounds every post-site consumption to the bound
 entry's stamp plus the limit (mirroring the runtime's pre-event expiry,
 which prunes an undischarged instance before it can consume anything
-past the deadline), and ``rate_atmost`` replays the same sliding window
-the runtime keeps per instance.  Time never comes from a clock read —
-only from the recorded stamps — so the oracle's timed verdicts are a
-pure function of the journal.
+past the deadline), and ``rate_atmost`` replays the sliding window the
+runtime keeps per instance, so one per binding.  Time never comes from a
+clock read — only from the recorded stamps — so the oracle's timed
+verdicts are a pure function of the journal.
 
 Verdict vocabulary (mapped onto the runtime's violation reasons by the
 differential suite):
@@ -630,6 +630,62 @@ def _discharge(
     return accepted, extension_only
 
 
+def _rate_scan(
+    spec: _Spec, window: List[Slot], obligation: _Obligation, ctx: _TimeCtx
+) -> Tuple[List[set], set]:
+    """Per rate part, the seqnos it blocks, and the bindings learned: one
+    window per binding, as the runtime keeps one in each clone."""
+    blocked: List[set] = []
+    learned: set = set()
+    for rate_index, rate in spec.rates:
+        prefix = spec.post[:rate_index]
+        limit_s = rate.per_ms / 1000.0
+        blocked.append(set())
+        # The rate loop activates once the parts before it have matched;
+        # the NFA reaches the loop state at the earliest such completion.
+        starts = [
+            nxt
+            for nxt, _ in _match_parts(
+                prefix, window, obligation.position + 1, len(window),
+                dict(obligation.binding), ctx,
+            )
+        ]
+        if not starts:
+            continue
+        windows: Dict[Tuple, List[float]] = {}
+        for k in range(min(starts), len(window)):
+            seqno, event = window[k]
+            new = _match_event(rate.event, event, obligation.binding)
+            if new is None:
+                continue
+            marks = windows.setdefault(tuple(sorted(new.items())), [])
+            ts = event.timestamp
+            cutoff = ts - limit_s
+            while marks and marks[0] < cutoff:
+                marks.pop(0)
+            if len(marks) >= rate.count:
+                # A blocked occurrence does not join the window.
+                blocked[-1].add(seqno)
+            else:
+                marks.append(ts)
+        learned.update(key for key in windows if key)
+    return blocked, learned
+
+
+def _rate_clones(
+    spec: _Spec, window: List[Slot], obligation: _Obligation, ctx: _TimeCtx
+) -> int:
+    """Clones of an obligation's instance, one per binding its rate
+    window learned; each accepts with it if the window ends the post."""
+    learned = spec.rates and _rate_scan(spec, window, obligation, ctx)[1]
+    if learned and spec.rates[-1][0] != len(spec.post) - 1:
+        raise LTLUnsupported(
+            f"{spec.assertion.name}: a rate window that binds site-free "
+            "variables is followed by further obligations"
+        )
+    return len(learned)
+
+
 def _rate_violations(
     spec: _Spec,
     window: List[Slot],
@@ -637,41 +693,15 @@ def _rate_violations(
     ctx: _TimeCtx,
     verdict: OracleVerdict,
 ) -> None:
-    """Sliding-window blocked events: one window per (obligation, rate
-    part), violations deduped per event across obligations — mirroring
-    the runtime's per-dispatch (guard, event) dedup across instances."""
-    for rate_index, rate in spec.rates:
-        prefix = spec.post[:rate_index]
-        limit_s = rate.per_ms / 1000.0
-        blocked: set = set()
-        for obligation in obligations:
-            # The rate loop activates once the parts before it have
-            # matched; the NFA reaches the loop state at the earliest
-            # such completion.
-            starts = [
-                nxt
-                for nxt, _ in _match_parts(
-                    prefix, window, obligation.position + 1, len(window),
-                    dict(obligation.binding), ctx,
-                )
-            ]
-            if not starts:
-                continue
-            marks: List[float] = []
-            for k in range(min(starts), len(window)):
-                seqno, event = window[k]
-                if _match_event(rate.event, event, obligation.binding) is None:
-                    continue
-                ts = event.timestamp
-                cutoff = ts - limit_s
-                while marks and marks[0] < cutoff:
-                    marks.pop(0)
-                if len(marks) >= rate.count:
-                    # A blocked occurrence does not join the window.
-                    blocked.add(seqno)
-                else:
-                    marks.append(ts)
-        for seqno in sorted(blocked):
+    """Blocked events, deduped per (rate part, event) across obligations,
+    as the runtime dedups per (guard, event) across instances."""
+    parts: List[set] = [set() for _ in spec.rates]
+    for obligation in obligations:
+        blocked, _ = _rate_scan(spec, window, obligation, ctx)
+        for seen, part in zip(parts, blocked):
+            seen |= part
+    for part in parts:
+        for seqno in sorted(part):
             verdict.violations.append(OracleViolation(seqno, "rate"))
 
 
@@ -695,8 +725,9 @@ def _eval_window(
             verdict.accepts += 1
             continue
         accepted, extension_only = _discharge(spec, window, obligation, ctx)
+        clones = _rate_clones(spec, window, obligation, ctx)
         if accepted:
-            verdict.accepts += 1
+            verdict.accepts += 1 + clones
         elif extension_only:
             raise LTLUnsupported(
                 f"{assertion.name}: an 'eventually' obligation binds "

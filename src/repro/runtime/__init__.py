@@ -12,6 +12,7 @@ an event is fully evaluated before the instrumented call returns) or
 with flushes at synchronization points keeping verdicts exact).
 """
 
+from .config import RuntimeConfig
 from .drain import DRAINER_THREAD_NAME, DrainController
 from .faultinject import (
     FaultInjector,
@@ -88,6 +89,7 @@ __all__ = [
     "Supervisor",
     "AutomatonInstance",
     "BoundTracker",
+    "RuntimeConfig",
     "TeslaRuntime",
     "live_runtimes",
     "reset_all_runtimes",

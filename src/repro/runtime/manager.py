@@ -38,14 +38,13 @@ from ..core.events import EventKind, RuntimeEvent
 from ..core.translate import translate_all
 from ..errors import ContextError, TemporalAssertionError
 from .clock import MonotonicClock, as_clock
+from .config import RuntimeConfig
 from .drain import DrainController
 from .epoch import interest_epoch
 from .governor import OverheadGovernor
 from .journal import JournalWriter
-from .notify import ErrorPolicy, NotificationHub
-from .prealloc import DEFAULT_CAPACITY
-from .ringbuf import DEFAULT_RING_CAPACITY
-from .supervisor import FailurePolicy, Supervisor
+from .notify import NotificationHub
+from .supervisor import Supervisor
 from .store import (
     BoundId,
     BoundTracker,
@@ -171,81 +170,23 @@ def reset_all_runtimes() -> None:
 class TeslaRuntime:
     """Tracks automata instances and their state across all contexts."""
 
-    def __init__(
-        self,
-        lazy: bool = True,
-        capacity: int = DEFAULT_CAPACITY,
-        policy: Optional[ErrorPolicy] = None,
-        compile: bool = True,
-        failure_policy: Optional[FailurePolicy] = None,
-        deferred: object = False,
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
-        drain_interval: float = 0.002,
-        lint: str = "warn",
-        prove: str = "off",
-        journal: object = None,
-        overhead_budget: Optional[float] = None,
-        clock: object = None,
-        stamp_capture: bool = True,
-    ) -> None:
-        if deferred not in (False, True, "manual"):
-            raise ValueError(
-                "deferred must be False (synchronous), True (background "
-                f"drainer) or 'manual' (explicit drain), got {deferred!r}"
-            )
-        # Numeric knobs are range-checked up front: a nonsense value used
-        # to surface (if at all) as a confusing failure deep inside pool
-        # or ring construction, long after the misconfigured call site.
-        if capacity < 1:
-            raise ValueError(
-                f"capacity is the per-class instance pool size; it must be "
-                f">= 1, got {capacity!r}"
-            )
-        if ring_capacity < 1:
-            raise ValueError(
-                f"ring_capacity is the per-thread capture ring size; it "
-                f"must be >= 1, got {ring_capacity!r}"
-            )
-        if drain_interval <= 0:
-            raise ValueError(
-                f"drain_interval is the background drainer's period in "
-                f"seconds; it must be > 0, got {drain_interval!r}"
-            )
-        if overhead_budget is not None and not (
-            0.0 < overhead_budget <= 1.0
-        ):
-            raise ValueError(
-                "overhead_budget is a fraction of wall time; it must be "
-                f"in (0.0, 1.0], got {overhead_budget!r}"
-            )
-        if not stamp_capture and clock is None:
-            raise ValueError(
-                "stamp_capture=False means events arrive pre-stamped by "
-                "some external clock; timer expiry would then read an "
-                "unrelated monotonic epoch — pass the clock= those "
-                "timestamps came from (conflicting clock sources)"
-            )
-        if journal is not None and not deferred:
-            raise ValueError(
-                "journal= records at the drain boundary (DESIGN §5.6); it "
-                "requires deferred=True or deferred='manual'"
-            )
-        if lint not in ("error", "warn", "off"):
-            raise ValueError(
-                f"lint must be 'error', 'warn' or 'off', got {lint!r}"
-            )
-        if prove not in ("off", "report", "prune"):
-            raise ValueError(
-                f"prove must be 'off', 'report' or 'prune', got {prove!r}"
-            )
-        self.lazy = lazy
-        #: Whether dispatch uses the compiled fast path or the interpreted
-        #: engine.  Compiled dispatch runs one tesla-jit generated function
-        #: per (dispatch key, context), which calls each class's generated
-        #: step (DESIGN §5.7).  Both produce identical verdicts;
-        #: ``compile=False`` is the paper-faithful reference interpreter
-        #: the benchmarks compare against.
-        self.compiled = compile
+    def __init__(self, **knobs) -> None:
+        self._configure(RuntimeConfig(**knobs))
+
+    @classmethod
+    def from_config(cls, config: RuntimeConfig) -> "TeslaRuntime":
+        """The runtime ``config`` describes; ``TeslaRuntime(**knobs)`` is
+        ``TeslaRuntime.from_config(RuntimeConfig(**knobs))``."""
+        runtime = cls.__new__(cls)
+        runtime._configure(config)
+        return runtime
+
+    def _configure(self, config: RuntimeConfig) -> None:
+        #: The validated knobs this runtime was built from (DESIGN §5.11);
+        #: the ones dispatch reads are copied to plain attributes below.
+        self.config = config
+        self.lazy = config.lazy
+        self.compiled = config.compile
         #: Key functions generated (``dispatch_stats``/``codegen_report``).
         self.key_fns_built = 0
         #: Memoized :class:`~repro.runtime.codegen.CodegenFacts` snapshot,
@@ -253,17 +194,10 @@ class TeslaRuntime:
         #: bump the epoch, so staleness rides the same invalidation).
         self._facts_epoch = -1
         self._facts = None
-        #: The runtime's one time source (DESIGN §5.9): drives capture
-        #: timestamping, timer (deadline) expiry and the overhead
-        #: governor's cost accounting alike.  Inject a
-        #: :class:`~repro.runtime.clock.FakeClock` for deterministic timed
-        #: tests; the default is the process monotonic clock.
-        self.clock = as_clock(clock)
-        #: Whether ``handle_event``/``dispatch_batch`` stamp each event's
-        #: capture timestamp from ``self.clock``.  ``False`` is the replay
-        #: posture: events arrive pre-stamped (e.g. from a journal) and
-        #: must keep their recorded timestamps.
-        self.stamp_capture = stamp_capture
+        #: The runtime's one time source (DESIGN §5.9) for capture stamps,
+        #: timer expiry and the governor's cost accounting.
+        self.clock = as_clock(config.clock)
+        self.stamp_capture = config.stamp_capture
         #: Largest event timestamp observed, for timer expiry when events
         #: arrive pre-stamped: "now" is then defined by the trace itself,
         #: not by this process's clock.
@@ -274,30 +208,29 @@ class TeslaRuntime:
         #: Timer-check accounting, surfaced via dispatch_stats.
         self.timer_checks = 0
         self.timer_expiries = 0
-        self.hub = NotificationHub(policy)
+        self.hub = NotificationHub(config.policy)
         #: The containment boundary for faults in the monitor itself:
         #: ``failure_policy`` selects fail-stop (default), fail-open,
         #: callback, or quarantine — the internal-fault counterpart of the
         #: violation ``policy``.  Quarantine state changes clear dispatch
         #: plans and rebuild translator chains via ``_on_supervisor_change``.
         self.supervisor = Supervisor(
-            failure_policy, on_change=self._on_supervisor_change
+            config.failure_policy, on_change=self._on_supervisor_change
         )
         self.hub.fault_sink = self.supervisor.record_handler_fault
-        #: Adaptive overhead governor (DESIGN §5.8): feedback controller
-        #: bounding monitoring cost to ``overhead_budget`` (a fraction of
-        #: wall time) by graduated shedding — sample instantiation, demote
-        #: to journal-only recording, shed via the supervisor.  ``None``
-        #: (the default) keeps the hot path completely un-instrumented.
+        #: Adaptive overhead governor (DESIGN §5.8): graduated shedding
+        #: (sample, demote to journal-only, shed) holds monitoring cost to
+        #: ``overhead_budget``.  ``None`` keeps the hot path
+        #: un-instrumented.
         self.governor: Optional[OverheadGovernor] = (
             OverheadGovernor(
-                overhead_budget,
+                config.overhead_budget,
                 clock=self.clock,
                 shed=self.supervisor.governor_shed,
                 unshed=self.supervisor.governor_unshed,
                 on_demote_change=self._on_governor_change,
             )
-            if overhead_budget is not None
+            if config.overhead_budget is not None
             else None
         )
         #: Event translators feeding this runtime, re-filtered when the
@@ -305,8 +238,8 @@ class TeslaRuntime:
         #: their instrumentation session).
         self._translators: "weakref.WeakSet" = weakref.WeakSet()
         #: The global store: every global-context class behind one lock.
-        self.global_store = GlobalStore(capacity)
-        self.thread_stores = PerThreadStores(capacity)
+        self.global_store = GlobalStore(config.capacity)
+        self.thread_stores = PerThreadStores(config.capacity)
         self.automata: Dict[str, Automaton] = {}
         self.contexts: Dict[str, Context] = {}
         self.bounds: Dict[str, BoundId] = {}
@@ -324,16 +257,10 @@ class TeslaRuntime:
         self.entries_built = 0
         #: Event counter, for the benchmarks' sanity reporting.
         self.events_processed = 0
-        #: Deferred pipeline (DESIGN §5.4).  ``deferred=False`` keeps the
-        #: paper's synchronous hot path; ``True`` captures events into
-        #: per-thread rings drained by a background thread; ``"manual"``
-        #: defers with no thread (tests drive ``drain()``/``flush``
-        #: explicitly for deterministic schedules).
-        self.deferred = deferred
-        #: Durable trace journal (DESIGN §5.6): a path, binary file-like
-        #: or prebuilt :class:`~repro.runtime.journal.JournalWriter`; the
-        #: drain appends every merged slot before evaluating it.
+        #: Durable trace journal (DESIGN §5.6): the drain appends every
+        #: merged slot before evaluating it.
         self.journal: Optional[JournalWriter] = None
+        journal = config.journal
         if journal is not None:
             # Anything already quacking like a journal sink (JournalWriter
             # or a custom append_batch/close object) is used as-is; paths
@@ -346,12 +273,12 @@ class TeslaRuntime:
         self.drain: Optional[DrainController] = (
             DrainController(
                 self,
-                ring_capacity=ring_capacity,
-                background=(deferred is True),
-                drain_interval=drain_interval,
+                ring_capacity=config.ring_capacity,
+                background=(config.deferred is True),
+                drain_interval=config.drain_interval,
                 journal=self.journal,
             )
-            if deferred
+            if config.deferred
             else None
         )
         #: Dispatch keys whose events may themselves produce a verdict —
@@ -367,24 +294,10 @@ class TeslaRuntime:
         #: its state lives in the capturing thread's store, which a drain
         #: running on another thread could never reach.
         self._local_keys: frozenset = frozenset()
-        #: tesla-lint gate for installs (DESIGN §5.5): ``"warn"`` (default)
-        #: lints every installed batch and routes findings to stderr;
-        #: ``"error"`` refuses to install a batch with lint errors
-        #: (:class:`~repro.errors.LintError`); ``"off"`` skips the passes.
-        #: Only the automaton layer runs here — the runtime cannot know
-        #: which caller modules or selectors an instrumenter supplies.
-        self.lint = lint
         #: Accumulated lint results across installed batches (``None``
         #: until the first lint-enabled install).  Consumed by the event
         #: translator's check-elision fast path and by ``health_report``.
         self.lint_report = None
-        #: tesla-prove gate for installs (DESIGN §5.10): ``"off"``
-        #: (default) skips proving; ``"report"`` proves every batch on
-        #: the automaton basis and accumulates the report; ``"prune"``
-        #: additionally *skips installing* PROVED assertions — their
-        #: hooks are never referenced, so instrumentation sessions skip
-        #: weaving them and monitoring cost drops to zero.
-        self.prove = prove
         #: Accumulated prove results across installed batches (``None``
         #: until the first prove-enabled install).
         self.prove_report = None
@@ -479,13 +392,13 @@ class TeslaRuntime:
         return automata
 
     def _lint_batch(self, assertions: Sequence[TemporalAssertion]) -> None:
-        """The install-time tesla-lint gate (mode per ``self.lint``).
+        """The install-time tesla-lint gate (mode per ``config.lint``).
 
         Runs the batch and automaton layers only; accumulates results on
         ``self.lint_report`` so the translators' check-elision fast path
         and ``health_report`` can consume them.
         """
-        if self.lint == "off" or not assertions:
+        if self.config.lint == "off" or not assertions:
             return
         from ..analysis.lint import lint_assertions
 
@@ -494,7 +407,7 @@ class TeslaRuntime:
             self.lint_report = report
         else:
             self.lint_report.extend(report)
-        if report.errors and self.lint == "error":
+        if report.errors and self.config.lint == "error":
             from ..errors import LintError
 
             raise LintError(report)
@@ -508,19 +421,19 @@ class TeslaRuntime:
             )
 
     def _prove_batch(self, assertions: Sequence[TemporalAssertion]) -> None:
-        """The install-time tesla-prove gate (mode per ``self.prove``).
+        """The install-time tesla-prove gate (mode per ``config.prove``).
 
         Only the automaton proof basis runs here — the runtime has no
         program CFG (instrumenters know the sources; ``repro.cli prove``
         runs the product basis offline).  That basis is strictly weaker,
         so anything it discharges the full engine would too.
         """
-        if self.prove == "off" or not assertions:
+        if self.config.prove == "off" or not assertions:
             return
         from ..analysis.prove import PROVED, prove_assertions
 
         report = prove_assertions(assertions)
-        if self.prove == "prune":
+        if self.config.prove == "prune":
             self.prove_elided |= {
                 r.assertion for r in report.results if r.verdict == PROVED
             }

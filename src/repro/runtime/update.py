@@ -647,13 +647,16 @@ def _filter_guards(
     a per-instance sliding window of match timestamps: an over-budget
     occurrence blocks the transition, records the guard in
     ``rate_blocked`` (for a once-per-event violation) and does *not* join
-    the window — the window holds only permitted occurrences.
+    the window — the window holds only permitted occurrences.  A rate
+    match that binds new variables belongs to the clone it creates, so it
+    passes here and is counted in that clone's window: one window per
+    binding (DESIGN §5.9).
     """
     ts = event.timestamp
     allowed = []
     for pair in matches:
         guard = pair[0].guard
-        if guard is None:
+        if guard is None or (pair[1] and guard.kind == "rate"):
             allowed.append(pair)
             continue
         kind = guard.kind

@@ -9,10 +9,11 @@ never correctness.  This module is that experiment:
 * a small deterministic application built on real instrumentation hooks
   (:func:`instrumentable` bounds/checks plus :func:`tesla_site` sites);
 * a baseline pass with no monitoring and no injection;
-* monitored passes across the naive / lazy / compiled / deferred
-  runtime configurations with a seeded :class:`FaultInjector` armed —
-  per-site at rate 1.0 for boundary coverage, then a combined ~10k-event
-  trace;
+* monitored passes across the pinned runtime configurations (naive /
+  lazy / compiled / governed / deferred, ``tests/configspace.py``) with a
+  seeded :class:`FaultInjector` armed — per-site at rate 1.0 for
+  boundary coverage, then a combined ~10k-event trace — and across
+  configurations drawn from the whole valid space;
 * byte-identical application results, zero escaped exceptions, and
   ``injected == recorded`` accounting through :func:`health_report`,
   every time — including under 8 application threads.
@@ -37,6 +38,7 @@ import threading
 from typing import Dict, List, Tuple
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.core.dsl import (
     ANY,
@@ -59,6 +61,8 @@ from repro.runtime.supervisor import (
     QuarantineState,
 )
 from repro.session import monitoring
+
+from ..configspace import cases, fresh, knobs, pinned
 
 #: CI's chaos job sweeps this offset over a fixed seed matrix, shifting
 #: every injection seed (never the application traces) so containment is
@@ -147,24 +151,12 @@ def chaos_assertions(n_classes: int = 3):
     ]
 
 
-CONFIGS = [
-    ("naive", dict(lazy=False, compile=False)),
-    ("lazy", dict(lazy=True, compile=False)),
-    # The compiled rows run tesla-jit's generated code, armed or not: its
-    # steps and cleanups visit the update.* fault points, and generating
-    # a step visits store.plan_for and plans.build, so every fault site
-    # stays reachable and the verdict/containment contract is unchanged.
-    ("compiled", dict(lazy=True, compile=True)),
-    ("deferred", dict(lazy=True, compile=True, deferred="manual")),
-    ("deferred-bg", dict(lazy=True, compile=True, deferred=True)),
-    # Overhead governor armed (DESIGN §5.8).  The generous budget keeps
-    # the ladder mostly quiet; what matters here is that the governor's
-    # charge path runs on every dispatched class so its fault site is
-    # reachable — and that a faulting governor trips (fail-safe) without
-    # ever perturbing the application or the containment accounting.
-    ("governed", dict(lazy=True, compile=True,
-                      overhead_budget=0.9)),
-]
+#: Every pinned row: only the application's results are judged here, so
+#: the governor on the real clock runs too.  The compiled rows run
+#: tesla-jit's generated code, armed or not: its steps and cleanups visit
+#: the update.* fault points, and generating a step visits
+#: store.plan_for and plans.build, so every fault site stays reachable.
+ROWS = pinned(feeds=("event",))
 
 #: Fault sites this application's event flow can visit, per configuration
 #: family (the ``drain.*`` boundaries only exist in the deferred
@@ -196,13 +188,11 @@ REACHABLE_SITES = {
 }
 
 
-def monitored_run(ops, config_kwargs, failure_policy, with_handler=True):
-    with monitoring(
-        chaos_assertions(),
-        policy=LogAndContinue(),
-        failure_policy=failure_policy,
-        **config_kwargs,
-    ) as runtime:
+def monitored_run(ops, config, failure_policy, with_handler=True):
+    config = fresh(
+        config, policy=LogAndContinue(), failure_policy=failure_policy
+    )
+    with monitoring(chaos_assertions(), **knobs(config)) as runtime:
         if with_handler:
             # A real handler on the hub so ``notify.handler`` is reachable.
             runtime.hub.add_handler(CollectingHandler())
@@ -223,9 +213,9 @@ class TestPerSiteContainment:
         ops = make_ops(seed=101, count=120)
         baseline = run_app(ops)
         visited_somewhere = False
-        for name, kwargs in CONFIGS:
+        for name, config, _ in ROWS:
             with injection(seed=7 + CHAOS_SEED, only=[site]) as injector:
-                result, report = monitored_run(ops, kwargs, FailOpen())
+                result, report = monitored_run(ops, config, FailOpen())
             assert result == baseline, (
                 f"{name}: app diverged under faults at {site!r}"
             )
@@ -255,9 +245,9 @@ class TestCombinedChaos:
         n_events = sum(1 if op[0] == "site" else 2 for op in ops)
         assert n_events > 10_000
         baseline = run_app(ops)
-        for name, kwargs in CONFIGS:
+        for name, config, _ in ROWS:
             with injection(seed=31 + CHAOS_SEED, rate=0.02) as injector:
-                result, report = monitored_run(ops, kwargs, FailOpen())
+                result, report = monitored_run(ops, config, FailOpen())
             assert result == baseline, f"{name}: app result diverged"
             assert injector.total_fired > 0, (
                 f"{name}: chaos run injected nothing — rate/seed too weak"
@@ -275,9 +265,9 @@ class TestCombinedChaos:
         ops = make_ops(seed=303, count=1500)
         baseline = run_app(ops)
         policy = QuarantinePolicy(threshold=3, window=400, cooldown=200)
-        for name, kwargs in CONFIGS:
+        for name, config, _ in ROWS:
             with injection(seed=13 + CHAOS_SEED, rate=0.25, only=["update.step"]):
-                result, report = monitored_run(ops, kwargs, policy)
+                result, report = monitored_run(ops, config, policy)
             assert result == baseline, (
                 f"{name}: app diverged while classes were being quarantined"
             )
@@ -285,6 +275,22 @@ class TestCombinedChaos:
             assert report.shed or report.quarantine, (
                 f"{name}: the chaos was too gentle to trip quarantine"
             )
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(cases(feeds=("event",)))
+    def test_drawn_config_contains_every_fault(self, drawn):
+        """Any valid configuration, faults everywhere: the application
+        result is unchanged, nothing escapes and the books balance."""
+        ops = make_ops(seed=505, count=400)
+        with injection(seed=41 + CHAOS_SEED, rate=0.05) as injector:
+            result, report = monitored_run(ops, drawn[1], FailOpen())
+        assert result == run_app(ops), drawn
+        assert report.propagated == 0, drawn
+        assert report.injected_recorded == injector.total_fired, drawn
 
     def test_quarantine_trip_is_seed_deterministic(self):
         ops = make_ops(seed=404, count=1200)

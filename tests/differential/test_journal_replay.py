@@ -1,19 +1,21 @@
 """Differential: live verdicts ≡ journal replay ≡ independent LTL oracle.
 
-Every configuration of the randomized-trace corpus gets a *journaling
-twin*: the same trace captured through the deferred pipeline with a
-:class:`~repro.runtime.journal.JournalWriter` installed at the drain
-boundary.  For each twin we require three independent verdict sources to
-agree exactly — accept/error/site counts *and* per-class violation-reason
-streams:
+Every pinned configuration of the randomized-trace corpus gets a
+*journaling twin*: the same trace captured through the deferred pipeline
+with a :class:`~repro.runtime.journal.JournalWriter` installed at the
+drain boundary; each example also draws a journaling configuration from
+the valid configuration space (``tests/configspace.py``).  For each we
+require three independent verdict sources to agree exactly —
+accept/error/site counts *and* per-class violation-reason streams:
 
 1. the live run's verdicts,
-2. the journal replayed offline through the reference interpreter
-   (``naive``) and the compiled fast path (``compiled``, tesla-jit's
-   generated steps),
+2. the journal replayed offline, at the live pool capacity, through the
+   reference interpreter (``naive``) and the compiled fast path
+   (``compiled``, tesla-jit's generated steps),
 3. the LTL oracle (:mod:`repro.replay.ltl_oracle`), which evaluates the
    ``tesla_ltl_map`` reading of each assertion directly over the journal
-   and shares none of the automaton machinery.
+   and shares none of the automaton machinery — on every trace where no
+   instance pool overflowed, since the oracle has no pools.
 
 The multi-thread sweep extends the check to real concurrency: whatever
 interleaving the producer threads actually produced, the journal is the
@@ -23,10 +25,11 @@ verdicts from it alone.
 
 from __future__ import annotations
 
-import io
+from dataclasses import replace
 from typing import Dict, List, Tuple
 
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.dsl import (
     ANY,
@@ -38,13 +41,13 @@ from repro.core.dsl import (
     tesla_within,
     var,
 )
-from repro.runtime.manager import TeslaRuntime
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.journal import read_journal
 from repro.runtime.notify import LogAndContinue
-from repro.replay import ReplayEngine, ltl_verdicts
+from repro.replay import REPLAY_CONFIGS, ReplayEngine, ltl_verdicts
 
+from ..configspace import JOURNAL, PINNED, build, cases, pinned, steady, stop
 from .test_mode_equivalence import (
-    CONFIGS,
     capture_concurrently,
     class_name,
     events_of,
@@ -90,19 +93,21 @@ def assertions_of(specs: Tuple[ClassSpec, ...]):
     ]
 
 
-def recording_twin(specs: Tuple[ClassSpec, ...], kwargs: dict):
-    """A journaling runtime in the given configuration.  The journal
-    records at the drain boundary, so every twin defers (``"manual"``
-    keeps the corpus deterministic); lazy/compile are the config
-    under test."""
-    twin_kwargs = dict(kwargs)
-    twin_kwargs["deferred"] = "manual"
-    buf = io.BytesIO()
-    runtime = TeslaRuntime(
-        policy=LogAndContinue(), journal=buf, **twin_kwargs
-    )
+#: Journaling twins of the pinned rows: the journal records at the drain
+#: boundary, so every twin defers (``"manual"`` keeps them deterministic).
+TWINS = pinned(steady, deferred="manual", journal=JOURNAL)
+#: Drawn journaling configurations, the background drainer included.
+DRAWN_TWINS = cases(
+    steady, feeds=("event",), deferred=st.sampled_from(["manual", True]),
+    journal=JOURNAL,
+)
+
+
+def recording_twin(specs: Tuple[ClassSpec, ...], config: RuntimeConfig):
+    """A journaling runtime in ``config``; returns it and its buffer."""
+    runtime = build(config, policy=LogAndContinue())
     runtime.install_assertions(assertions_of(specs))
-    return runtime, buf
+    return runtime, runtime.config.journal
 
 
 def violation_stream(runtime) -> Dict[str, List[str]]:
@@ -129,7 +134,9 @@ def oracle_summary(assertions, slots):
 
 
 def check_agreement(name, specs, runtime, buf):
-    """Live verdicts vs journal replay (naive + compiled) vs LTL oracle."""
+    """Live verdicts vs journal replay (naive + compiled, at the live
+    pool capacity) vs the LTL oracle, which has no pools and so judges
+    only traces on which no pool overflowed."""
     live = verdict(runtime, len(specs))
     live_streams = violation_stream(runtime)
 
@@ -139,7 +146,9 @@ def check_agreement(name, specs, runtime, buf):
     engine = ReplayEngine(journal)
 
     for config in ("naive", "compiled"):
-        result = engine.run(config)
+        result = engine.run(
+            replace(REPLAY_CONFIGS[config], capacity=runtime.config.capacity)
+        )
         replayed = [
             result.classes[class_name(index)].as_tuple()
             for index in range(len(specs))
@@ -152,6 +161,12 @@ def check_agreement(name, specs, runtime, buf):
             f"[{name}] replay ({config}) violation streams diverged"
         )
 
+    if any(
+        cr.pool.overflows
+        for index in range(len(specs))
+        for cr in runtime.all_class_runtimes(class_name(index))
+    ):
+        return
     oracle_counts, oracle_streams = oracle_summary(
         engine.assertions, engine.slots
     )
@@ -165,25 +180,32 @@ def check_agreement(name, specs, runtime, buf):
     )
 
 
+def record(specs, config, events):
+    """Run ``events`` through ``config``'s journaling twin and check
+    live, replay and oracle agree."""
+    runtime, buf = recording_twin(specs, config)
+    try:
+        for event in events:
+            runtime.handle_event(event)
+        runtime.flush_deferred()
+        stop(runtime)
+        runtime.close_journal()
+        check_agreement(config, specs, runtime, buf)
+    finally:
+        runtime.reset()
+
+
 @settings(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(scenarios())
-def test_every_config_journal_replays_to_live_verdicts(scenario):
+@given(scenarios(), DRAWN_TWINS)
+def test_every_config_journal_replays_to_live_verdicts(scenario, drawn):
     specs, ops = scenario
     events = events_of(ops)
-    for name, kwargs in CONFIGS:
-        runtime, buf = recording_twin(specs, kwargs)
-        try:
-            for event in events:
-                runtime.handle_event(event)
-            runtime.flush_deferred()
-            runtime.close_journal()
-            check_agreement(name, specs, runtime, buf)
-        finally:
-            runtime.reset()
+    for _, config, _ in TWINS + [drawn]:
+        record(specs, config, events)
 
 
 @settings(
@@ -191,21 +213,22 @@ def test_every_config_journal_replays_to_live_verdicts(scenario):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(mt_scenarios())
-def test_multithread_journal_replays_to_live_verdicts(scenario):
+@given(mt_scenarios(), DRAWN_TWINS)
+def test_multithread_journal_replays_to_live_verdicts(scenario, drawn):
     """Real concurrency: 8 producer threads, tiny-ring overflow flushes,
     then the journal alone must reproduce the live verdicts through both
     replay configs and the LTL oracle."""
     specs, thread_ops = scenario
-    runtime, buf = recording_twin(
-        specs, dict(lazy=True, compile=True)
-    )
-    try:
-        capture_concurrently(runtime, thread_ops)
-        runtime.close_journal()
-        check_agreement("mt-journal", specs, runtime, buf)
-    finally:
-        runtime.reset()
+    twin = replace(PINNED["deferred-compiled"][0], journal=JOURNAL)
+    for config in (twin, drawn[1]):
+        runtime, buf = recording_twin(specs, config)
+        try:
+            capture_concurrently(runtime, thread_ops)
+            stop(runtime)
+            runtime.close_journal()
+            check_agreement(config, specs, runtime, buf)
+        finally:
+            runtime.reset()
 
 
 def test_known_interleaving_journal_regression():
@@ -227,7 +250,9 @@ def test_known_interleaving_journal_regression():
         ("site", 2, 0),
         ("check", 0, 1),
     ]
-    runtime, buf = recording_twin(specs, dict(lazy=True))
+    runtime, buf = recording_twin(
+        specs, RuntimeConfig(deferred="manual", journal=JOURNAL)
+    )
     try:
         for event in events_of(ops):
             runtime.handle_event(event)

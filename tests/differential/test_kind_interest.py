@@ -21,16 +21,17 @@ and outside the bound.  The program then runs twice per configuration:
   drops the unobserved ones by key.
 
 The translator's forwarded stream, the verdicts, the violation reasons
-and (for the deferred configuration) the journal bytes must match, in
-synchronous and deferred configurations alike (both compiled, so both
-run tesla-jit's generated steps).  The kind-skip
-counters must account for every event the filtered run did not build.
+and (for deferred configurations, which journal) the journal bytes must
+match, in every pinned configuration and in one drawn from the valid
+configuration space (``tests/configspace.py``) per example.  The
+kind-skip counters must account for every event the filtered run did
+not build.
 """
 
 from __future__ import annotations
 
-import io
-from typing import Any, Dict, List, Tuple
+from dataclasses import replace
+from typing import Any, List, Tuple
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -48,9 +49,11 @@ from repro.instrument.hooks import (
 from repro.instrument.interpose import interposition_table, tesla_method_hook
 from repro.instrument.translator import EventTranslator
 from repro.runtime.clock import FakeClock
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.epoch import interest_stats
-from repro.runtime.manager import TeslaRuntime
 from repro.runtime.notify import LogAndContinue
+
+from ..configspace import JOURNAL, build, cases, pinned, steady, stop
 
 #: Hook flavours, by index: callee hook point, caller wrapper, selector.
 FLAVOURS = ("callee", "caller", "interpose")
@@ -59,10 +62,18 @@ HOOKS = ("ki_callee", "ki_caller", "ki_interpose")
 ARITY = (2, 2, 3)
 MODES = ("none", "call", "return", "both", "sequence")
 
-CONFIGS: Dict[str, Dict[str, Any]] = {
-    "sync": {},
-    "deferred": {"deferred": "manual"},
-}
+
+def capture_path(config: RuntimeConfig) -> bool:
+    """The pinned rows here are the two capture paths hooks feed — the
+    synchronous entry and the rings — on the default evaluator; the
+    evaluators themselves are the mode-equivalence harness's rows."""
+    return config.compile and config.lazy and config.overhead_budget is None
+
+
+#: On a fake clock, so journals compare byte for byte: the pinned capture
+#: paths (without tesla-lint), plus a drawn configuration per example.
+ROWS = pinned(capture_path, feeds=("event",), lint="off", clock=FakeClock())
+DRAWN = cases(steady, feeds=("event",), clock=FakeClock())
 
 _REGISTRY = HookRegistry()
 
@@ -152,12 +163,11 @@ def scenarios(draw):
     return modes, contexts, blocks
 
 
-def _run(modes, contexts, blocks, config: Dict[str, Any], filtered: bool):
-    journal = io.BytesIO() if config.get("deferred") else None
-    runtime = TeslaRuntime(
-        policy=LogAndContinue(), clock=FakeClock(), lint="off",
-        journal=journal, **config,
-    )
+def _run(modes, contexts, blocks, config: RuntimeConfig, filtered: bool):
+    if config.deferred and config.journal is None:
+        config = replace(config, journal=JOURNAL)
+    runtime = build(config, policy=LogAndContinue())
+    journal = runtime.config.journal
     assertions = assertions_of(modes, contexts)
     runtime.install_assertions(assertions)
     translator = EventTranslator(runtime)
@@ -208,6 +218,7 @@ def _run(modes, contexts, blocks, config: Dict[str, Any], filtered: bool):
         runtime.flush_deferred()
         runtime.close_journal()
     finally:
+        stop(runtime)
         for point in points:
             point.detach(sink)
         interposition_table.remove("ki_interpose", method_hook)
@@ -264,23 +275,24 @@ class TestKindInterestEquivalence:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(scenarios())
-    def test_filtered_matches_pass_through(self, scenario):
+    @given(scenarios(), DRAWN)
+    def test_filtered_matches_pass_through(self, scenario, drawn):
         modes, contexts, blocks = scenario
         expected_skips = expected_kind_skips(modes, blocks)
-        for name, config in CONFIGS.items():
+        for name, config, _ in ROWS + [drawn]:
             filtered = _run(modes, contexts, blocks, config, filtered=True)
             full = _run(modes, contexts, blocks, config, filtered=False)
-            assert filtered["forwarded"] == full["forwarded"], name
-            assert filtered["verdicts"] == full["verdicts"], name
-            assert filtered["reasons"] == full["reasons"], name
-            assert filtered["journal"] == full["journal"], name
-            assert filtered["translator"][0] == full["translator"][0], name
+            label = (name, config)
+            assert filtered["forwarded"] == full["forwarded"], label
+            assert filtered["verdicts"] == full["verdicts"], label
+            assert filtered["reasons"] == full["reasons"], label
+            assert filtered["journal"] == full["journal"], label
+            assert filtered["translator"][0] == full["translator"][0], label
             # Everything the filtered run did not build, the pass-through
             # run built and the translator dropped by key.
             skipped = sum(filtered["kind_skips"])
-            assert filtered["kind_skips"] == expected_skips, name
-            assert full["kind_skips"] == (0, 0), name
+            assert filtered["kind_skips"] == expected_skips, label
+            assert full["kind_skips"] == (0, 0), label
             assert filtered["translator"][1] <= full["translator"][1] - skipped
 
     def test_return_only_reference_skips_calls(self):
@@ -291,7 +303,7 @@ class TestKindInterestEquivalence:
         blocks = [
             (True, [("hook", 0, 0), ("site", "ki_0_return"), ("hook", 0, 1)]),
         ]
-        for config in CONFIGS.values():
+        for _, config, _ in ROWS:
             filtered = _run(modes, contexts, blocks, config, filtered=True)
             full = _run(modes, contexts, blocks, config, filtered=False)
             assert filtered["forwarded"] == full["forwarded"]

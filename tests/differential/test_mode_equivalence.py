@@ -1,24 +1,29 @@
-"""Differential stress-test harness: naive ≡ lazy ≡ batched ≡ compiled.
+"""Differential stress-test harness: every valid configuration ≡ naive.
 
 The same randomized event trace — arbitrary interleavings of bound
 entry/exit, body events and assertion sites over several assertion
 classes in both global and per-thread contexts — is replayed through
-every runtime configuration:
+runtime configurations drawn from the valid configuration space
+(``tests/configspace.py``), and each must agree with the reference: the
+paper's first implementation (``lazy=False``) on the interpreter, at the
+same instance-pool capacity.  Every example runs the pinned rows this
+harness can judge, among them:
 
-* **naive** (``lazy=False``): the paper's first implementation, eager
-  wildcard materialisation;
-* **lazy** (``lazy=True``): the §5.2.2 optimisation;
-* **batched**: lazy mode fed through :meth:`TeslaRuntime.dispatch_batch`
-  in odd-sized chunks;
-* **compiled** / **compiled-naive**: the compiled dispatch path
-  (``compile=True``: tesla-jit's generated step functions over compiled
-  transition plans, DESIGN §5.7) in lazy and eager flavours —
-  interpreted and generated matchers must be observationally identical;
-* **compiled-batched**: the compiled path fed through ``dispatch_batch``
-  in odd-sized chunks, as a drain pass feeds it;
-* **compiled-governed**: the compiled path under an overhead governor
-  whose clock never advances, so nothing escalates while every key
-  function runs its charging code.
+* **lazy**: the §5.2.2 optimisation;
+* **batched** / **compiled-batched**: fed through
+  :meth:`TeslaRuntime.dispatch_batch` in odd-sized chunks, as a drain
+  pass feeds it;
+* **compiled** / **compiled-naive**: tesla-jit's generated steps
+  (DESIGN §5.7) in lazy and eager flavours — interpreted and generated
+  matchers must be observationally identical;
+* **compiled-governed**: an overhead governor whose clock never
+  advances, so nothing escalates while every key function runs its
+  charging code;
+* **deferred** / **deferred-compiled** / **deferred-bg**: per-thread
+  ring capture with explicit drains or the background drainer;
+
+plus one drawn configuration, which reaches combinations no row lists
+(governed + batched, eager + deferred, tiny pools and rings, ...).
 
 All configurations must agree on every class's accept count, error count,
 assertion-sites-reached count and final live-instance count.  The paper's
@@ -30,20 +35,18 @@ promises more: the whole violation stream, in order across classes and
 contexts, and the first fail-stop violation are exactly per-event
 dispatch's.
 
-Two deferred-pipeline configurations ride the same sweep (**deferred**:
-per-thread ring capture with explicit drains; **deferred-compiled**: the
-same with compiled plans), and a
-*replay oracle* extends the check to real concurrency: randomized
-8-thread traces are captured through the rings, the merged (seqno-sorted)
-dispatch sequence is recorded, and that exact sequence is replayed
-through the naive synchronous interpreter — the deferred verdicts must
-equal the reference's, proving deferral changed *when* evaluation ran but
-not *what* it computed.
+A *replay oracle* extends the check to real concurrency: randomized
+8-thread traces are captured through the rings of every deferred
+configuration, the merged (seqno-sorted) dispatch sequence is recorded,
+and that exact sequence is replayed through the naive synchronous
+interpreter — the deferred verdicts must equal the reference's, proving
+deferral changed *when* evaluation ran but not *what* it computed.
 """
 
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from typing import Dict, List, Tuple
 
 import pytest
@@ -68,9 +71,13 @@ from repro.core.events import (
 )
 from repro.core.translate import translate_all
 from repro.errors import TemporalAssertionError
-from repro.runtime.clock import FakeClock
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.manager import TeslaRuntime
 from repro.runtime.notify import LogAndContinue
+
+from ..configspace import (
+    FEEDS, NAIVE, PINNED, agree, build, cases, drive, pinned, steady, stop,
+)
 
 N_BOUNDS = 2
 N_VALUES = 3
@@ -112,13 +119,11 @@ def _automaton_for(index: int, bound: int, context: str):
 
 
 def build_runtime(
-    specs: Tuple[ClassSpec, ...], lazy: bool,
-    compile: bool = False, deferred: object = False, fail_stop: bool = False,
-    **knobs,
+    specs: Tuple[ClassSpec, ...], config: RuntimeConfig = NAIVE,
+    fail_stop: bool = False,
 ):
-    runtime = TeslaRuntime(
-        lazy=lazy, policy=None if fail_stop else LogAndContinue(),
-        compile=compile, deferred=deferred, **knobs,
+    runtime = build(
+        config, policy=None if fail_stop else LogAndContinue()
     )
     for index, (bound, context) in enumerate(specs):
         automaton, ast_context = _automaton_for(index, bound, context)
@@ -196,37 +201,22 @@ def scenarios(draw):
     return specs, ops
 
 
-CONFIGS = [
-    ("naive", dict(lazy=False, compile=False)),
-    ("lazy", dict(lazy=True, compile=False)),
-    ("batched", dict(lazy=True, compile=False)),
-    ("compiled", dict(lazy=True, compile=True)),
-    ("compiled-naive", dict(lazy=False, compile=True)),
-    ("compiled-batched", dict(lazy=True, compile=True)),
-    # Governed, with a clock that never advances: no window ever closes,
-    # so nothing escalates, but the generated key functions carry their
-    # governor-charging code on every event.
-    ("compiled-governed", dict(lazy=True, compile=True,
-                               overhead_budget=0.5, clock=FakeClock())),
-    ("deferred", dict(lazy=True, compile=False, deferred="manual")),
-    ("deferred-compiled", dict(lazy=True, compile=True, deferred="manual")),
-]
+#: Every pinned row whose verdicts are a function of the trace.
+ROWS = pinned(steady)
 
 
-def replay(name: str, runtime: TeslaRuntime, events: List[RuntimeEvent]):
-    if name.endswith("batched"):
-        # Odd chunk size so batch boundaries fall mid-bound, mid-clone,
-        # everywhere — any state leaked across a batch edge shows up as a
-        # divergence from the per-event configurations.
-        for start in range(0, len(events), 7):
-            runtime.dispatch_batch(events[start : start + 7])
-    else:
-        for event in events:
-            runtime.handle_event(event)
-        if runtime.drain is not None:
-            # Deferred capture: evaluate whatever the trace's sync points
-            # didn't already force before reading verdicts.
-            runtime.flush_deferred()
+def observer(specs, events, observe):
+    """``run(config, feed)`` for :func:`~tests.configspace.agree`."""
+
+    def run(config, how):
+        runtime = build_runtime(specs, config)
+        try:
+            drive(runtime, how, events)
+        finally:
+            stop(runtime)
+        return observe(runtime)
+
+    return run
 
 
 @settings(
@@ -234,45 +224,32 @@ def replay(name: str, runtime: TeslaRuntime, events: List[RuntimeEvent]):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(scenarios())
-def test_all_modes_agree(scenario):
+@given(scenarios(), cases(steady))
+def test_all_modes_agree(scenario, drawn):
     specs, ops = scenario
-    events = events_of(ops)
-    verdicts = {}
-    for name, kwargs in CONFIGS:
-        runtime = build_runtime(specs, **kwargs)
-        replay(name, runtime, events)
-        verdicts[name] = verdict(runtime, len(specs))
-    baseline = verdicts["naive"]
-    for name, got in verdicts.items():
-        assert got == baseline, (
-            f"{name} diverged from naive: {got} != {baseline} "
-            f"(specs={specs}, ops={ops})"
-        )
+    verdicts = agree(ROWS + [drawn], observer(
+        specs, events_of(ops), lambda runtime: verdict(runtime, len(specs))
+    ))
     # Drained traces leave no live instances in any configuration.
-    assert all(live == 0 for (_, _, _, live) in baseline)
+    assert all(live == 0 for (_, _, _, live) in verdicts["naive"])
+
+
+def violation_stream(runtime: TeslaRuntime) -> Dict[str, List[str]]:
+    per_class: Dict[str, List[str]] = {}
+    for violation in runtime.hub.policy.violations:
+        per_class.setdefault(violation.automaton, []).append(
+            violation.reason
+        )
+    return per_class
 
 
 @settings(max_examples=50, deadline=None)
-@given(scenarios())
-def test_violation_streams_agree(scenario):
+@given(scenarios(), cases(steady))
+def test_violation_streams_agree(scenario, drawn):
     """Not just counts: the per-class sequence of violation reasons must
     match across every configuration."""
     specs, ops = scenario
-    events = events_of(ops)
-    streams = {}
-    for name, kwargs in CONFIGS:
-        runtime = build_runtime(specs, **kwargs)
-        replay(name, runtime, events)
-        per_class: Dict[str, List[str]] = {}
-        for violation in runtime.hub.policy.violations:
-            per_class.setdefault(violation.automaton, []).append(
-                violation.reason
-            )
-        streams[name] = per_class
-    baseline = streams["naive"]
-    for name, got in streams.items():
-        assert got == baseline, f"{name} violation stream diverged"
+    agree(ROWS + [drawn], observer(specs, events_of(ops), violation_stream))
 
 
 def _violation_order(runtime: TeslaRuntime, events: List[RuntimeEvent]):
@@ -284,12 +261,12 @@ def _violation_order(runtime: TeslaRuntime, events: List[RuntimeEvent]):
     ]
 
 
-def _first_fail_stop(runtime, events, batched):
+def _first_fail_stop(runtime, events, how):
     """Drive to the first fail-stop violation: (class, event index,
     events_processed), or None for a clean trace."""
     where = {id(event): i for i, event in enumerate(events)}
     try:
-        replay("batched" if batched else "per-event", runtime, events)
+        drive(runtime, how, events)
     except TemporalAssertionError as exc:
         violation = exc.violation
         return (
@@ -305,27 +282,27 @@ def _first_fail_stop(runtime, events, batched):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(scenarios())
-def test_batched_dispatch_is_per_event_dispatch(scenario):
+@given(scenarios(), cases(steady, feeds=("event",), deferred=False))
+def test_batched_dispatch_is_per_event_dispatch(scenario, drawn):
     """``dispatch_batch`` replays in event order: over mixed global and
     per-thread classes it reports the same violations in the same order
     as per-event dispatch, and under fail-stop raises the same first
-    violation after the same number of events."""
+    violation after the same number of events — for the pinned batched
+    rows and a drawn synchronous configuration."""
     specs, ops = scenario
     events = events_of(ops)
-    for compile in (False, True):
+    configs = [config for _, config, _ in pinned(feeds=("batch",))]
+    for config in configs + [drawn[1]]:
         orders = {}
         firsts = {}
-        for batched in (False, True):
-            runtime = build_runtime(specs, lazy=True, compile=compile)
-            replay("batched" if batched else "per-event", runtime, events)
-            orders[batched] = _violation_order(runtime, events)
-            runtime = build_runtime(
-                specs, lazy=True, compile=compile, fail_stop=True
-            )
-            firsts[batched] = _first_fail_stop(runtime, events, batched)
-        assert orders[True] == orders[False], (compile, specs, ops)
-        assert firsts[True] == firsts[False], (compile, specs, ops)
+        for how in FEEDS:
+            runtime = build_runtime(specs, config)
+            drive(runtime, how, events)
+            orders[how] = _violation_order(runtime, events)
+            runtime = build_runtime(specs, config, fail_stop=True)
+            firsts[how] = _first_fail_stop(runtime, events, how)
+        assert orders["batch"] == orders["event"], (config, specs, ops)
+        assert firsts["batch"] == firsts["event"], (config, specs, ops)
 
 
 def test_known_interleaving_regression():
@@ -347,13 +324,9 @@ def test_known_interleaving_regression():
         ("site", 2, 0),          # bound 1 still open: satisfied
         ("check", 0, 1),         # bound 0 closed again: ignored
     ]
-    events = events_of(ops)
-    verdicts = {}
-    for name, kwargs in CONFIGS:
-        runtime = build_runtime(specs, **kwargs)
-        replay(name, runtime, events)
-        verdicts[name] = verdict(runtime, len(specs))
-    assert len({tuple(v) for v in verdicts.values()}) == 1, verdicts
+    verdicts = agree(ROWS, observer(
+        specs, events_of(ops), lambda runtime: verdict(runtime, len(specs))
+    ))
     accepts0, errors0, sites0, live0 = verdicts["naive"][0]
     assert (accepts0, errors0) == (1, 0)
     assert verdicts["naive"][1][1] == 1  # class 1's site had no check
@@ -362,18 +335,17 @@ def test_known_interleaving_regression():
 
 # -- the replay oracle: real concurrency vs the naive interpreter --------------
 
-#: Deferred flavours the multi-thread oracle sweeps: deterministic manual
-#: drains, the compiled fast path, and the background drainer racing the
-#: producers for real.
-MT_DEFERRED_CONFIGS = [
-    ("mt-deferred", dict(lazy=True, compile=False, deferred="manual")),
-    ("mt-deferred-compiled", dict(lazy=True, compile=True,
-                                  deferred="manual")),
-    ("mt-deferred-background", dict(lazy=True, compile=True,
-                                    deferred=True)),
-]
-
 N_THREADS = 8
+
+
+def captures(config: RuntimeConfig) -> bool:
+    """The oracle needs capture rings to record the merged sequence."""
+    return bool(config.deferred) and steady(config)
+
+
+#: Every pinned deferred row: deterministic manual drains, the compiled
+#: fast path, and the background drainer racing the producers for real.
+MT_ROWS = pinned(captures, feeds=("event",))
 
 
 @st.composite
@@ -441,36 +413,48 @@ def capture_concurrently(runtime: TeslaRuntime, thread_ops):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(mt_scenarios())
-def test_deferred_multithread_matches_naive_replay_of_merged_trace(scenario):
+@given(mt_scenarios(), cases(captures, feeds=("event",)))
+def test_deferred_multithread_matches_naive_replay_of_merged_trace(
+    scenario, drawn
+):
     """The oracle proper: whatever interleaving the 8 threads actually
     produced, replaying the recorded merged sequence through the naive
     synchronous interpreter must reproduce the deferred verdicts —
     verdicts are a function of the merged order alone."""
     specs, thread_ops = scenario
-    for name, kwargs in MT_DEFERRED_CONFIGS:
-        runtime = build_runtime(specs, **kwargs)
-        log = capture_concurrently(runtime, thread_ops)
+    for name, config, _ in MT_ROWS + [drawn]:
+        runtime = build_runtime(specs, config)
+        try:
+            log = capture_concurrently(runtime, thread_ops)
+        finally:
+            stop(runtime)
         got = verdict(runtime, len(specs))
         stats = runtime.drain.stats()
         assert stats["events_lost_to_faults"] == 0
         assert stats["events_enqueued"] == stats["events_drained"], (
-            f"{name} lost or duplicated events: {stats}"
+            f"{name} {config} lost or duplicated events: {stats}"
         )
         # The log is the merged sequence: seqno-sorted, every capture once.
         seqnos = [seqno for seqno, _ in log]
         assert seqnos == sorted(seqnos)
         assert len(seqnos) == len(set(seqnos)) == stats["events_drained"]
-        reference = build_runtime(specs, lazy=False, compile=False)
-        for _, event in log:
-            reference.handle_event(event)
+        reference = replay_log(specs, config, log)
         expected = verdict(reference, len(specs))
         assert got == expected, (
-            f"{name} diverged from naive replay of its own merged trace: "
-            f"{got} != {expected} (specs={specs})"
+            f"{name} {config} diverged from naive replay of its own merged "
+            f"trace: {got} != {expected} (specs={specs})"
         )
         # Quiescent traces leave no live instances anywhere.
         assert all(live == 0 for (_, _, _, live) in got)
+
+
+def replay_log(specs, config: RuntimeConfig, log) -> TeslaRuntime:
+    """The naive interpreter, at ``config``'s capacity, fed a recorded
+    merged sequence."""
+    reference = build_runtime(specs, replace(NAIVE, capacity=config.capacity))
+    for _, event in log:
+        reference.handle_event(event)
+    return reference
 
 
 @settings(
@@ -478,25 +462,18 @@ def test_deferred_multithread_matches_naive_replay_of_merged_trace(scenario):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(mt_scenarios())
-def test_deferred_multithread_violation_streams_match_replay(scenario):
+@given(mt_scenarios(), cases(captures, feeds=("event",)))
+def test_deferred_multithread_violation_streams_match_replay(scenario, drawn):
     """Stronger than counts: the violation *reason sequences* per class
     must match the naive replay of the merged trace."""
     specs, thread_ops = scenario
-    runtime = build_runtime(
-        specs, lazy=True, compile=True, deferred="manual"
-    )
-    log = capture_concurrently(runtime, thread_ops)
-    reference = build_runtime(specs, lazy=False, compile=False)
-    for _, event in log:
-        reference.handle_event(event)
-
-    def stream(rt):
-        per_class: Dict[str, List[str]] = {}
-        for violation in rt.hub.policy.violations:
-            per_class.setdefault(violation.automaton, []).append(
-                violation.reason
-            )
-        return per_class
-
-    assert stream(runtime) == stream(reference)
+    for config in (PINNED["deferred-compiled"][0], drawn[1]):
+        runtime = build_runtime(specs, config)
+        try:
+            log = capture_concurrently(runtime, thread_ops)
+        finally:
+            stop(runtime)
+        reference = replay_log(specs, config, log)
+        assert violation_stream(runtime) == violation_stream(reference), (
+            config
+        )

@@ -16,14 +16,16 @@ of ``test_mode_equivalence.py``:
   ``stamp_capture=False``, so the capture stamps (not wall-clock arrival)
   are the single time source and every configuration sees the identical
   timed trace;
-* all configurations must agree on per-class verdicts and on the
-  (sorted) violation-reason streams — sorted because pre-event expiry
-  and flush-time expiry may interleave deadline reports differently
-  without changing the set of verdicts;
-* a journaling twin proves the capture timestamps survive the journal
-  byte-exactly and that replay (naive / compiled) and the
-  independent LTL oracle reproduce the live timed verdicts from the
-  journal alone.
+* every pinned configuration and one drawn per example from the valid
+  configuration space (``tests/configspace.py``, with the pre-stamped
+  knobs fixed) must agree with the naive interpreter on per-class
+  verdicts and on the (sorted) violation-reason streams — sorted because
+  pre-event expiry and flush-time expiry may interleave deadline reports
+  differently without changing the set of verdicts;
+* journaling configurations, pinned and drawn, prove the capture
+  timestamps survive the journal byte-exactly and that replay (naive /
+  compiled) and the independent LTL oracle reproduce the live timed
+  verdicts from the journal alone.
 
 The acceptance scenario of the timed work rides at the bottom: a deadline
 violated with *no successor event*, reported at the next synchronization
@@ -34,6 +36,7 @@ journal through the oracle.
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 from typing import Dict, List, Tuple
 
 from hypothesis import HealthCheck, example, given, settings
@@ -43,9 +46,11 @@ from repro.core.dsl import (
     call,
     deadline,
     eventually,
+    fn,
     previously,
     rate_atmost,
     tesla_within,
+    var,
     within_ms,
 )
 from repro.core.events import (
@@ -54,12 +59,17 @@ from repro.core.events import (
     call_event,
     return_event,
 )
-from repro.replay import ReplayEngine, ltl_verdicts
+from repro.replay import REPLAY_CONFIGS, ReplayEngine, ltl_verdicts
 from repro.runtime.clock import FakeClock
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.journal import read_journal
 from repro.runtime.manager import TeslaRuntime
 from repro.runtime.notify import LogAndContinue
 from repro.runtime.update import DEADLINE_REASON
+
+from ..configspace import (
+    JOURNAL, NAIVE, PINNED, agree, build, cases, drive, pinned, steady, stop,
+)
 
 #: (index, shape, ms) → TemporalAssertion.  Assertions are immutable and
 #: automata are re-translated per install, so one cache serves every
@@ -68,7 +78,7 @@ _ASSERTION_CACHE: Dict[Tuple[int, str, float], object] = {}
 
 ClassSpec = Tuple[str, float]  # (shape, milliseconds)
 
-SHAPES = ("deadline", "within", "rate")
+SHAPES = ("deadline", "within", "rate", "rate_var")
 #: Budgets straddling the generator's inter-event gaps, so guards pass,
 #: fail and sit exactly on the boundary across the corpus.
 MS_CHOICES = (5.0, 20.0, 80.0)
@@ -92,9 +102,15 @@ def assertion_for(index: int, shape: str, ms: float):
             # t_prep within ms of bound entry, then the site — a guarded
             # pre sequence; a late t_prep degrades to a site violation.
             expression = previously(within_ms(ms, call("t_prep")))
-        else:
+        elif shape == "rate":
             # At most 2 t_ticks in any sliding ms window after the site.
             expression = eventually(rate_atmost(2, call("t_tick"), ms))
+        else:
+            # At most 1 t_vtick per value of v in any sliding ms window:
+            # one window per binding.
+            expression = eventually(
+                rate_atmost(1, fn("t_vtick", var("v")) == 0, ms)
+            )
         cached = tesla_within("t_bound", expression, name=class_name(index))
         _ASSERTION_CACHE[key] = cached
     return cached
@@ -144,6 +160,10 @@ def events_of(
             events.append(stamped(call_event("t_done", ()), ts))
         elif op[0] == "tick":
             events.append(stamped(call_event("t_tick", ()), ts))
+        elif op[0] == "vtick":
+            events.append(
+                stamped(return_event("t_vtick", (f"v{op[1]}",), 0), ts)
+            )
         else:  # ("site", class index)
             events.append(
                 stamped(assertion_site_event(class_name(op[1]), {}), ts)
@@ -154,13 +174,10 @@ def events_of(
     return events
 
 
-def build_runtime(specs: Tuple[ClassSpec, ...], **kwargs) -> TeslaRuntime:
-    runtime = TeslaRuntime(
-        policy=LogAndContinue(),
-        stamp_capture=False,
-        clock=FakeClock(),
-        **kwargs,
-    )
+def build_runtime(
+    specs: Tuple[ClassSpec, ...], config: RuntimeConfig
+) -> TeslaRuntime:
+    runtime = build(config, policy=LogAndContinue())
     runtime.install_assertions(assertions_of(specs))
     return runtime
 
@@ -202,6 +219,7 @@ def timed_scenarios(draw):
         st.sampled_from(
             [("enter",), ("exit",), ("prep",), ("done",), ("tick",)]
         ),
+        st.tuples(st.just("vtick"), st.integers(0, 1)),
         st.tuples(st.just("site"), st.integers(0, n_classes - 1)),
     )
     steps = draw(
@@ -216,32 +234,13 @@ def timed_scenarios(draw):
     return specs, steps, trailing, close
 
 
-CONFIGS = [
-    ("naive", dict(lazy=False, compile=False)),
-    ("lazy", dict(lazy=True, compile=False)),
-    ("batched", dict(lazy=True, compile=False)),
-    # tesla-jit generates the clock guards: the compiled rows pin the
-    # generated steps against the interpreter, per event and per batch.
-    ("compiled", dict(lazy=True, compile=True)),
-    ("compiled-eager", dict(lazy=False, compile=True)),
-    ("compiled-batched", dict(lazy=True, compile=True)),
-    ("deferred", dict(lazy=True, compile=False, deferred="manual")),
-    ("deferred-compiled", dict(lazy=True, compile=True, deferred="manual")),
-]
-
-
-def replay(name: str, runtime: TeslaRuntime, events: List[RuntimeEvent]):
-    if name.endswith("batched"):
-        # Odd chunk size so batch edges fall mid-window; with
-        # stamp_capture=False the pre-set stamps ride through unchanged.
-        for start in range(0, len(events), 7):
-            runtime.dispatch_batch(events[start : start + 7])
-    else:
-        for event in events:
-            runtime.handle_event(event)
-    # The synchronization point: flushes deferred captures *and* checks
-    # pending timer obligations in every configuration.
-    runtime.flush_deferred()
+#: Every configuration here judges the pre-stamped trace by its stamps:
+#: no capture stamping, one FakeClock per runtime.
+TIMED = dict(stamp_capture=False, clock=FakeClock())
+ROWS = pinned(steady, **TIMED)
+TIMED_NAIVE = replace(NAIVE, **TIMED)
+#: The drawn slot of the explicit examples below.
+AS_DRAWN = ("compiled", replace(PINNED["compiled"][0], **TIMED), "event")
 
 
 @settings(
@@ -249,41 +248,45 @@ def replay(name: str, runtime: TeslaRuntime, events: List[RuntimeEvent]):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(timed_scenarios())
+@given(timed_scenarios(), cases(steady, **TIMED))
 # Each guard exactly at its boundary.  ``since_entry`` (the deadline's
 # guard): t_done exactly 5 ms after bound entry is still in time.
 @example(((("deadline", 5.0),), [(("enter",), 0.0), (("site", 0), 0.0),
-                                 (("done",), 0.005)], 0.0, True))
+                                 (("done",), 0.005)], 0.0, True), AS_DRAWN)
 # ``since_prev`` (within_ms): t_prep exactly 5 ms after the last step.
 @example(((("within", 5.0),), [(("enter",), 0.0), (("prep",), 0.005),
-                               (("site", 0), 0.0)], 0.0, True))
+                               (("site", 0), 0.0)], 0.0, True), AS_DRAWN)
 # The rate window at its cutoff: a mark exactly ``per`` old still counts,
 # so the third tick is blocked.
 @example(((("rate", 5.0),), [(("enter",), 0.0), (("site", 0), 0.0),
                              (("tick",), 0.0), (("tick",), 0.0),
-                             (("tick",), 0.005)], 0.0, True))
+                             (("tick",), 0.005)], 0.0, True), AS_DRAWN)
 # The deadline one ulp past its budget: 0.004 + 0.004 + 0.001 exceeds
 # 0.004 + 0.005.
 @example(((("deadline", 5.0),), [(("enter",), 0.004), (("site", 0), 0.004)],
-          0.001, False))
-def test_all_timed_modes_agree(scenario):
+          0.001, False), AS_DRAWN)
+def test_all_timed_modes_agree(scenario, drawn):
     specs, steps, trailing, close = scenario
     events = events_of(steps, trailing, close, len(specs))
-    results = {}
-    for name, kwargs in CONFIGS:
-        runtime = build_runtime(specs, **kwargs)
-        replay(name, runtime, events)
-        results[name] = (
-            verdict(runtime, len(specs)),
-            sorted_streams(runtime),
-        )
-    baseline = results["naive"]
-    for name, got in results.items():
-        assert got == baseline, (
-            f"{name} diverged from naive on a timed trace: {got} != "
-            f"{baseline} (specs={specs}, steps={steps}, "
-            f"trailing={trailing}, close={close})"
-        )
+
+    def run(config, how):
+        runtime = build_runtime(specs, config)
+        try:
+            drive(runtime, how, events)
+        finally:
+            stop(runtime)
+        return verdict(runtime, len(specs)), sorted_streams(runtime)
+
+    agree(ROWS + [drawn], run, reference=TIMED_NAIVE)
+
+
+#: Journaling configurations: the pinned twin, and drawn ones with the
+#: background drainer in play.
+TIMED_TWIN = replace(PINNED["deferred-compiled"][0], journal=JOURNAL, **TIMED)
+DRAWN_TWINS = cases(
+    steady, feeds=("event",), deferred=st.sampled_from(["manual", True]),
+    journal=JOURNAL, **TIMED,
+)
 
 
 @settings(
@@ -291,37 +294,42 @@ def test_all_timed_modes_agree(scenario):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(timed_scenarios())
+@given(timed_scenarios(), DRAWN_TWINS)
 # A deadline boundary within an ulp: entered at 4 ms, site at 8 ms, bound
 # left open, trailing event at 0.004 + 0.004 + 0.001 == 0.004 + 0.005.
 # The runtime judges ``now - entry > deadline``; the oracle must round
 # the same way.
 @example(((("deadline", 5.0),), [(("enter",), 0.004), (("site", 0), 0.004)],
-          0.001, False))
-def test_timed_journal_replays_to_live_verdicts(scenario):
+          0.001, False), ("twin", TIMED_TWIN, "event"))
+# A rate guard on a variable-binding event: one window per binding, so
+# only the second v0 tick is over its window — one violation in the
+# live run, both replays and the oracle.
+@example(((("rate_var", 5.0),), [(("enter",), 0.0), (("site", 0), 0.0),
+                                 (("vtick", 0), 0.001), (("vtick", 0), 0.001),
+                                 (("vtick", 1), 0.001)], 0.001, True),
+         ("twin", TIMED_TWIN, "event"))
+def test_timed_journal_replays_to_live_verdicts(scenario, drawn):
     """Record → replay → oracle, timed: the journalled capture stamps
     round-trip byte-exactly and are sufficient evidence to reproduce the
     live timed verdicts offline."""
     specs, steps, trailing, close = scenario
     events = events_of(steps, trailing, close, len(specs))
-    buf = io.BytesIO()
-    runtime = TeslaRuntime(
-        policy=LogAndContinue(),
-        stamp_capture=False,
-        clock=FakeClock(),
-        deferred="manual",
-        journal=buf,
-    )
-    runtime.install_assertions(assertions_of(specs))
+    for config in (TIMED_TWIN, drawn[1]):
+        record_and_replay(specs, config, events)
+
+
+def record_and_replay(specs, config: RuntimeConfig, events) -> None:
+    runtime = build_runtime(specs, config)
     try:
         for event in events:
             runtime.handle_event(event)
         runtime.flush_deferred()
+        stop(runtime)
         runtime.close_journal()
         live = verdict(runtime, len(specs))
         live_streams = sorted_streams(runtime)
 
-        journal = read_journal(buf)
+        journal = read_journal(runtime.config.journal)
         assert journal.clean_close
         # Byte-exact timestamp round-trip: struct '<d' encodes the float
         # identically or not at all, so equality here is bit equality.
@@ -330,24 +338,32 @@ def test_timed_journal_replays_to_live_verdicts(scenario):
         ]
 
         engine = ReplayEngine(journal)
-        for config in ("naive", "compiled"):
-            result = engine.run(config)
+        for name in ("naive", "compiled"):
+            result = engine.run(
+                replace(REPLAY_CONFIGS[name], capacity=config.capacity)
+            )
             replayed = [
                 result.classes[class_name(index)].as_tuple()[:3]
                 for index in range(len(specs))
             ]
             assert replayed == live, (
-                f"timed journal replay ({config}) diverged: {replayed} != "
-                f"{live} (specs={specs})"
+                f"timed journal replay ({name}) of {config} diverged: "
+                f"{replayed} != {live} (specs={specs})"
             )
             replay_streams = {
                 name: sorted(reasons)
                 for name, reasons in result.violations.items()
             }
             assert replay_streams == live_streams, (
-                f"timed replay ({config}) violation streams diverged"
+                f"timed replay ({name}) violation streams diverged"
             )
 
+        if any(
+            cr.pool.overflows
+            for index in range(len(specs))
+            for cr in runtime.all_class_runtimes(class_name(index))
+        ):
+            return  # the oracle has no instance pools
         verdicts = ltl_verdicts(engine.assertions, engine.slots)
         oracle_counts = [
             (v.accepts, v.errors, v.satisfied_sites)
@@ -355,7 +371,7 @@ def test_timed_journal_replays_to_live_verdicts(scenario):
         ]
         assert oracle_counts == live, (
             f"LTL oracle diverged on a timed trace: {oracle_counts} != "
-            f"{live} (specs={specs})"
+            f"{live} (config={config}, specs={specs})"
         )
         oracle_streams = {
             name: sorted(v.reason_stream())

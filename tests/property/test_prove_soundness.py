@@ -5,8 +5,9 @@ verdict carries an executable claim: *no trace the runtime could ever
 observe makes a PROVED assertion fail*.  This module turns that claim
 into a Hypothesis property — randomized traces of bound entries/exits,
 hooked-function activity and assertion sites are replayed through every
-engine configuration (naive interpreter, compiled plans, deferred
-capture, generated code), and a PROVED assertion must report **zero
+pinned engine configuration (naive interpreter, generated code, deferred
+capture, ...) and one drawn from the valid configuration space
+(``tests/configspace.py``), and a PROVED assertion must report **zero
 errors in every configuration on every trace**.
 
 Two guards keep the property honest:
@@ -43,8 +44,13 @@ from repro.core.events import (
     return_event,
 )
 from repro.core.translate import translate
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.manager import TeslaRuntime
 from repro.runtime.notify import LogAndContinue
+
+from ..configspace import (
+    NAIVE, agree, build, cases, drive, pinned, steady, stop,
+)
 
 BOUND = "ps_bound"
 HOOKED = "ps_hooked"
@@ -94,18 +100,14 @@ _AUTOMATA = [
 
 PROVED_NAMES = [name for name, _ in PROVABLE_SHAPES]
 
-CONFIGS = [
-    ("naive", dict(lazy=False, compile=False)),
-    ("compiled", dict(lazy=True, compile=True)),
-    ("deferred", dict(lazy=True, compile=False,
-                      deferred="manual")),
-]
+#: Every pinned row whose verdicts are a function of the trace.
+ROWS = pinned(steady, feeds=("event",))
 
 Op = Tuple[str, ...]
 
 
-def build_runtime(**kwargs) -> TeslaRuntime:
-    runtime = TeslaRuntime(policy=LogAndContinue(), **kwargs)
+def build_runtime(config: RuntimeConfig = NAIVE) -> TeslaRuntime:
+    runtime = build(config, policy=LogAndContinue())
     for automaton, context in _AUTOMATA:
         runtime.install_automaton(automaton, context)
     return runtime
@@ -164,7 +166,7 @@ def test_shapes_have_the_claimed_verdicts():
 def test_proved_shapes_are_not_vacuous():
     """A PROVED automaton still *does* something: sites inside a bound
     are accepted, so zero-errors is a statement about real activity."""
-    runtime = build_runtime(lazy=False)
+    runtime = build_runtime()
     for event in events_of([("init",), ("hook", 0), ("site",)]):
         runtime.handle_event(event)
     counts = tallies(runtime)
@@ -176,7 +178,7 @@ def test_control_shape_detects_violations():
     """Discrimination: the same harness flags the UNKNOWN control on a
     check-less trace — zero errors for PROVED shapes is not a harness
     blind spot."""
-    runtime = build_runtime(lazy=False)
+    runtime = build_runtime()
     for event in events_of([("init",), ("site",)]):
         runtime.handle_event(event)
     assert tallies(runtime)[CONTROL_NAME][1] == 1
@@ -187,29 +189,26 @@ def test_control_shape_detects_violations():
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(traces())
-def test_proved_assertions_never_violated_in_any_config(ops):
+@given(traces(), cases(steady))
+def test_proved_assertions_never_violated_in_any_config(ops, drawn):
     events = events_of(ops)
-    results = {}
-    for name, kwargs in CONFIGS:
-        runtime = build_runtime(**kwargs)
-        for event in events:
-            runtime.handle_event(event)
-        if runtime.drain is not None:
-            runtime.flush_deferred()
-        results[name] = tallies(runtime)
-    for config, counts in results.items():
+
+    def run(config, how):
+        runtime = build_runtime(config)
+        try:
+            drive(runtime, how, events)
+        finally:
+            stop(runtime)
+        counts = tallies(runtime)
         for name in PROVED_NAMES:
             accepts, errors = counts[name]
             assert errors == 0, (
                 f"PROVED assertion {name} violated under {config}: "
                 f"{errors} error(s) (ops={ops})"
             )
+        return counts
+
     # All engines agree on the full tally — including the control's
     # error count — so the soundness check rides the same observational
     # equivalence the differential harness pins.
-    baseline = results["naive"]
-    for config, counts in results.items():
-        assert counts == baseline, (
-            f"{config} diverged from naive: {counts} != {baseline}"
-        )
+    agree(ROWS + [drawn], run)

@@ -1,5 +1,7 @@
 """Unit tests for runtime installation validation and error branches."""
 
+import io
+
 import pytest
 
 from repro.core.ast import Context
@@ -12,6 +14,7 @@ from repro.core.automaton import (
 from repro.core.ast import FunctionCall, FunctionReturn
 from repro.core.dsl import call, caller_side, previously, tesla_within
 from repro.errors import AssertionParseError, ContextError
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.manager import TeslaRuntime
 
 
@@ -82,14 +85,32 @@ class TestInstallValidation:
         assert len(runtime.all_class_runtimes("fresh")) <= 1
 
 
+def _monitoring(**knobs):
+    from repro.session import monitoring
+
+    with monitoring(
+        [tesla_within("m", previously(call("f")), name="knob-test")], **knobs
+    ):
+        pass  # pragma: no cover - construction must raise
+
+
+def _replay(**knobs):
+    from repro.replay import ReplayEngine
+
+    ReplayEngine([], assertions=[]).run(config=knobs)
+
+
 class TestNumericKnobValidation:
-    """Nonsense numeric knobs must fail loudly at construction, not as a
-    confusing crash deep inside pool/ring construction (or silently)."""
+    """Invalid knobs fail loudly at construction, not as a confusing crash
+    deep inside pool/ring construction (or silently) — and in one place:
+    ``RuntimeConfig`` validates them, and every entry point forwards its
+    knobs to it, so each raises the same error naming the knob."""
 
     # (kwargs, knob named in the error, error type).  ``shards=`` went
-    # with the lock-striped global store and ``overflow_policy=`` with
-    # the blocking overflow policy: each keyword itself is refused, even
-    # with its old default value.
+    # with the lock-striped global store, ``overflow_policy=`` with the
+    # blocking overflow policy and ``codegen=`` when generated code became
+    # every compiled runtime's evaluator: each keyword itself is refused,
+    # even with its old default value.
     BAD_KNOBS = [
         (dict(capacity=0), "capacity", ValueError),
         (dict(capacity=-3), "capacity", ValueError),
@@ -103,27 +124,23 @@ class TestNumericKnobValidation:
         (dict(overhead_budget=0.0), "overhead_budget", ValueError),
         (dict(overhead_budget=-0.1), "overhead_budget", ValueError),
         (dict(overhead_budget=1.5), "overhead_budget", ValueError),
+        (dict(codegen=True), "codegen", TypeError),
+        (dict(deferred="sometimes"), "deferred", ValueError),
+        (dict(lint="strict"), "lint", ValueError),
+        (dict(prove="always"), "prove", ValueError),
+        # Cross-knob constraints: a journal records at the drain boundary,
+        # and pre-stamped events need the clock that stamped them.
+        (dict(journal=io.BytesIO()), "journal", ValueError),
+        (dict(stamp_capture=False, clock=None), "stamp_capture", ValueError),
     ]
 
     @pytest.mark.parametrize(
         "kwargs, knob, error", BAD_KNOBS, ids=[k for _, k, _ in BAD_KNOBS]
     )
     def test_runtime_rejects(self, kwargs, knob, error):
-        with pytest.raises(error, match=knob):
-            TeslaRuntime(**kwargs)
-
-    @pytest.mark.parametrize(
-        "kwargs, knob, error", BAD_KNOBS, ids=[k for _, k, _ in BAD_KNOBS]
-    )
-    def test_monitoring_mirrors_rejection(self, kwargs, knob, error):
-        from repro.session import monitoring
-
-        with pytest.raises(error, match=knob):
-            with monitoring(
-                [tesla_within("m", previously(call("f")), name="knob-test")],
-                **kwargs,
-            ):
-                pass  # pragma: no cover - construction must raise
+        for construct in (RuntimeConfig, TeslaRuntime, _monitoring, _replay):
+            with pytest.raises(error, match=knob):
+                construct(**kwargs)
 
     def test_clock_alone_is_legal(self):
         # clock= drives capture stamping and timer expiry even without
@@ -147,16 +164,6 @@ class TestNumericKnobValidation:
 
         runtime = TeslaRuntime(stamp_capture=False, clock=FakeClock())
         assert runtime.stamp_capture is False
-
-    def test_monitoring_mirrors_unstamped_rejection(self):
-        from repro.session import monitoring
-
-        with pytest.raises(ValueError, match="clock"):
-            with monitoring(
-                [tesla_within("m", previously(call("f")), name="stamp-test")],
-                stamp_capture=False,
-            ):
-                pass  # pragma: no cover - construction must raise
 
     def test_valid_edge_values_accepted(self):
         runtime = TeslaRuntime(

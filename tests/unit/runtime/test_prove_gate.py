@@ -135,7 +135,7 @@ class TestPruneSemantics:
             if a.name.startswith("T.infra")
         ]
         with monitoring(infra, prove="report") as rt:
-            assert rt.prove == "report"
+            assert rt.config.prove == "report"
             assert rt.prove_report is not None
             assert len(rt.automata) == 11  # report mode installs all
 

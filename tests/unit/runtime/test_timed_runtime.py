@@ -370,6 +370,43 @@ class TestTimedCodegen:
         assert observed[0] == observed[1]
         assert RATE_REASON in observed[0][1]
 
+    def test_rate_window_is_per_binding(self):
+        """One sliding window per binding (DESIGN §5.9): only the second
+        ``td_tick("a")`` exceeds ``a``'s window, and ``td_tick("b")``
+        opens ``b``'s — both evaluators and the LTL oracle report one
+        violation."""
+        from repro.replay import ltl_verdict
+
+        assertion = tesla_within(
+            "td_bound",
+            eventually(rate_atmost(1, fn("td_tick", var("v")) == 0, 50.0)),
+            name="td_rbind",
+        )
+        events = [
+            stamped(event, ts) for event, ts in (
+                (call_event("td_bound", ()), 0.0),
+                (assertion_site_event("td_rbind", {}), 0.0),
+                (return_event("td_tick", ("a",), 0), 0.001),
+                (return_event("td_tick", ("a",), 0), 0.002),
+                (return_event("td_tick", ("b",), 0), 0.003),
+                (return_event("td_bound", (), 0), 0.004),
+            )
+        ]
+        for compile in (True, False):
+            runtime = runtime_with(
+                assertion, compile=compile, stamp_capture=False,
+                clock=FakeClock(),
+            )
+            for event in events:
+                runtime.handle_event(event)
+            assert reasons(runtime) == [RATE_REASON], compile
+            (violation,) = runtime.hub.policy.violations
+            assert violation.event is events[3]
+        oracle = ltl_verdict(assertion, list(enumerate(events)))
+        assert [(v.seqno, v.kind) for v in oracle.violations] == [
+            (3, "rate")
+        ]
+
     def test_compiled_runtime_runs_timed_classes_generated(self):
         clock = FakeClock()
         runtime = runtime_with(

@@ -27,6 +27,7 @@ from repro.core.events import (
     return_event,
 )
 from repro.core.manifest import UnitManifest, combine
+from repro.replay import REPLAY_CONFIGS
 from repro.runtime.journal import JOURNAL_VERSION
 from repro.runtime.manager import TeslaRuntime
 from repro.runtime.notify import LogAndContinue
@@ -109,6 +110,12 @@ class TestExitCodes:
         path.write_bytes(source.read_bytes()[:40])
         assert main(["replay", str(path)]) == 2
         assert "error:" in capsys.readouterr().out
+
+    def test_config_help_lists_every_named_config(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["replay", "--help"])
+        out = capsys.readouterr().out
+        assert "{" + ",".join(REPLAY_CONFIGS) + "}" in out
 
     def test_unknown_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "ok.tjournal"
