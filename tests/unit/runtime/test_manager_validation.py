@@ -138,9 +138,16 @@ class TestNumericKnobValidation:
         "kwargs, knob, error", BAD_KNOBS, ids=[k for _, k, _ in BAD_KNOBS]
     )
     def test_runtime_rejects(self, kwargs, knob, error):
-        for construct in (RuntimeConfig, TeslaRuntime, _monitoring, _replay):
+        for construct in (RuntimeConfig, TeslaRuntime, _replay):
             with pytest.raises(error, match=knob):
                 construct(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, knob, error", BAD_KNOBS, ids=[k for _, k, _ in BAD_KNOBS]
+    )
+    def test_monitoring_mirrors_rejection(self, kwargs, knob, error):
+        with pytest.raises(error, match=knob):
+            _monitoring(**kwargs)
 
     def test_clock_alone_is_legal(self):
         # clock= drives capture stamping and timer expiry even without
