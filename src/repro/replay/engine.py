@@ -147,10 +147,13 @@ class ReplayEngine:
 
     # -- configuration -----------------------------------------------------
 
-    @staticmethod
     def _resolve_config(
-        config: Union[str, RuntimeConfig, Dict[str, Any]]
+        self, config: Union[str, RuntimeConfig, Dict[str, Any]]
     ) -> Tuple[str, RuntimeConfig]:
+        """The named or given config, run at the recorded pool capacity
+        when the journal's metadata has one and the config does not name
+        its own (a :class:`RuntimeConfig` value always does)."""
+        recorded = self.journal.meta.get("capacity") if self.journal else None
         if isinstance(config, str):
             resolved = REPLAY_CONFIGS.get(config)
             if resolved is None:
@@ -158,6 +161,8 @@ class ReplayEngine:
                     f"unknown replay config {config!r}; known: "
                     f"{', '.join(sorted(REPLAY_CONFIGS))}"
                 )
+            if recorded is not None:
+                resolved = replace(resolved, capacity=recorded)
             return config, resolved
         if not isinstance(config, RuntimeConfig):
             knobs = dict(config)
@@ -165,6 +170,8 @@ class ReplayEngine:
                 knobs.setdefault("stamp_capture", False)
             else:  # the replay's own clock keeps the recorded stamps
                 knobs.pop("stamp_capture", None)
+            if recorded is not None:
+                knobs.setdefault("capacity", recorded)
             config = RuntimeConfig(**knobs)
         if config.deferred is True:
             # A background drainer adds nothing to a deterministic replay

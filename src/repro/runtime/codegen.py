@@ -8,23 +8,23 @@ specialized Python *source* per (automaton, dispatch-key) plan — matcher
 checks, bind extraction and transition application fused into a single
 ``exec``-compiled function with no per-step closure dispatch:
 
+* a compiled class keeps its instances as rows of a
+  :class:`~repro.runtime.prealloc.RowPool` — binding key → interned
+  state-set number — and the wildcard as one number beside them;
 * event-static work (arity checks, ``Const``/``Flags``/``Bitmask``/
-  ``AddressOf`` filters, ``Var`` value extraction) is hoisted out of the
-  instance loop and evaluated once per event; a symbol with a pattern
-  the generator cannot decompose (any other :class:`Pattern` subclass)
-  is matched per instance by its compiled matcher, which calls the
-  pattern's own ``match``, as ``compile_pattern`` does;
-* the per-instance loop is unrolled over the plan's body triples, with
-  the dominant single-match/no-new-binding case stepped inline
-  (``frozenset`` state update + transition counting, no function calls);
-* multi-match and clone-producing cases delegate to
-  :func:`_instance_slow_step`, which reuses the interpreter's own
-  ``_step``/dedupe/clone machinery so verdicts stay bit-identical;
-* timed automata (DESIGN §5.9) expire deadlines before the event
-  (``expire_deadlines``) and send every match of a clock-guarded
-  transition through the interpreter's ``_filter_guards``, reporting
-  exceeded rate guards with ``rate_violations`` — one copy of the guard
-  semantics, shared with the interpreter.
+  ``AddressOf`` filters, ``Var`` value extraction) is evaluated once per
+  event;
+* when the key's one symbol binds every variable of the class, the
+  event's values *are* its row's key: the row steps by a memoised
+  ``number → outcome`` lookup (:class:`~repro.runtime.rows.Outcomes`),
+  and with no such row the wildcard's outcome becomes the new row — no
+  scan, no instance object, no clone;
+* every other key (several symbols, a partial binding, a pattern the
+  generator cannot decompose, a timed class), and an event whose value
+  cannot be hashed, runs :func:`~repro.runtime.rows.walk`, the
+  interpreter's walk over rows, which applies clock guards through the
+  interpreter's ``_filter_guards`` and ``rate_violations`` — one copy
+  of the guard semantics.
 
 Every event, synchronous or drained in a batch, is evaluated by the one
 per-event ``step(cr, event, hub)``.  One level up, the manager runs each
@@ -33,23 +33,24 @@ dispatch key's share of a context through a generated *key function*
 inlined, and each class's ``step`` called in plan order behind its own
 containment boundary.  The bound lifecycle (§4.4.1) is generated too:
 an ungoverned lazy key function joins a class to a new bound occurrence
-inline, the step materialises the pending wildcard inline, and each
-touched class closes through its own generated cleanup
-(:func:`compile_cleanup`); transition counts are list slots bumped by
-constant index.  ``lazy_join_bound``, ``_materialise`` and
-``handle_cleanup`` stay the reference semantics and are still called
-where the generated form would differ: governed admission (the join
-only), a full pool, armed fault injection (materialise only), a
-detailed hub and deadline classes (cleanup only).
+inline, the step materialises the pending wildcard inline (a state
+number, counted in the population), and each touched class closes
+through its own generated cleanup (:func:`compile_cleanup`), which
+reads each row's verdict from its number; transition counts are list
+slots bumped by constant index.  ``lazy_join_bound`` and
+``handle_cleanup`` stay the reference semantics: the governed join
+calls the first, and a detailed hub runs the second (and the step runs
+``tesla_update_state``) on instance copies of the rows
+(:func:`~repro.runtime.rows.interpret`).
 
 Generation never declines: generated code is the only evaluator behind
 ``compile=True``.  Steps visit the ``update.step`` fault point and
 cleanups ``update.cleanup``, each behind the disarmed ``_fi._active``
-test, so armed fault injection runs the same code.  A generated step
-bails out to the interpreter at call time when the notification hub is
-in detailed mode, whose lifecycle notifications the lean generated code
-deliberately omits (it emits only the always-on ERROR and OVERFLOW
-notifications).
+test, and a row insertion visits ``prealloc.insert``, so armed fault
+injection runs the same code.  A generated step hands over to the
+interpreter at call time when the notification hub is in detailed mode,
+whose lifecycle notifications the lean generated code deliberately
+omits (it emits only the always-on ERROR and OVERFLOW notifications).
 
 Each distinct generated function is ``compile()``d once per process
 (:data:`_CODE_CACHE`, :data:`_KEY_CODE_CACHE`); a later runtime
@@ -95,7 +96,6 @@ from ..core.automaton import (
 from ..core.events import EventKind
 from ..core.patterns import (
     EMPTY_BINDING,
-    UNBOUND,
     AddressOf,
     Any_,
     Bitmask,
@@ -108,32 +108,27 @@ from ..core.patterns import (
 )
 from ..errors import TemporalAssertionError, TemporalViolation
 from . import faultinject as _fi
-from .instance import AutomatonInstance
 from .notify import Notification, NotificationKind
 from .plans import PlanKey, TransitionPlan, build_transition_plan
+from .prealloc import (
+    _FP_INSERT,
+    TimedRow,
+    class_variables,
+    state_sets,
+    symbol_variables,
+)
+from .rows import Outcomes, already, expire, interpret, overflow, walk
 from .update import (
     _FP_CLEANUP,
     _FP_STEP,
-    _already_satisfied as _upd_already_satisfied,
-    _filter_guards,
-    _materialise,
-    _same_binding,
-    _step,
     cleanup_error,
-    expire_deadlines,
-    rate_violations,
     tesla_update_state,
 )
 
 #: Bump on any change to the generated source layout (see the golden
 #: fixture's upgrade protocol in
 #: ``tests/unit/runtime/test_codegen_golden.py``).
-CODEGEN_VERSION = 6
-
-#: Sentinel for "this symbol did not match" in generated code.  Distinct
-#: from ``None`` so generated locals can never be confused with a
-#: matcher's ``NO_MATCH`` contract leaking out of the function.
-_NO = object()
+CODEGEN_VERSION = 7
 
 
 class CodegenFacts:
@@ -263,71 +258,8 @@ class CompiledStep:
 
 
 # ---------------------------------------------------------------------------
-# Shared slow-path helpers (injected into every generated namespace)
+# Verdict helpers (injected into every generated namespace)
 # ---------------------------------------------------------------------------
-
-
-def _instance_slow_step(cr, instance, matched_pairs, hub, event, clones,
-                        enabled, rate_blocked=None):
-    """The multi-match / clone-producing tail of the instance walk.
-
-    Byte-for-byte the same algorithm as the general branch of
-    ``tesla_update_state`` (split by new bindings, dedupe extensions,
-    clone, re-step the clone), reusing the interpreter's ``_step`` so
-    transition counting and site accounting stay identical.  A
-    clock-guarded automaton passes its per-event ``rate_blocked`` set,
-    and each clone's matches are filtered by its guards.  Returns
-    ``(any_progress, site_taken)`` for this instance.
-    """
-    progress = False
-    site = False
-    empty: List[Transition] = []
-    extensions: List[Dict[str, Any]] = []
-    for transition, new in matched_pairs:
-        if new:
-            if not any(_same_binding(new, seen) for seen in extensions):
-                extensions.append(new)
-        else:
-            empty.append(transition)
-    if empty:
-        progress = True
-        if _step(cr, instance, empty, hub, event):
-            site = True
-    for extension in extensions:
-        merged = dict(instance.binding)
-        merged.update(extension)
-        if cr.pool.find(merged) is not None or any(
-            c.same_binding(merged) for c in clones
-        ):
-            continue
-        clone = instance.clone(extension)
-        clone_matches = enabled(clone.states, event, clone.binding)
-        if rate_blocked is not None and clone_matches:
-            clone_matches = _filter_guards(
-                clone, clone_matches, event, rate_blocked
-            )
-        complete = [t for t, new in clone_matches if not new]
-        if complete:
-            progress = True
-            if _step(cr, clone, complete, hub, event):
-                site = True
-        clones.append(clone)
-    return progress, site
-
-
-def _add_clones(cr, clones, hub) -> None:
-    """Pool-add accumulated clones with the once-per-bound OVERFLOW."""
-    for clone in clones:
-        if not cr.pool.add(clone):
-            if not cr.overflow_reported:
-                cr.overflow_reported = True
-                hub.emit(
-                    Notification(
-                        kind=NotificationKind.OVERFLOW,
-                        automaton=cr.automaton.name,
-                        instance_name=clone.name,
-                    )
-                )
 
 
 def _site_error(cr, event, hub) -> None:
@@ -395,18 +327,6 @@ class _Emitter:
 
     def source(self) -> str:
         return "\n".join(self.lines) + "\n"
-
-
-class _SymbolPlan:
-    """Per-symbol generated fragments: the event-static prologue and the
-    per-instance match block (both as line lists at abstract indent 0)."""
-
-    __slots__ = ("match_var", "prologue", "instance_block")
-
-    def __init__(self, match_var: str) -> None:
-        self.match_var = match_var
-        self.prologue: List[Tuple[int, str]] = []
-        self.instance_block: List[Tuple[int, str]] = []
 
 
 def _decomposable(pattern: Pattern) -> bool:
@@ -482,75 +402,31 @@ def _pattern_value_checks(
 
 def _compile_symbol(
     em: _Emitter,
-    symbol_id: int,
     symbol,
-    matcher,
     facts: CodegenFacts,
-) -> Tuple[_SymbolPlan, int]:
-    """Generate the prologue + per-instance block for one event symbol
-    (``matcher`` is its compiled matcher from the plan).
+) -> Tuple[List[Tuple[int, str]], Optional[str], Dict[str, str], int]:
+    """Generate one decomposable symbol's event-static evaluation.
 
-    Returns the fragments and the number of arity guards elided.
+    Returns the prologue lines (at abstract indent 0), the name of the
+    local that says whether the event matches (``None``: every event of
+    the key matches), the local holding each bound variable's value, and
+    the number of arity guards elided.  A site symbol's test is that the
+    scope supplies every site variable.
     """
     expr = symbol.expr
-    plan = _SymbolPlan(f"_m{symbol_id}")
-    elided_guards = 0
-
-    if not _symbol_decomposable(expr):
-        # A pattern the generator cannot decompose may read the
-        # instance's binding: match per instance with the symbol's
-        # compiled matcher, normalising "learned nothing" to ``_E``.
-        m = plan.match_var
-        call = em.const(matcher, "M")
-        plan.instance_block.append((0, f"{m} = {call}(event, _bind)"))
-        plan.instance_block.append((0, f"if {m} is None:"))
-        plan.instance_block.append((1, f"{m} = _NO"))
-        plan.instance_block.append((0, f"elif not {m}:"))
-        plan.instance_block.append((1, f"{m} = _E"))
-        return plan, elided_guards
-
-    if isinstance(expr, AssertionSite):
-        # Site symbols constrain only the scope variables the site
-        # supplies; membership and extraction are event-static.
-        has: List[Tuple[str, str, str]] = []  # (name, has-local, val-local)
-        for k, name in enumerate(symbol.site_variables):
-            n_const = em.const(name, "N")
-            h = f"_h{symbol_id}_{k}"
-            x = f"_sv{symbol_id}_{k}"
-            plan.prologue.append((0, f"{h} = {n_const} in _scope"))
-            plan.prologue.append((0, f"{x} = _scope.get({n_const})"))
-            has.append((n_const, h, x))
-        m = plan.match_var
-        if not has:
-            plan.instance_block.append((0, f"{m} = _E"))
-            return plan, elided_guards
-        plan.instance_block.append((0, f"{m} = _E"))
-        plan.instance_block.append((0, "_nb = None"))
-        for n_const, h, x in has:
-            plan.instance_block.append((0, f"if {h}:"))
-            plan.instance_block.append(
-                (1, f"_b = _bind.get({n_const}, _UB)")
-            )
-            plan.instance_block.append((1, "if _b is _UB:"))
-            plan.instance_block.append((2, "if _nb is None:"))
-            plan.instance_block.append((3, f"_nb = {{{n_const}: {x}}}"))
-            plan.instance_block.append((2, "else:"))
-            plan.instance_block.append((3, f"_nb[{n_const}] = {x}"))
-            plan.instance_block.append(
-                (1, f"elif not (_b is {x} or _b == {x}):")
-            )
-            plan.instance_block.append((2, f"{m} = _NO"))
-        plan.instance_block.append(
-            (0, f"if {m} is not _NO and _nb is not None:")
-        )
-        plan.instance_block.append((1, f"{m} = _nb"))
-        return plan, elided_guards
-
     static: List[str] = []
     variables: List[Tuple[str, str]] = []
     extract: List[Tuple[str, str]] = []
+    elided_guards = 0
 
-    if isinstance(expr, FunctionCall):
+    if isinstance(expr, AssertionSite):
+        for k, name in enumerate(symbol.site_variables):
+            n_const = em.const(name, "N")
+            static.append(f"{n_const} in _scope")
+            local = f"_x{k}"
+            variables.append((name, local))
+            extract.append((local, f"_scope[{n_const}]"))
+    elif isinstance(expr, (FunctionCall, FunctionReturn)):
         if expr.args is not None:
             arity = len(expr.args)
             if facts.clean and (expr.function, arity) in facts.arity_safe:
@@ -561,18 +437,7 @@ def _compile_symbol(
                 _pattern_value_checks(
                     em, pattern, f"_args[{k}]", static, variables, extract
                 )
-    elif isinstance(expr, FunctionReturn):
-        if expr.args is not None:
-            arity = len(expr.args)
-            if facts.clean and (expr.function, arity) in facts.arity_safe:
-                elided_guards += 1
-            else:
-                static.append(f"len(_args) == {arity}")
-            for k, pattern in enumerate(expr.args):
-                _pattern_value_checks(
-                    em, pattern, f"_args[{k}]", static, variables, extract
-                )
-        if expr.retval is not None:
+        if isinstance(expr, FunctionReturn) and expr.retval is not None:
             _pattern_value_checks(
                 em, expr.retval, "_ret", static, variables, extract
             )
@@ -589,65 +454,48 @@ def _compile_symbol(
                 em, expr.value, "_ret", static, variables, extract
             )
 
-    ok = f"_ok{symbol_id}"
-    m = plan.match_var
-
     # Deduplicate repeated variables: the first occurrence binds, later
-    # occurrences must agree with it — checked once per event against the
-    # extracted values (``match_all``'s scratch-consistency rule).
+    # occurrences must agree with it (``match_all``'s scratch-consistency
+    # rule).
     first_local: Dict[str, str] = {}
     consistency: List[str] = []
-    deduped: List[Tuple[str, str]] = []
     for name, local in variables:
         seen = first_local.get(name)
         if seen is None:
             first_local[name] = local
-            deduped.append((name, local))
         else:
             consistency.append(f"({seen} is {local} or {seen} == {local})")
 
+    prologue: List[Tuple[int, str]] = []
     if not static and not extract:
-        # No constraints at all (or args=None): every event of this key
-        # matches, learning nothing.
-        plan.instance_block.append((0, f"{m} = _E"))
-        return plan, elided_guards
-
-    if static:
-        plan.prologue.append((0, f"{ok} = " + " and ".join(static)))
-    else:
-        plan.prologue.append((0, f"{ok} = True"))
+        return prologue, None, first_local, elided_guards
+    ok = "_ok"
+    prologue.append((0, f"{ok} = " + (" and ".join(static) or "True")))
     if extract:
-        plan.prologue.append((0, f"if {ok}:"))
+        prologue.append((0, f"if {ok}:"))
         for local, value_expr in extract:
-            plan.prologue.append((1, f"{local} = {value_expr}"))
+            prologue.append((1, f"{local} = {value_expr}"))
         for check in consistency:
-            plan.prologue.append((1, f"if not {check}:"))
-            plan.prologue.append((2, f"{ok} = False"))
+            prologue.append((1, f"if not {check}:"))
+            prologue.append((2, f"{ok} = False"))
+    return prologue, ok, first_local, elided_guards
 
-    if not deduped:
-        plan.instance_block.append((0, f"{m} = _E if {ok} else _NO"))
-        return plan, elided_guards
 
-    plan.instance_block.append((0, f"if {ok}:"))
-    plan.instance_block.append((1, f"{m} = _E"))
-    plan.instance_block.append((1, "_nb = None"))
-    for name, local in deduped:
-        n_const = em.const(name, "N")
-        plan.instance_block.append((1, f"_b = _bind.get({n_const}, _UB)"))
-        plan.instance_block.append((1, "if _b is _UB:"))
-        plan.instance_block.append((2, "if _nb is None:"))
-        plan.instance_block.append((3, f"_nb = {{{n_const}: {local}}}"))
-        plan.instance_block.append((2, "else:"))
-        plan.instance_block.append((3, f"_nb[{n_const}] = {local}"))
-        plan.instance_block.append(
-            (1, f"elif not (_b is {local} or _b == {local}):")
-        )
-        plan.instance_block.append((2, f"{m} = _NO"))
-    plan.instance_block.append((1, f"if {m} is not _NO and _nb is not None:"))
-    plan.instance_block.append((2, f"{m} = _nb"))
-    plan.instance_block.append((0, "else:"))
-    plan.instance_block.append((1, f"{m} = _NO"))
-    return plan, elided_guards
+def _keyed_symbol(automaton: Automaton, body, variables) -> Optional[int]:
+    """The symbol of a key whose event names its row: every body triple
+    has this one symbol, the generator can decompose it, and it binds
+    exactly the class's variables (or the class has none).  ``None``
+    otherwise, and for timed classes (clock guards differ per row)."""
+    symbols = {sid for _, _, sid in body}
+    if automaton.timed or len(symbols) != 1:
+        return None
+    sid = symbols.pop()
+    symbol = automaton.symbols[sid]
+    expr = symbol.expr
+    if not _symbol_decomposable(expr):
+        return None
+    names = symbol_variables(symbol)
+    return sid if names == set(variables) else None
 
 
 def _occupiable_states(automaton: Automaton) -> FrozenSet[int]:
@@ -674,204 +522,107 @@ def _occupiable_states(automaton: Automaton) -> FrozenSet[int]:
     return frozenset(seen)
 
 
-def _emit_event_body(
+def _emit_counts(em: _Emitter, base: int) -> None:
+    """Apply a memoised outcome ``_o``: transition counts and the site."""
+    em.emit(base, "for _i in _o[1]:")
+    em.emit(base + 1, "_tc[_i] += 1")
+    em.emit(base, "if _o[2]:")
+    em.emit(base + 1, "cr.sites_reached += 1")
+    em.emit(base + 1, "_site = True")
+
+
+def _emit_keyed(
     em: _Emitter,
     base: int,
-    automaton: Automaton,
-    key: PlanKey,
-    body: List[Tuple[int, Transition, int]],
-    symbol_plans: Dict[int, _SymbolPlan],
-    triple_consts: List[Tuple[str, str, str, str, str, bool]],
+    key_tuple: Optional[str],
+    site: bool,
+    ok: Optional[str],
 ) -> None:
-    """Emit the per-event evaluation (deadline expiry, lazy materialise,
-    prologue, instance walk, rate violations, endgame) at indentation
-    ``base``."""
-    kind = key[0]
-    is_site_key = kind is EventKind.ASSERTION_SITE
-    strict = automaton.strict
-
-    if automaton.deadline_s is not None:
-        # Pre-event expiry (DESIGN §5.9), before the event is processed.
-        em.emit(base, "_expire(cr, event.timestamp, hub, event)")
-
-    # Lazy initialisation (section 5.2.2): the first relevant event of a
-    # bound materialises the wildcard instance — inline while the pool has
-    # room; a full pool (the once-per-bound OVERFLOW report) or armed fault
-    # injection takes ``_materialise``.
-    em.emit(base, "if cr.pending:")
-    em.emit(base + 1, "cr.pending = False")
-    em.emit(base + 1, "_inst = _pool._instances")
-    em.emit(base + 1,
-            "if len(_inst) < _pool.capacity and _fi._active is None:")
-    em.emit(base + 2, "_inst.append(_AI(_A, _ENTRY, cr.lazy_binding, "
-                      "False, cr.lazy_entry_ts))")
-    em.emit(base + 2, "if len(_inst) > _pool.high_water:")
-    em.emit(base + 3, "_pool.high_water = len(_inst)")
-    em.emit(base + 1, "else:")
-    em.emit(base + 2,
-            "_mat(cr, hub, dict(cr.lazy_binding), cr.lazy_entry_ts)")
-
-    if not body:
-        # Every body transition was elided (or the plan was empty): no
-        # instance can ever step on this key; only the endgame remains.
-        em.emit(base, "_prog = False")
-        em.emit(base, "_site = False")
-        _emit_endgame(em, base, is_site_key, strict)
-        return
-
-    # Event field loads + per-symbol static evaluation.
-    if kind is EventKind.CALL:
-        em.emit(base, "_args = event.args")
-    elif kind is EventKind.RETURN:
-        em.emit(base, "_args = event.args")
-        em.emit(base, "_ret = event.retval")
-    elif kind is EventKind.FIELD_ASSIGN:
-        em.emit(base, "_op = event.op")
-        em.emit(base, "_target = event.target")
-        em.emit(base, "_ret = event.retval")
-    else:
-        em.emit(base, "_scope = event.scope")
-    for sid in sorted(symbol_plans):
-        for ind, text in symbol_plans[sid].prologue:
-            em.emit(base + ind, text)
-
-    # Triples whose transition carries a clock guard: any match of one
-    # sends the instance through ``_guards`` (the interpreter's
-    # ``_filter_guards``) and the slow path.
-    guarded = [i for i, (_, t, _) in enumerate(body) if t.guard is not None]
-    unguarded = [i for i in range(len(body)) if i not in guarded]
-
+    """The walk for a key whose event names its row (see
+    :func:`_keyed_symbol`): the row ``key_tuple`` steps by its memoised
+    outcome, or, when there is no such row, the wildcard's outcome
+    becomes a new row — the interpreter's clone, which dedupes against
+    the existing row and re-steps on this event.  A class without
+    variables only has the wildcard, which steps in place.  Rows a
+    one-key probe cannot see (``irregular``), a site that leaves a
+    variable unsupplied and an unhashable value take :func:`rows.walk`.
+    """
     em.emit(base, "_prog = False")
     em.emit(base, "_site = False")
-    em.emit(base, "_clones = []")
-    if guarded:
-        em.emit(base, "_rb = set()")
     em.emit(base, "_tc = cr.counts")
-    em.emit(base, "for instance in _pool.live():")
-    em.emit(base + 1, "_st = instance.states")
-    em.emit(base + 1, "_bind = instance.binding")
-    for sid in sorted(symbol_plans):
-        for ind, text in symbol_plans[sid].instance_block:
-            em.emit(base + 1 + ind, text)
-    # Per-triple enabled flags and the match count.
-    flags = []
-    for i, (src_c, _, _, _, _, _) in enumerate(triple_consts):
-        sid = body[i][2]
-        m = symbol_plans[sid].match_var
-        f = f"_f{i}"
-        flags.append(f)
-        em.emit(base + 1, f"{f} = {src_c} in _st and {m} is not _NO")
-    em.emit(base + 1, f"_n = {' + '.join(flags)}")
-    em.emit(base + 1, "if not _n:")
-    em.emit(base + 2, "continue")
-    slow = base + 1
-    if unguarded:
-        single = "_n == 1"
-        if guarded:
-            single += " and not (" + " or ".join(
-                f"_f{i}" for i in guarded) + ")"
-        em.emit(base + 1, f"if {single}:")
-        _emit_single_steps(em, base + 2, automaton, body, symbol_plans,
-                           triple_consts, unguarded)
-        em.emit(base + 1, "else:")
-        slow = base + 2
-    em.emit(slow, "_mt = []")
-    for i, (_, tr_c, _, _, _, _) in enumerate(triple_consts):
-        sid = body[i][2]
-        m = symbol_plans[sid].match_var
-        em.emit(slow, f"if _f{i}:")
-        em.emit(slow + 1, f"_mt.append(({tr_c}, {m}))")
-    if guarded:
-        em.emit(slow, "_mt = _guards(instance, _mt, event, _rb)")
-    em.emit(
-        base + 1,
-        "_p, _s = _slow(cr, instance, _mt, hub, event, _clones, _enabled"
-        + (", _rb)" if guarded else ")"),
-    )
-    em.emit(base + 1, "if _p:")
-    em.emit(base + 2, "_prog = True")
-    em.emit(base + 1, "if _s:")
-    em.emit(base + 2, "_site = True")
-    em.emit(base, "if _clones:")
-    em.emit(base + 1, "_addc(cr, _clones, hub)")
-    if guarded:
-        em.emit(base, "if _rb:")
-        em.emit(base + 1, "_ratev(cr, event, hub, _rb)")
-
-    _emit_endgame(em, base, is_site_key, strict)
+    walk = "_prog, _site = _walk(cr, event, hub, _BODY)"
+    if site and ok is not None:
+        em.emit(base, f"if _pool.irregular or not {ok}:")
+        em.emit(base + 1, walk)
+        em.emit(base, "else:")
+    else:
+        em.emit(base, "if _pool.irregular:")
+        em.emit(base + 1, walk)
+        em.emit(base, "else:" if ok is None else f"elif {ok}:")
+    inner = base + 1
+    if key_tuple is None:
+        em.emit(inner, "_w = _pool.wild")
+        em.emit(inner, "if _w is not None:")
+        em.emit(inner + 1, "_o = _OT[_w]")
+        em.emit(inner + 1, "if _o is not None:")
+        em.emit(inner + 2, "_prog = True")
+        em.emit(inner + 2, "_pool.wild = _o[0]")
+        _emit_counts(em, inner + 2)
+        return
+    em.emit(inner, f"_k = {key_tuple}")
+    em.emit(inner, "_rows = _pool.rows")
+    em.emit(inner, "try:")
+    em.emit(inner + 1, "_r = _rows.get(_k)")
+    em.emit(inner, "except TypeError:")
+    em.emit(inner + 1, walk)
+    em.emit(inner, "else:")
+    em.emit(inner + 1, "if _r is not None:")
+    em.emit(inner + 2, "_o = _OT[_r]")
+    em.emit(inner + 2, "if _o is not None:")
+    em.emit(inner + 3, "_prog = True")
+    em.emit(inner + 3, "_rows[_k] = _o[0]")
+    _emit_counts(em, inner + 3)
+    em.emit(inner + 1, "else:")
+    em.emit(inner + 2, "_w = _pool.wild")
+    em.emit(inner + 2, "if _w is not None:")
+    em.emit(inner + 3, "_o = _OT[_w]")
+    em.emit(inner + 3, "if _o is not None:")
+    at = inner + 4
+    em.emit(at, "_prog = True")
+    _emit_counts(em, at)
+    em.emit(at, "if _fi._active is not None:")
+    em.emit(at + 1, "_fi.fault_point(_FPI)")
+    em.emit(at, "_n = len(_rows) + 1")
+    em.emit(at, "if _n < _pool.capacity:")
+    em.emit(at + 1, "_rows[_k] = _o[0]")
+    em.emit(at + 1, "if _n >= _pool.high_water:")
+    em.emit(at + 2, "_pool.high_water = _n + 1")
+    em.emit(at, "else:")
+    em.emit(at + 1, "_pool.overflows += 1")
+    em.emit(at + 1, "_ovf(cr, hub, _pool.binding_of(_k))")
 
 
-def _emit_single_steps(
-    em: _Emitter,
-    base: int,
-    automaton: Automaton,
-    body: List[Tuple[int, Transition, int]],
-    symbol_plans: Dict[int, _SymbolPlan],
-    triple_consts: List[Tuple[str, str, str, str, str, bool]],
-    indices: List[int],
-) -> None:
-    """The single-match branch of the instance walk for the triples in
-    ``indices``: the matched triple steps inline (``_step``'s one
-    transition branch, ``hub.detailed`` known False here), or for a new
-    binding its clone does; every branch ends the instance's turn."""
-    strict = automaton.strict
-    timed = automaton.timed
-    first = True
-    for i in indices:
-        _, _, ix_c, srct_c, dst_c, took_site = triple_consts[i]
-        m = symbol_plans[body[i][2]].match_var
-        kw = "if" if first else "elif"
-        first = False
-        em.emit(base, f"{kw} _f{i}:")
-        em.emit(base + 1, f"if {m} is _E:")
-        em.emit(base + 2, "_prog = True")
-        # strict: dst_c is a frozenset const; else a dst tuple const.
-        if strict:
-            em.emit(base + 2, f"instance.states = {dst_c}")
-        else:
-            em.emit(
-                base + 2,
-                f"instance.states = _st.difference({srct_c})"
-                f".union({dst_c})",
-            )
-        em.emit(base + 2, f"_tc[{ix_c}] += 1")
-        if timed:
-            em.emit(base + 2, "instance.last_ts = event.timestamp")
-        if took_site:
-            em.emit(base + 2, "instance.saw_site = True")
-            em.emit(base + 2, "cr.sites_reached += 1")
-            em.emit(base + 2, "_site = True")
-        em.emit(base + 2, "continue")
-        # Single match with a new binding: the clone's only completing
-        # transition is this one (any other triple that could complete
-        # for the clone would have matched this instance too, making
-        # _n >= 2), so the interpreter's clone-and-re-step collapses to
-        # a dedupe probe plus an inline step — no matcher re-evaluation.
-        em.emit(base + 1, "_nb2 = dict(_bind)")
-        em.emit(base + 1, f"_nb2.update({m})")
-        em.emit(base + 1, "if _pool.find(_nb2) is None:")
-        em.emit(base + 2, "for _c in _clones:")
-        em.emit(base + 3, "if _c.same_binding(_nb2):")
-        em.emit(base + 4, "break")
-        em.emit(base + 2, "else:")
-        em.emit(base + 3, f"_cl = instance.clone({m})")
-        em.emit(base + 3, "_prog = True")
-        if strict:
-            em.emit(base + 3, f"_cl.states = {dst_c}")
-        else:
-            em.emit(
-                base + 3,
-                f"_cl.states = _st.difference({srct_c}).union({dst_c})",
-            )
-        em.emit(base + 3, f"_tc[{ix_c}] += 1")
-        if timed:
-            em.emit(base + 3, "_cl.last_ts = event.timestamp")
-        if took_site:
-            em.emit(base + 3, "_cl.saw_site = True")
-            em.emit(base + 3, "cr.sites_reached += 1")
-            em.emit(base + 3, "_site = True")
-        em.emit(base + 3, "_clones.append(_cl)")
-        em.emit(base + 1, "continue")
+def _emit_materialise(em: _Emitter, base: int, timed: bool) -> None:
+    """Lazy initialisation (section 5.2.2): the first relevant event of
+    a bound materialises the wildcard — its entry-state number, counted
+    in the population — or reports the overflow (``rows.overflow``)."""
+    em.emit(base, "if cr.pending:")
+    em.emit(base + 1, "cr.pending = False")
+    em.emit(base + 1, "if _fi._active is not None:")
+    em.emit(base + 2, "_fi.fault_point(_FPI)")
+    em.emit(base + 1, "_n = len(_pool.rows) + (_pool.wild is not None)")
+    em.emit(base + 1, "if _n < _pool.capacity:")
+    if timed:
+        em.emit(base + 2, "_pool.wild = _TR(_ENTRY, cr.lazy_entry_ts, "
+                          "cr.lazy_entry_ts)")
+    else:
+        em.emit(base + 2, "_pool.wild = _ENTRY")
+    em.emit(base + 2, "_pool.entry_ts = cr.lazy_entry_ts")
+    em.emit(base + 2, "if _n >= _pool.high_water:")
+    em.emit(base + 3, "_pool.high_water = _n + 1")
+    em.emit(base + 1, "else:")
+    em.emit(base + 2, "_pool.overflows += 1")
+    em.emit(base + 2, "_ovf(cr, hub, _E)")
 
 
 def _emit_endgame(em: _Emitter, base: int, is_site_key: bool, strict: bool) -> None:
@@ -921,80 +672,101 @@ def generate_source(
     if proved_occ is not None:
         occupiable = occupiable & proved_occ
     may_elide = facts.clean or proved_occ is not None
-    body: List[Tuple[int, Transition, int]] = []
-    matchers: Dict[int, Any] = {}
+    body: List[Tuple[int, Transition, Any]] = []
     elided_transitions = 0
     for src, transition, matcher in plan.body:
         if may_elide and src not in occupiable:
             elided_transitions += 1
             continue
-        body.append((src, transition, transition.symbol))
-        matchers[transition.symbol] = matcher
+        body.append((src, transition, matcher))
 
-    symbol_plans: Dict[int, _SymbolPlan] = {}
-    elided_guards = 0
-    for _, _, sid in body:
-        if sid not in symbol_plans:
-            sym_plan, elided = _compile_symbol(
-                em, sid, automaton.symbols[sid], matchers[sid], facts
-            )
-            symbol_plans[sid] = sym_plan
-            elided_guards += elided
-
-    triple_consts: List[Tuple[str, str, str, str, str, bool]] = []
-    for src, transition, _sid in body:
-        src_c = em.const(src, "S")
-        tr_c = em.const(transition, "T")
-        ix_c = em.const(automaton.transition_index[transition], "I")
-        srct_c = em.const((src,), "ST")
-        if automaton.strict:
-            dfs_c = em.const(frozenset((transition.dst,)), "D")
-        else:
-            dfs_c = em.const((transition.dst,), "D")
-        triple_consts.append(
-            (src_c, tr_c, ix_c, srct_c, dfs_c,
-             transition.kind is TransitionKind.SITE)
+    sets = state_sets(automaton)
+    variables = class_variables(automaton)
+    kind = key[0]
+    is_site_key = kind is EventKind.ASSERTION_SITE
+    keyed = (
+        _keyed_symbol(
+            automaton, [(s, t, t.symbol) for s, t, _ in body], variables
         )
+        if body else None
+    )
+    elided_guards = 0
+    prologue: List[Tuple[int, str]] = []
+    ok: Optional[str] = None
+    key_tuple: Optional[str] = None
+    if keyed is not None:
+        prologue, ok, locals_, elided_guards = _compile_symbol(
+            em, automaton.symbols[keyed], facts
+        )
+        if variables:
+            key_tuple = "(" + ", ".join(
+                locals_[name] for name in variables
+            ) + ("," if len(variables) == 1 else "") + ")"
 
     header = (
         f"# tesla-jit v{CODEGEN_VERSION} automaton={automaton.name} "
         f"key={key[0].name}:{key[1]} strict={automaton.strict} "
-        f"timed={automaton.timed} triples={len(body)} elided_guards={elided_guards} "
+        f"timed={automaton.timed} triples={len(body)} "
+        f"keyed={keyed is not None} elided_guards={elided_guards} "
         f"elided_transitions={elided_transitions}"
     )
     em.lines.append(header)
     em.emit(0, "def step(cr, event, hub):")
     em.emit(1, "if hub.detailed:")
-    em.emit(2, "return _interp(cr, event, hub, True)")
+    em.emit(2, "return _interp(_update, cr, event, hub, True)")
     em.emit(1, "if _fi._active is not None:")
     em.emit(2, "_fi.fault_point(_FP)")
     em.emit(1, "if not cr.active:")
     em.emit(2, "return")
     em.emit(1, "_pool = cr.pool")
-    _emit_event_body(em, 1, automaton, key, body, symbol_plans, triple_consts)
+    if automaton.deadline_s is not None:
+        # Pre-event expiry (DESIGN §5.9), before the event is processed.
+        em.emit(1, "_expire(cr, event.timestamp, hub, event)")
+    _emit_materialise(em, 1, automaton.timed)
+    if not body:
+        # Every body transition was elided (or the plan was empty): no
+        # row can ever step on this key; only the endgame remains.
+        em.emit(1, "_prog = False")
+        em.emit(1, "_site = False")
+    elif keyed is None:
+        em.emit(1, "_prog, _site = _walk(cr, event, hub, _BODY)")
+    else:
+        if prologue:
+            if kind is EventKind.CALL:
+                em.emit(1, "_args = event.args")
+            elif kind is EventKind.RETURN:
+                em.emit(1, "_args = event.args")
+                em.emit(1, "_ret = event.retval")
+            elif kind is EventKind.FIELD_ASSIGN:
+                em.emit(1, "_op = event.op")
+                em.emit(1, "_target = event.target")
+                em.emit(1, "_ret = event.retval")
+            else:
+                em.emit(1, "_scope = event.scope")
+        for ind, text in prologue:
+            em.emit(1 + ind, text)
+        _emit_keyed(em, 1, key_tuple, is_site_key, ok)
+    _emit_endgame(em, 1, is_site_key, automaton.strict)
 
     namespace = dict(em.namespace)
     namespace.update(
         {
-            "_interp": tesla_update_state,
+            "_interp": interpret,
+            "_update": tesla_update_state,
             "_FP": _FP_STEP,
-            "_mat": _materialise,
-            "_AI": AutomatonInstance,
-            "_A": automaton,
-            "_ENTRY": automaton.entry_states,
+            "_FPI": _FP_INSERT,
             "_fi": _fi,
-            "_slow": _instance_slow_step,
-            "_addc": _add_clones,
-            "_already": _upd_already_satisfied,
+            "_ENTRY": sets.number(automaton.entry_states, False),
+            "_TR": TimedRow,
+            "_ovf": overflow,
+            "_walk": walk,
+            "_BODY": tuple(body),
+            "_OT": Outcomes(sets, [(src, t) for src, t, _ in body]),
+            "_already": already,
             "_serr": _site_error,
             "_xerr": _strict_error,
-            "_enabled": plan.enabled,
-            "_expire": expire_deadlines,
-            "_guards": _filter_guards,
-            "_ratev": rate_violations,
+            "_expire": expire,
             "_E": EMPTY_BINDING,
-            "_NO": _NO,
-            "_UB": UNBOUND,
             "_Ref": Ref,
         }
     )
@@ -1111,7 +883,8 @@ def generate_key_source(
     new-epoch branch is ``lazy_join_bound`` (its admission gate).  Each
     touched class closes through its generated cleanup
     (:func:`compile_cleanup`, ``_CU`` maps class names to them).  Eager
-    mode calls ``handle_init``/``handle_cleanup`` per class.  The namespace holds the plan's class
+    mode opens each class with ``_init`` (``rows.init``) and closes it
+    through its generated cleanup.  The namespace holds the plan's class
     names (``_N*``), bounds (``_B*``) and «init» transition indices
     (``_I*``); the caller binds the steps (``_S<i>``, one per body class
     in order) and the runtime's collaborators.
@@ -1154,7 +927,7 @@ def generate_key_source(
             em.emit(2, f"_tch[{b}] = set()")
             em.emit(2, f"_tr.entry_ts[{b}] = event.timestamp")
     else:
-        init = "_init(cr, event, _hub, False)"
+        init = "_init(cr, event, _hub)"
         for name in work.init_names:
             n = name_const(name)
             if governed:
@@ -1188,12 +961,14 @@ def generate_key_source(
                 automaton = automata[name]
                 lines += [
                     f"        cr.seen_epoch = _eps[{b}]",
-                    "        cr.pool._instances = []",
+                    "        _p = cr.pool",
+                    "        if _p.rows:",
+                    "            _p.clear()",
+                    "        _p.wild = None",
                     "        cr.active = True",
                     "        cr.pending = True",
-                    "        cr.lazy_binding = {}",
                     f"        cr.lazy_entry_ts = _tr.entry_ts.get({b}, 0.0)",
-                    "        cr.overflow_mark = cr.pool.overflows",
+                    "        cr.overflow_mark = _p.overflows",
                     "        cr.overflow_reported = False",
                 ]
                 for transition in automaton.init_transitions:
@@ -1211,15 +986,15 @@ def generate_key_source(
             b = bound_const(bound)
             em.emit(1, f"if _open.get({b}):")
             em.emit(2, f"_open[{b}] = False")
-            em.emit(2, f"for _n in sorted(_tch.pop({b}, ())):")
+            em.emit(2, f"_t = _tch.pop({b}, ())")
+            em.emit(2, "for _n in (_t if len(_t) < 2 else sorted(_t)):")
             _emit_unit(em, 3, "_n", "cleanup", governed,
                        ["cr = _cls[_n]", "_CU[_n](cr, event)"])
     else:
-        cleanup = "_cleanup(cr, event, _hub)"
         for name in work.cleanup_names:
             n = name_const(name)
             _emit_unit(em, 1, n, "cleanup", governed,
-                       [f"cr = _cls[{n}]", cleanup])
+                       [f"cr = _cls[{n}]", f"_CU[{n}](cr, event)"])
     return GeneratedSource(source=em.source(), namespace=dict(em.namespace))
 
 
@@ -1238,7 +1013,7 @@ def compile_key_function(
     the process-wide code cache and return its ``run``.  ``steps`` are
     the body classes' generated steps in plan order; ``bindings``
     supplies the runtime's collaborators (``_hub``, ``_contain``,
-    ``_join``, ``_init``, ``_cleanup``, ``_CU``, ``_gov``, ``_now``,
+    ``_join``, ``_init``, ``_CU``, ``_gov``, ``_now``,
     ``_charge``, ``_admit``, ``_rate``)."""
     generated = generate_key_source(key, context, work, initiated, lazy,
                                     governed, automata)
@@ -1258,20 +1033,32 @@ def compile_key_function(
 # ---------------------------------------------------------------------------
 
 
+def _emit_verdict(em: _Emitter, base: int, num: str, key: str,
+                  row: str) -> None:
+    """One closing row's verdict: an accept, an error or a bypass."""
+    em.emit(base, f"_v = _V[{num}]")
+    em.emit(base, "if _v == 1:")
+    em.emit(base + 1, "cr.accepts += 1")
+    em.emit(base, "elif _v == 2:")
+    em.emit(base + 1, "cr.errors += 1")
+    em.emit(base + 1, f"_cerr(cr, event, _hub, _pool.view({key}, {row}))")
+
+
 def generate_cleanup_source(automaton: Automaton) -> GeneratedSource:
     """Generate ``cleanup(cr, event)``: ``handle_cleanup`` for one class,
     with the class's facts computed here once — which cleanup transition
-    the event takes and which states accept.  A class has exactly one
-    cleanup key, so its cleanup transitions are all on that key.
+    the event takes and which state numbers accept.  A class has exactly
+    one cleanup key, so its cleanup transitions are all on that key.
 
     When the first cleanup transition's symbol constrains nothing, it
     matches every event of the key, so its count is folded in; otherwise
-    the symbols' compiled matchers are tried in order.  Then the class
-    closes: every instance is expunged, accepting ones count as accepts,
-    and ones that passed the site but cannot accept are errors.
-    Lifecycle notifications are the reference's (``hub.detailed`` calls
-    ``handle_cleanup``), and so is a deadline class's whole cleanup,
-    which first expires late obligations.
+    the symbols' compiled matchers are tried in order.  A deadline class
+    first expires late obligations (``rows.expire``).  Then the class
+    closes: the wildcard and every row are dropped, and each counts by
+    its number's verdict — an accept, an error (reported with an
+    instance view) or a silent bypass.  Lifecycle notifications are the
+    reference's: under ``hub.detailed`` the class runs ``handle_cleanup``
+    on instance copies of its rows.
     """
     em = _Emitter()
     entries = [
@@ -1280,21 +1067,22 @@ def generate_cleanup_source(automaton: Automaton) -> GeneratedSource:
         if t.kind is TransitionKind.CLEANUP and t.symbol is not None
     ]
     deadline = automaton.deadline_s is not None
+    timed = automaton.timed
     folded = bool(entries) and entries[0][1] is _match_nothing
     em.lines.append(
         f"# tesla-jit v{CODEGEN_VERSION} cleanup deadline={deadline} "
-        f"folded={folded} matchers={0 if folded else len(entries)}"
+        f"timed={timed} folded={folded} "
+        f"matchers={0 if folded else len(entries)}"
     )
     em.emit(0, "def cleanup(cr, event):")
-    if deadline:
-        em.emit(1, "_cleanup(cr, event, _hub)")
-        return GeneratedSource(source=em.source(), namespace=em.namespace)
     em.emit(1, "if not cr.active:")
     em.emit(2, "return")
     em.emit(1, "if _hub.detailed:")
-    em.emit(2, "return _cleanup(cr, event, _hub)")
+    em.emit(2, "return _interp(_cleanup, cr, event, _hub)")
     em.emit(1, "if _fi._active is not None:")
     em.emit(2, "_fi.fault_point(_FP)")
+    if deadline:
+        em.emit(1, "_expire(cr, event.timestamp, _hub, event)")
     for k, (transition, matcher) in enumerate(entries):
         i = em.const(automaton.transition_index[transition], "I")
         if folded:
@@ -1306,16 +1094,14 @@ def generate_cleanup_source(automaton: Automaton) -> GeneratedSource:
     em.emit(1, "cr.active = False")
     em.emit(1, "cr.pending = False")
     em.emit(1, "_pool = cr.pool")
-    em.emit(1, "_inst = _pool._instances")
-    em.emit(1, "if _inst:")
-    em.emit(2, "_pool._instances = []")
-    em.emit(2, "for instance in _inst:")
-    em.emit(3, "if _CS.isdisjoint(instance.states):")
-    em.emit(4, "if instance.saw_site:")
-    em.emit(5, "cr.errors += 1")
-    em.emit(5, "_cerr(cr, event, _hub, instance)")
-    em.emit(3, "else:")
-    em.emit(4, "cr.accepts += 1")
+    em.emit(1, "_w = _pool.wild")
+    em.emit(1, "_rows = _pool.rows")
+    em.emit(1, "if _w is not None or _rows:")
+    em.emit(2, "_pool.clear()")
+    em.emit(2, "if _w is not None:")
+    _emit_verdict(em, 3, "_w.num" if timed else "_w", "None", "_w")
+    em.emit(2, "for _k, _r in _rows.items():")
+    _emit_verdict(em, 3, "_r.num" if timed else "_r", "_k", "_r")
     return GeneratedSource(source=em.source(), namespace=em.namespace)
 
 
@@ -1329,8 +1115,10 @@ def compile_cleanup(automaton: Automaton, hub, cleanup):
         {
             "_hub": hub,
             "_cleanup": cleanup,
+            "_interp": interpret,
+            "_expire": expire,
             "_cerr": cleanup_error,
-            "_CS": automaton.cleanup_states,
+            "_V": state_sets(automaton).verdict,
             "_fi": _fi,
             "_FP": _FP_CLEANUP,
             "_E": EMPTY_BINDING,
@@ -1476,7 +1264,10 @@ def generate_entry_source(
             em.emit(2, "with _lock:")
             indent = 3
         else:
-            em.emit(2, "store = _current()")
+            em.emit(2, "try:")
+            em.emit(3, "store = _local.store")
+            em.emit(2, "except AttributeError:")
+            em.emit(3, "store = _current()")
         em.emit(indent, "fn = work.fn")
         em.emit(indent, "if fn is not None:")
         em.emit(indent + 1, f"fn({store}, event)")
@@ -1500,7 +1291,7 @@ def compile_entry(
     through the process-wide code cache and return it.  ``bindings``
     supplies the runtime's collaborators (``_rt``, ``_now``, ``_sup``,
     ``_govern``, ``_plans``, ``_plan_for``, ``_ep``, ``_lock``,
-    ``_gstore``, ``_current``, ``_run_context``,
+    ``_gstore``, ``_local``, ``_current``, ``_run_context``,
     ``_dispatch_local``, ``_enqueue``, ``_drain``, ``_handle``) and the
     translator's ``_cnt`` cell."""
     generated = generate_entry_source(chain, dispatch, stamp, governed,

@@ -21,6 +21,14 @@ from ..core.automaton import Automaton
 _instance_ids = itertools.count(1)
 
 
+def binding_name(binding: Dict[str, Any]) -> str:
+    """An instance's name from its binding (see :attr:`AutomatonInstance.name`)."""
+    if not binding:
+        return "(*)"
+    inner = ", ".join(f"{k}={v!r}" for k, v in sorted(binding.items()))
+    return f"({inner})"
+
+
 class AutomatonInstance:
     """One live instance of an automaton class."""
 
@@ -63,10 +71,7 @@ class AutomatonInstance:
     def name(self) -> str:
         """The paper's instance name: ``(∗)`` for the wildcard, else the
         bound variable values in declaration order."""
-        if not self.binding:
-            return "(*)"
-        inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.binding.items()))
-        return f"({inner})"
+        return binding_name(self.binding)
 
     def binding_items(self) -> Tuple[Tuple[str, Any], ...]:
         return tuple(sorted(self.binding.items(), key=lambda kv: kv[0]))

@@ -37,6 +37,7 @@ from ..core.automaton import Automaton, TransitionKind
 from ..core.events import EventKind, RuntimeEvent
 from ..core.translate import translate_all
 from ..errors import ContextError, TemporalAssertionError
+from . import rows
 from .clock import MonotonicClock, as_clock
 from .config import RuntimeConfig
 from .drain import DrainController
@@ -238,8 +239,8 @@ class TeslaRuntime:
         #: their instrumentation session).
         self._translators: "weakref.WeakSet" = weakref.WeakSet()
         #: The global store: every global-context class behind one lock.
-        self.global_store = GlobalStore(config.capacity)
-        self.thread_stores = PerThreadStores(config.capacity)
+        self.global_store = GlobalStore(config.capacity, config.compile)
+        self.thread_stores = PerThreadStores(config.capacity, config.compile)
         self.automata: Dict[str, Automaton] = {}
         self.contexts: Dict[str, Context] = {}
         self.bounds: Dict[str, BoundId] = {}
@@ -264,11 +265,13 @@ class TeslaRuntime:
         if journal is not None:
             # Anything already quacking like a journal sink (JournalWriter
             # or a custom append_batch/close object) is used as-is; paths
-            # and binary streams get wrapped.
+            # and binary streams get wrapped, with the pool capacity in
+            # the metadata: a replay at another capacity would drop (or
+            # keep) different instances.
             self.journal = (
                 journal
                 if hasattr(journal, "append_batch")
-                else JournalWriter(journal)
+                else JournalWriter(journal, {"capacity": config.capacity})
             )
         self.drain: Optional[DrainController] = (
             DrainController(
@@ -621,7 +624,7 @@ class TeslaRuntime:
                 complete = False
         gov = self.governor
         cleanups = None
-        if self.lazy and work.cleanup_bounds:
+        if work.cleanup_names:
             # Every class this key can close, whatever its plan says: a
             # class shed after it joined is still touched and still closes.
             cleanups = {
@@ -635,8 +638,7 @@ class TeslaRuntime:
                 "_hub": self.hub,
                 "_contain": self.supervisor.contain,
                 "_join": lazy_join_bound,
-                "_init": handle_init,
-                "_cleanup": handle_cleanup,
+                "_init": rows.init,
                 "_CU": cleanups,
                 "_gov": gov,
                 "_now": gov.now if gov is not None else None,
@@ -753,6 +755,7 @@ class TeslaRuntime:
                 "_ep": interest_epoch,
                 "_lock": self.global_store.lock,
                 "_gstore": self.global_store.store,
+                "_local": self.thread_stores._local,
                 "_current": self.thread_stores.current,
                 "_run_context": self._run_context,
                 "_dispatch_local": self._dispatch_local,
@@ -1027,6 +1030,7 @@ class TeslaRuntime:
             now = self._max_event_ts
         expired = 0
         supervisor = self.supervisor
+        expire = rows.expire if self.compiled else expire_deadlines
         for name in self._timed_classes:
             if self.contexts[name] is Context.GLOBAL:
                 gs = self.global_store
@@ -1035,7 +1039,7 @@ class TeslaRuntime:
                     if cr is None:
                         continue
                     try:
-                        expired += expire_deadlines(cr, now, self.hub)
+                        expired += expire(cr, now, self.hub)
                     except TemporalAssertionError:
                         raise
                     except Exception as exc:
@@ -1047,7 +1051,7 @@ class TeslaRuntime:
                     if cr is None:
                         continue
                     try:
-                        expired += expire_deadlines(cr, now, self.hub)
+                        expired += expire(cr, now, self.hub)
                     except TemporalAssertionError:
                         raise
                     except Exception as exc:

@@ -9,13 +9,9 @@ That work is exactly the per-event instrumentation cost the paper's
 section 5.2 optimisations attack.
 
 A :class:`TransitionPlan` hoists all of it to build time.  For one
-automaton and one dispatch key it precomputes:
-
-* ``init`` / ``cleanup`` — the bound transitions this key can take, each
-  paired with its compiled matcher (usually a no-op: bound events are
-  static expressions);
-* ``body`` — every EVENT/SITE transition whose symbol dispatches on this
-  key, as ``(src-state, transition, compiled-matcher)`` triples.
+automaton and one dispatch key it precomputes ``body``: every EVENT/SITE
+transition whose symbol dispatches on this key, as ``(src-state,
+transition, compiled-matcher)`` triples — the generator's input.
 
 The kind/name guards of the interpreted matchers are elided: a plan is
 only ever consulted for events of its own key, so the guards are
@@ -39,8 +35,7 @@ from ..core.automaton import (
     Transition,
     TransitionKind,
 )
-from ..core.events import EventKind, RuntimeEvent
-from ..core.patterns import Binding
+from ..core.events import EventKind
 from .faultinject import fault_point, fault_site
 
 _FP_BUILD = fault_site("plans.build")
@@ -49,75 +44,26 @@ _FP_BUILD = fault_site("plans.build")
 #: this module free of store imports (the dependency runs store → plans).
 PlanKey = Tuple[EventKind, str]
 
-
-#: Shared empty result: the per-instance common case is "no transition
-#: enabled", which must not allocate.
-_NO_MATCHES: Tuple = ()
+_BODY_KINDS = (TransitionKind.EVENT, TransitionKind.SITE)
 
 
 class TransitionPlan:
-    """Everything one automaton class does for one dispatch key.
+    """Everything one automaton class does for one dispatch key: the
+    ``body`` triples tesla-jit generates a step from."""
 
-    ``enabled`` is the compiled counterpart of :meth:`Automaton.enabled`
-    — identical contract, (transition, new-bindings) pairs — but it scans
-    only this key's precomputed body triples instead of every outgoing
-    transition of every state, and runs compiled matchers instead of
-    interpreting pattern ASTs.  It is specialised at build time for the
-    0- and 1-entry shapes that dominate real plans.
-    """
-
-    __slots__ = ("key", "init", "cleanup", "body", "enabled")
+    __slots__ = ("key", "body")
 
     def __init__(
         self,
         key: PlanKey,
-        init: Tuple[Tuple[Transition, EventMatcher], ...],
-        cleanup: Tuple[Tuple[Transition, EventMatcher], ...],
         body: Tuple[Tuple[int, Transition, EventMatcher], ...],
     ) -> None:
         self.key = key
-        self.init = init
-        self.cleanup = cleanup
         self.body = body
-        self.enabled = self._compile_enabled()
-
-    def _compile_enabled(self):
-        body = self.body
-        if not body:
-
-            def enabled_none(states, event, binding):
-                return _NO_MATCHES
-
-            return enabled_none
-        if len(body) == 1:
-            src0, t0, m0 = body[0]
-
-            def enabled_one(states, event, binding):
-                if src0 in states:
-                    new = m0(event, binding)
-                    if new is not None:
-                        return ((t0, new),)
-                return _NO_MATCHES
-
-            return enabled_one
-
-        def enabled_many(states, event, binding):
-            result: List[Tuple[Transition, Binding]] = []
-            for src, transition, matcher in body:
-                if src not in states:
-                    continue
-                new = matcher(event, binding)
-                if new is None:
-                    continue
-                result.append((transition, new))
-            return result or _NO_MATCHES
-
-        return enabled_many
 
     def __repr__(self) -> str:  # pragma: no cover - repr convenience
         return (
             f"<TransitionPlan {self.key[0].name}:{self.key[1]!r} "
-            f"init={len(self.init)} cleanup={len(self.cleanup)} "
             f"body={len(self.body)}>"
         )
 
@@ -130,12 +76,10 @@ def build_transition_plan(automaton: Automaton, key: PlanKey) -> TransitionPlan:
     ``Automaton.dispatch_keys``.
     """
     fault_point(_FP_BUILD)
-    init: List[Tuple[Transition, EventMatcher]] = []
-    cleanup: List[Tuple[Transition, EventMatcher]] = []
     body: List[Tuple[int, Transition, EventMatcher]] = []
     compiled: Dict[int, EventMatcher] = {}
     for t in automaton.transitions:
-        if t.symbol is None:
+        if t.symbol is None or t.kind not in _BODY_KINDS:
             continue
         symbol = automaton.symbols[t.symbol]
         kind, name = symbol.dispatch_key
@@ -148,10 +92,5 @@ def build_transition_plan(automaton: Automaton, key: PlanKey) -> TransitionPlan:
         matcher = compiled.get(t.symbol)
         if matcher is None:
             matcher = compiled[t.symbol] = symbol.compile_matcher()
-        if t.kind is TransitionKind.INIT:
-            init.append((t, matcher))
-        elif t.kind is TransitionKind.CLEANUP:
-            cleanup.append((t, matcher))
-        elif t.kind in (TransitionKind.EVENT, TransitionKind.SITE):
-            body.append((t.src, t, matcher))
-    return TransitionPlan(key, tuple(init), tuple(cleanup), tuple(body))
+        body.append((t.src, t, matcher))
+    return TransitionPlan(key, tuple(body))

@@ -25,7 +25,7 @@ from . import faultinject as _fi
 from .faultinject import fault_site
 from .instance import AutomatonInstance
 from .plans import TransitionPlan, build_transition_plan
-from .prealloc import DEFAULT_CAPACITY, InstancePool
+from .prealloc import DEFAULT_CAPACITY, InstancePool, RowPool
 
 _FP_PLAN_FOR = fault_site("store.plan_for")
 
@@ -78,6 +78,10 @@ class ClassRuntime:
     ``pending`` is the lazy-initialisation flag (section 5.2.2): the bound
     is open but the wildcard instance has not been materialised because no
     relevant event has arrived yet.
+
+    ``pool`` holds the instances: an :class:`InstancePool` of
+    ``AutomatonInstance`` objects, or with ``rows`` (a compiled runtime's
+    classes) a :class:`RowPool` that generated code reads and writes.
     """
 
     __slots__ = (
@@ -110,9 +114,12 @@ class ClassRuntime:
         "gen_seconds",
     )
 
-    def __init__(self, automaton: Automaton, capacity: int = DEFAULT_CAPACITY) -> None:
+    def __init__(self, automaton: Automaton, capacity: int = DEFAULT_CAPACITY,
+                 rows: bool = False) -> None:
         self.automaton = automaton
-        self.pool = InstancePool(capacity)
+        self.pool = (
+            RowPool(automaton, capacity) if rows else InstancePool(capacity)
+        )
         self.active = False
         self.pending = False
         #: Last bound epoch this class joined (lazy mode, section 5.2.2).
@@ -269,8 +276,11 @@ class Store:
     """One store context: a set of automata classes, their instances and
     the context's open temporal bounds."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY,
+                 rows: bool = False) -> None:
         self.capacity = capacity
+        #: Whether classes keep their instances as rows (compiled runtimes).
+        self.rows = rows
         self._classes: Dict[str, ClassRuntime] = {}
         #: The context's bound tracker (lazy mode): owned here so the
         #: dispatcher finds a thread's store and its tracker in one
@@ -286,7 +296,7 @@ class Store:
                     f"different definition"
                 )
             return existing
-        runtime = ClassRuntime(automaton, self.capacity)
+        runtime = ClassRuntime(automaton, self.capacity, self.rows)
         self._classes[automaton.name] = runtime
         return runtime
 
@@ -316,8 +326,12 @@ class PerThreadStores:
     weighted graphs) can merge counters after multi-threaded runs.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY,
+                 rows: bool = False) -> None:
         self.capacity = capacity
+        self.rows = rows
+        #: ``store`` is the calling thread's store once :meth:`current`
+        #: made it; dispatch entries read the attribute directly.
         self._local = threading.local()
         self._all: List[Store] = []
         self._all_lock = threading.Lock()
@@ -333,7 +347,7 @@ class PerThreadStores:
     def current(self) -> Store:
         store = getattr(self._local, "store", None)
         if store is None:
-            store = Store(self.capacity)
+            store = Store(self.capacity, self.rows)
             for automaton in self._automata:
                 store.install(automaton)
             self._local.store = store
@@ -360,8 +374,9 @@ class GlobalStore:
     ``RLock`` so a hook firing inside monitored code re-enters safely.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        self.store = Store(capacity)
+    def __init__(self, capacity: int = DEFAULT_CAPACITY,
+                 rows: bool = False) -> None:
+        self.store = Store(capacity, rows)
         self.lock = threading.RLock()
         #: The store's tracker, aliased for the dispatch hot path
         #: (``Store.reset`` clears it in place, so the alias stays valid).

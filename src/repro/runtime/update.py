@@ -43,6 +43,7 @@ from . import faultinject as _fi
 from .faultinject import fault_site
 from .instance import AutomatonInstance
 from .notify import Notification, NotificationHub, NotificationKind
+from .prealloc import _same_binding
 from .store import BoundId, BoundTracker, ClassRuntime
 
 _FP_INIT = fault_site("update.init")
@@ -78,18 +79,6 @@ def _match_static(cr: ClassRuntime, event: RuntimeEvent, kind: TransitionKind):
     return None, None
 
 
-def matches_init(cr: ClassRuntime, event: RuntimeEvent) -> bool:
-    """Whether the event opens this class's temporal bound."""
-    t, _ = _match_static(cr, event, TransitionKind.INIT)
-    return t is not None
-
-
-def matches_cleanup(cr: ClassRuntime, event: RuntimeEvent) -> bool:
-    """Whether the event closes this class's temporal bound."""
-    t, _ = _match_static(cr, event, TransitionKind.CLEANUP)
-    return t is not None
-
-
 def expire_deadlines(
     cr: ClassRuntime,
     now: float,
@@ -118,6 +107,17 @@ def expire_deadlines(
         and not i.accepting_at_cleanup()
         and now - i.entry_ts > deadline
     )
+    report_expired(cr, expired, hub, event)
+    return len(expired)
+
+
+def report_expired(
+    cr: ClassRuntime,
+    expired: List[AutomatonInstance],
+    hub: NotificationHub,
+    event: Optional[RuntimeEvent],
+) -> None:
+    """Count and report each expired instance as a deadline violation."""
     for instance in expired:
         cr.errors += 1
         violation = TemporalViolation(
@@ -137,7 +137,6 @@ def expire_deadlines(
                 violation=violation,
             )
         )
-    return len(expired)
 
 
 def _materialise(
@@ -147,8 +146,9 @@ def _materialise(
     entry_ts: float = 0.0,
 ) -> None:
     """Create a fresh instance at the entry states and pool it, reporting
-    an overflow once per bound.  Generated steps inline the case where the
-    pool has room (``codegen._emit_event_body``); change them together."""
+    an overflow once per bound.  Generated steps inline its row form
+    (``codegen._emit_materialise``, ``rows.init``); change them
+    together."""
     instance = AutomatonInstance(
         automaton=cr.automaton,
         states=cr.automaton.entry_states,
@@ -715,13 +715,3 @@ def _already_satisfied(cr: ClassRuntime, event: RuntimeEvent) -> bool:
 
 
 _MISSING = object()
-
-
-def _same_binding(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
-    if set(a) != set(b):
-        return False
-    for key, value in a.items():
-        other = b[key]
-        if not (other is value or other == value):
-            return False
-    return True

@@ -83,7 +83,7 @@ def steady(config: RuntimeConfig) -> bool:
 #: config reads as the defaults.  ``policy`` is the harness's to set.
 VALUES = {
     "lazy": (True, False),
-    "capacity": (DEFAULT_CAPACITY, 1, 3),
+    "capacity": (DEFAULT_CAPACITY, 1, 2, 3),
     "compile": (True, False),
     "failure_policy": (None, FailOpen(), QuarantinePolicy()),
     "deferred": (False, "manual", True),

@@ -81,10 +81,10 @@ def _thread_trace(thread_id, satisfied):
     return events
 
 
-def record_journal(ops):
+def record_journal(ops, **knobs):
     buf = io.BytesIO()
     runtime = TeslaRuntime(
-        deferred="manual", journal=buf, policy=LogAndContinue()
+        deferred="manual", journal=buf, policy=LogAndContinue(), **knobs
     )
     try:
         runtime.install_assertions([global_assertion()])
@@ -148,6 +148,30 @@ class TestInputs:
         assert result.config == "custom"
         assert result.classes["eng.cls"].errors == 1
 
+    def test_named_configs_replay_at_the_recorded_capacity(self):
+        """A run whose pool overflowed replays to its own verdicts: the
+        journal records the capacity and named configs use it, while an
+        explicit config, or a journal without the key, keeps its own."""
+        ops = [
+            call_event("eng_bound", ()),
+            return_event("eng_check", ("c", 1), 0),
+            return_event("eng_check", ("c", 2), 0),
+            assertion_site_event("eng.cls", {"v": 3}),
+            return_event("eng_bound", (), 0),
+        ]
+        journal = read_journal(record_journal(ops, capacity=1))
+        assert journal.meta["capacity"] == 1
+        engine = ReplayEngine(journal)
+        for name in REPLAY_CONFIGS:
+            assert engine.run(name).classes["eng.cls"].errors == 0, name
+        assert engine.run(dict(lazy=False)).classes["eng.cls"].errors == 0
+        explicit = engine.run(REPLAY_CONFIGS["naive"])
+        assert explicit.classes["eng.cls"].errors == 1
+        unrecorded = ReplayEngine(
+            list(journal.slots), assertions=[global_assertion()]
+        )
+        assert unrecorded.run("naive").classes["eng.cls"].errors == 1
+
     def test_all_named_configs_agree(self):
         journal = read_journal(record_journal(VIOLATING_OPS))
         engine = ReplayEngine(journal)
@@ -183,6 +207,20 @@ class TestWindows:
         assert sited and all(
             inst["accepting"] for inst in sited
         )
+
+    def test_state_at_reads_compiled_rows(self):
+        """A compiled replay's rows read back as the instances the
+        interpreter keeps, wildcard first."""
+        journal = read_journal(record_journal(VIOLATING_OPS))
+        engine = ReplayEngine(journal)
+        for seqno in range(len(VIOLATING_OPS)):
+            rows = engine.state_at(seqno, "compiled")["classes"]
+            objects = engine.state_at(seqno, "lazy")["classes"]
+            assert rows == objects, seqno
+        [cls] = engine.state_at(2, "compiled")["classes"]
+        assert [inst["name"] for inst in cls["instances"]] == [
+            "(*)", "(v=1)",
+        ]
 
     def test_state_at_before_any_event(self):
         journal = read_journal(record_journal(VIOLATING_OPS))

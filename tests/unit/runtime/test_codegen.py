@@ -133,9 +133,10 @@ class TestGenerateSource:
         automaton = translate(weird)
         entry = _body_entry(automaton, (EventKind.RETURN, "cg_check"))
         assert entry.step is not None
-        # The symbol is matched per instance by its compiled matcher,
-        # bound as a namespace constant.
-        assert "(event, _bind)" in entry.source
+        # A symbol the generator cannot decompose is matched per row by
+        # its compiled matcher, in the row walk (``rows.walk``).
+        assert "_walk(cr, event, hub, _BODY)" in entry.source
+        assert "keyed=False" in entry.source
 
     def test_arity_guards_elided_only_under_clean_facts(self):
         automaton = translate(_assertion())

@@ -1,14 +1,15 @@
 """The generated bound lifecycle (DESIGN §5.7): tesla-jit's lazy join,
-wildcard materialisation and per-class cleanup against the reference
-helpers.
+wildcard materialisation and per-class cleanup over rows, against the
+reference helpers.
 
 An ungoverned lazy compiled runtime joins a bound inline in its key
-functions, materialises the pending wildcard inline in its steps and
-closes each class through a generated cleanup, counting transitions by
-index.  ``lazy_join_bound``, ``_materialise`` and ``handle_cleanup``
-stay the reference semantics, and several paths keep calling them:
-overflow and armed fault injection (materialise), ``hub.detailed`` and
-deadline classes (cleanup) and the governed join.  The differential
+functions, materialises the pending wildcard as a state number inline in
+its steps, steps the row its event names and closes each class through a
+generated cleanup, counting transitions by index.  ``lazy_join_bound``
+and ``handle_cleanup`` stay the reference semantics, and two paths keep
+calling them: ``hub.detailed`` (cleanup, on instance copies of the rows)
+and the governed join.  The row helpers of ``rows`` serve the rest: the
+overflow report, deadline expiry and the full walk.  The differential
 tests run one trace through a compiled runtime and through
 ``compile=False`` and require the same verdicts, violation order,
 transition counts, pool statistics, notification stream, weights and
@@ -55,7 +56,19 @@ from repro.runtime.notify import CollectingHandler, LogAndContinue
 from repro.runtime.supervisor import FailOpen
 
 N_BOUNDS = 2
-N_VALUES = 3
+#: Two NaN objects: each equals only itself, by identity.
+NANS = (float("nan"), float("nan"))
+#: The check and site values: plain strings, plus the binding values a
+#: row key must treat as ``same_binding`` does — unhashable ones
+#: (matched by scan), equal-but-not-identical ones, ``1``/``1.0``/``True``
+#: (one row) and NaN.  The lists and tuples are built fresh per event.
+VALUES = (
+    lambda: "val0", lambda: "val1", lambda: "val2",
+    lambda: [1], lambda: {"k": 1}, lambda: tuple(["t"]),
+    lambda: 1, lambda: 1.0, lambda: True,
+    lambda: NANS[0], lambda: NANS[1],
+)
+N_VALUES = len(VALUES)
 DEADLINE_CLASS = "lc_deadline"
 WITHIN_CLASS = "lc_within"
 RATE_CLASS = "lc_rate"
@@ -145,7 +158,12 @@ def scenarios(draw):
 
     knobs = {
         "capacity": draw(st.sampled_from([1, 2, 128])),
-        "detailed": rarely(st.just(True), False),
+        # A hub that is detailed for the ops in [start, stop): it may
+        # turn detailed partway through a bound and back.
+        "detailed": rarely(
+            st.tuples(st.integers(0, len(ops)), st.integers(0, len(ops) + 2)),
+            None,
+        ),
         "deadline": draw(st.booleans()),
         "clocks": draw(st.booleans()),
         "sampled": rarely(
@@ -165,7 +183,7 @@ def scenarios(draw):
 
 
 def _knobs(**changes):
-    knobs = {"capacity": 128, "detailed": False, "deadline": False,
+    knobs = {"capacity": 128, "detailed": None, "deadline": False,
              "clocks": False, "sampled": frozenset(), "faults": None}
     knobs.update(changes)
     return knobs
@@ -178,9 +196,9 @@ def _event(op) -> RuntimeEvent:
     if kind == "cleanup":
         return return_event(f"lc_bound{op[1]}", ("x",) * op[2], 0)
     if kind == "check":
-        return return_event(f"lc_check{op[1]}", ("c", f"val{op[2]}"), 0)
+        return return_event(f"lc_check{op[1]}", ("c", VALUES[op[2]]()), 0)
     if kind == "site":
-        return assertion_site_event(class_name(op[1]), {"v": f"val{op[2]}"})
+        return assertion_site_event(class_name(op[1]), {"v": VALUES[op[2]]()})
     if kind == "done":
         return call_event("lc_done", ())
     if kind == "prep":
@@ -213,8 +231,7 @@ def _run(specs, ops, knobs, compile: bool):
     runtime.install_assertions(assertions)
     for index in sorted(knobs["sampled"]):
         runtime.governor.escalate_class(class_name(index), 1)
-    if knobs["detailed"]:
-        runtime.hub.add_handler(CollectingHandler())
+    handler = CollectingHandler()
     stream: List[Tuple] = []
     emit = runtime.hub.emit
 
@@ -241,6 +258,11 @@ def _run(specs, ops, knobs, compile: bool):
     closing = [("cleanup", bound, 1) for bound in range(N_BOUNDS)]
     try:
         for position, op in enumerate(ops + closing):
+            if knobs["detailed"] is not None:
+                if position == knobs["detailed"][0]:
+                    runtime.hub.add_handler(handler)
+                if position == knobs["detailed"][1]:
+                    runtime.hub.remove_handler(handler)
             if injector is not None:
                 if position == start:
                     faultinject.arm(injector)
@@ -368,6 +390,15 @@ def observe(runtime, stream, names):
      ("pulse",)],
     _knobs(clocks=True),
 ))
+# A hub that turns detailed inside a bound with rows and back: the rows
+# read out as instances for the interpreter and back in.
+@example((
+    ((0, "global", "previously"), (1, "perthread", "eventually")),
+    [("init", 0), ("init", 1), ("check", 0, 0), ("check", 0, 3),
+     ("site", 1, 6), ("check", 0, 7), ("site", 0, 8), ("site", 0, 9),
+     ("check", 1, 10), ("site", 1, 10)],
+    _knobs(detailed=(4, 7)),
+))
 def test_compiled_lifecycle_matches_the_interpreter(scenario):
     specs, ops, knobs = scenario
     names = _names(specs, knobs)
@@ -431,7 +462,9 @@ class TestGeneratedPathIsTaken:
 
         spy(manager, "lazy_join_bound")
         spy(manager, "handle_cleanup")
-        spy(codegen, "_materialise")
+        spy(codegen, "walk")
+        spy(codegen, "overflow")
+        spy(codegen, "expire")
         return seen
 
     def _runtime(self, flavour="previously", **knobs):
@@ -459,13 +492,16 @@ class TestGeneratedPathIsTaken:
         runtime.handle_event(call_event("lc_bound0", ()))
         runtime.handle_event(return_event("lc_check0", ("c", "val0"), 0))
         cr = runtime.class_runtime(class_name(0))
-        # The wildcard filled the pool, so the val0 clone overflowed.  A
-        # join always empties the pool first; only a pending wildcard
-        # meeting a full pool (forced here) takes the helper.
+        # The wildcard filled the pool, so the val0 row overflowed.  A
+        # join always empties the pool first; a pending wildcard meeting
+        # a full pool (forced here) overflows too.  Each drop reaches the
+        # overflow helper, which reports once per bound.
         assert cr.pool.stats()["overflows"] == 1
         cr.pending = True
         runtime.handle_event(return_event("lc_check0", ("c", "val1"), 0))
-        assert calls == ["_materialise"]
+        assert cr.pool.stats()["overflows"] == 3
+        assert calls == ["overflow"] * 3
+        assert cr.overflow_reported
 
     def test_governed_runtime_joins_through_the_helper(self, calls):
         runtime = self._runtime(overhead_budget=0.05, clock=FakeClock())
@@ -515,7 +551,10 @@ class TestGeneratedPathIsTaken:
         runtime.handle_event(call_event("lc_bound0", ()))
         runtime.handle_event(assertion_site_event(DEADLINE_CLASS, {}))
         runtime.handle_event(return_event("lc_bound0", (), 0))
-        assert "handle_cleanup" in calls
+        # A deadline class expires late rows before it closes, in its
+        # steps and in its generated cleanup.
+        assert calls.count("expire") == 2
+        assert "handle_cleanup" not in calls
 
 
 class TestTransitionCounts:

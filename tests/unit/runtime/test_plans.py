@@ -21,6 +21,7 @@ from repro.runtime.epoch import interest_epoch
 from repro.runtime.manager import TeslaRuntime
 from repro.runtime.notify import LogAndContinue
 from repro.runtime.plans import build_transition_plan
+from repro.runtime.rows import body_matches
 from repro.runtime.store import ClassRuntime
 
 
@@ -37,22 +38,19 @@ def _automaton(name="plan_cls", check="plan_check", bound="plan_bound"):
 class TestPlanConstruction:
     def test_plans_split_by_dispatch_key(self):
         automaton, _ = _automaton()
-        init_plan = build_transition_plan(
-            automaton, (EventKind.CALL, "plan_bound")
-        )
-        assert init_plan.init and not init_plan.cleanup and not init_plan.body
-        cleanup_plan = build_transition_plan(
-            automaton, (EventKind.RETURN, "plan_bound")
-        )
-        assert cleanup_plan.cleanup and not cleanup_plan.init
+        # The bound's keys carry no body: the key functions and the
+        # generated cleanup handle «init» and «cleanup».
+        for key in [(EventKind.CALL, "plan_bound"),
+                    (EventKind.RETURN, "plan_bound"),
+                    (EventKind.CALL, "someone_else")]:
+            assert not build_transition_plan(automaton, key).body, key
         body_plan = build_transition_plan(
             automaton, (EventKind.RETURN, "plan_check")
         )
-        assert body_plan.body and not body_plan.init and not body_plan.cleanup
-        unrelated = build_transition_plan(
-            automaton, (EventKind.CALL, "someone_else")
+        assert body_plan.body
+        assert all(
+            t.kind is TransitionKind.EVENT for _, t, _ in body_plan.body
         )
-        assert not (unrelated.init or unrelated.cleanup or unrelated.body)
 
     def test_site_transitions_keyed_by_automaton_name(self):
         automaton, _ = _automaton()
@@ -86,12 +84,12 @@ class TestPlanConstruction:
         for states in [automaton.entry_states, all_states]:
             for binding in [{}, {"v": "val1"}, {"v": "other"}]:
                 assert normalised(
-                    plan.enabled(states, event, binding)
+                    body_matches(plan.body, states, event, binding)
                 ) == normalised(
                     automaton.enabled(states, event, binding)
                 ), (states, binding)
                 assert normalised(
-                    site_plan.enabled(states, site, binding)
+                    body_matches(site_plan.body, states, site, binding)
                 ) == normalised(
                     automaton.enabled(states, site, binding)
                 ), (states, binding)

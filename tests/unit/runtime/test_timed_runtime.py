@@ -286,7 +286,7 @@ class TestTimedCodegen:
                     name="td_within",
                 ),
                 (EventKind.CALL, "td_prep"),
-                "_guards(",
+                "_walk(",
             ),
             (
                 tesla_within(
@@ -294,7 +294,7 @@ class TestTimedCodegen:
                     name="td_rate",
                 ),
                 (EventKind.CALL, "td_tick"),
-                "_ratev(",
+                "_walk(",
             ),
         ],
         ids=["deadline", "within", "rate"],
