@@ -39,18 +39,21 @@ from .prove import ProveReport, prove_assertions
 def lint_assertions(
     assertions: Sequence[TemporalAssertion],
     program: Optional[ProgramModel] = None,
+    automata: Optional[Sequence[Automaton]] = None,
 ) -> LintReport:
     """Lint a batch of assertions; never raises on a malformed assertion.
 
     With ``program=None`` only the batch and automaton layers run — the
     configuration the runtime's install-time gate uses, since the runtime
     cannot know which caller modules or selectors an instrumenter will
-    later supply.
+    later supply.  ``automata`` is the batch's translation, when the
+    caller already has it (the gate does); otherwise each assertion is
+    translated here.
     """
     start = time.perf_counter()
     report = LintReport()
     seen: Dict[str, int] = {}
-    for assertion in assertions:
+    for i, assertion in enumerate(assertions):
         report.assertions_checked += 1
         count = seen.get(assertion.name, 0)
         seen[assertion.name] = count + 1
@@ -70,7 +73,7 @@ def lint_assertions(
             )
             continue
         try:
-            automaton = translate(assertion)
+            automaton = translate(assertion) if automata is None else automata[i]
         except AssertionParseError as error:
             report.add(
                 [

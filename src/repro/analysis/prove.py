@@ -931,16 +931,19 @@ def _find_violation(
 def prove_assertion(
     assertion: TemporalAssertion,
     cfg: Optional[ProgramCFG] = None,
+    automaton: Optional[Automaton] = None,
 ) -> ProveResult:
-    """Run every basis over one assertion, strongest verdict first."""
-    try:
-        automaton = translate(assertion)
-    except AssertionParseError as error:
-        return ProveResult(
-            assertion=assertion.name,
-            verdict=UNKNOWN,
-            reason=f"untranslatable assertion: {error.plain_message}",
-        )
+    """Run every basis over one assertion, strongest verdict first.
+    ``automaton`` is the assertion's translation, when the caller has it."""
+    if automaton is None:
+        try:
+            automaton = translate(assertion)
+        except AssertionParseError as error:
+            return ProveResult(
+                assertion=assertion.name,
+                verdict=UNKNOWN,
+                reason=f"untranslatable assertion: {error.plain_message}",
+            )
 
     safe, safety_reason, occupiable = automaton_safety(automaton)
     if safe is True:
@@ -1007,12 +1010,17 @@ def prove_assertion(
 def prove_assertions(
     assertions: Iterable[TemporalAssertion],
     cfg: Optional[ProgramCFG] = None,
+    automata: Optional[Sequence[Automaton]] = None,
 ) -> ProveReport:
-    """Prove a batch; never raises on a malformed assertion."""
+    """Prove a batch; never raises on a malformed assertion.
+    ``automata`` is the batch's translation, when the caller has it."""
     start = time.perf_counter()
     report = ProveReport()
-    for assertion in assertions:
+    for i, assertion in enumerate(assertions):
         report.assertions_checked += 1
-        report.add(prove_assertion(assertion, cfg=cfg))
+        report.add(prove_assertion(
+            assertion, cfg=cfg,
+            automaton=None if automata is None else automata[i],
+        ))
     report.elapsed_seconds = time.perf_counter() - start
     return report

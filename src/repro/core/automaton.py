@@ -598,10 +598,14 @@ class FragmentBuilder:
         return s
 
     def symbol(self, sym: EventSymbol) -> int:
-        if sym not in self._symbol_index:
-            self._symbol_index[sym] = len(self.symbols)
+        new = len(self.symbols)
+        try:
+            idx = self._symbol_index.setdefault(sym, new)
+        except TypeError:  # an unhashable constant: found by equality
+            idx = next((i for i, s in enumerate(self.symbols) if s == sym), new)
+        if idx == new:
             self.symbols.append(sym)
-        return self._symbol_index[sym]
+        return idx
 
     # -- fragment constructors ------------------------------------------------
 

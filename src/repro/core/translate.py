@@ -13,11 +13,18 @@ eventually(foo(x)==0))`` yields a chain ``call(syscall)`` →
 paths that never reach the assertion site are allowed (the "bypass"
 behaviour — encoded here as silent discard of instances that never took a
 site transition, see :mod:`repro.runtime.update`).
+
+:func:`translate` is the analyser itself and never caches: the build
+model of figure 10 re-translates per unit on purpose.  The runtime side —
+``install_assertions`` and its lint gate, per-object monitors and journal
+replay — goes through :func:`automaton_for`, which translates each
+assertion once per process.
 """
 
 from __future__ import annotations
 
-from typing import List
+import threading
+from typing import Callable, Dict, List, Tuple
 
 from ..errors import AssertionParseError
 from .ast import (
@@ -227,8 +234,48 @@ def translate(assertion: TemporalAssertion) -> Automaton:
     return Translator(assertion).translate()
 
 
-def translate_all(assertions: List[TemporalAssertion]) -> List[Automaton]:
-    """Translate a batch of assertions, checking for name collisions."""
+#: Entries :func:`automaton_for` keeps before it clears its memo.
+AUTOMATON_MEMO_LIMIT = 512
+
+_AUTOMATA: Dict[Tuple[TemporalAssertion, str], Automaton] = {}
+_AUTOMATA_LOCK = threading.Lock()
+
+
+def automaton_for(assertion: TemporalAssertion) -> Automaton:
+    """The assertion's automaton, translated once per process.
+
+    An automaton is immutable once translated (run state lives in each
+    runtime's class runtimes), so every runtime may share it.  The memo
+    is keyed by the assertion *and* its ``describe()`` string: constants
+    such as ``1``, ``True`` and ``1.0`` (or ``0.0`` and ``-0.0``) compare
+    and hash equal but describe differently, and their automata carry
+    that description into every violation report.  An assertion that
+    cannot be hashed is translated afresh; a rejection raises and is not
+    remembered.  The memo is cleared when it holds
+    :data:`AUTOMATON_MEMO_LIMIT` entries.
+    """
+    try:
+        key = (assertion, assertion.describe())
+        automaton = _AUTOMATA.get(key)
+    except TypeError:  # an unhashable constant
+        return translate(assertion)
+    if automaton is None:
+        automaton = translate(assertion)
+        with _AUTOMATA_LOCK:
+            if len(_AUTOMATA) >= AUTOMATON_MEMO_LIMIT:
+                _AUTOMATA.clear()
+            automaton = _AUTOMATA.setdefault(key, automaton)
+    return automaton
+
+
+def translate_all(
+    assertions: List[TemporalAssertion],
+    translator: Callable[[TemporalAssertion], Automaton] = translate,
+) -> List[Automaton]:
+    """Translate a batch of assertions, checking for name collisions.
+
+    ``translator`` is :func:`translate` (fresh automata) or
+    :func:`automaton_for` (the process-wide memo)."""
     seen = {}
     automata = []
     for assertion in assertions:
@@ -241,5 +288,5 @@ def translate_all(assertions: List[TemporalAssertion]) -> List[Automaton]:
                 expression=assertion.expression.describe(),
             )
         seen[assertion.name] = assertion
-        automata.append(translate(assertion))
+        automata.append(translator(assertion))
     return automata

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..core.ast import Context, TemporalAssertion
-from ..core.translate import translate
+from ..core.translate import automaton_for
 from ..errors import JournalError
 from ..runtime.clock import FakeClock
 from ..runtime.config import RuntimeConfig
@@ -39,21 +39,6 @@ REPLAY_CONFIGS: Dict[str, RuntimeConfig] = {
     "compiled": RuntimeConfig(),
     "deferred": RuntimeConfig(deferred="manual"),
 }
-
-#: Automata are immutable once translated (all mutable state lives in the
-#: per-runtime ClassRuntime), so one translation serves every replay.
-_TRANSLATION_CACHE: Dict[TemporalAssertion, Any] = {}
-
-
-def _translate_cached(assertion: TemporalAssertion):
-    automaton = _TRANSLATION_CACHE.get(assertion)
-    if automaton is None:
-        automaton = translate(assertion)
-        if len(_TRANSLATION_CACHE) > 512:
-            _TRANSLATION_CACHE.clear()
-        _TRANSLATION_CACHE[assertion] = automaton
-    return automaton
-
 
 @dataclass(frozen=True)
 class ClassVerdict:
@@ -141,7 +126,7 @@ class ReplayEngine:
                 "(or replay with --manifest)"
             )
         self.automata = [
-            (_translate_cached(assertion), assertion)
+            (automaton_for(assertion), assertion)
             for assertion in self.assertions
         ]
 

@@ -128,7 +128,7 @@ from .update import (
 #: Bump on any change to the generated source layout (see the golden
 #: fixture's upgrade protocol in
 #: ``tests/unit/runtime/test_codegen_golden.py``).
-CODEGEN_VERSION = 7
+CODEGEN_VERSION = 8
 
 
 class CodegenFacts:
@@ -1201,9 +1201,9 @@ def generate_entry_source(
       or, when it cannot run, ``_run_context``.  The probe is a dict
       lookup plus the epoch on every event, because governor demotions
       clear plans without moving the epoch;
-    * ``"deferred"`` — the capture path: the stamp, the thread-local
-      share inline when ``local``, the ring append, and a flush when
-      ``sync`` (a synchronization-point key);
+    * ``"deferred"`` — the capture path: the stamp, the ring append, a
+      flush when ``sync`` (a synchronization-point key), then the
+      thread-local share inline when ``local``;
     * ``"call"`` — ``_handle(event)``: the runtime's ``handle_event`` was
       replaced on the instance, and the replacement sees every forwarded
       event.
@@ -1237,11 +1237,13 @@ def generate_entry_source(
         em.emit(1, "if event.timestamp > _rt._max_event_ts:")
         em.emit(2, "_rt._max_event_ts = event.timestamp")
     if dispatch == "deferred":
-        if local:
-            em.emit(1, "_dispatch_local(event, _KEY)")
+        # The event reaches the ring (and so the journal) before any
+        # verdict on it can raise: global share first, as in "sync".
         em.emit(1, "_enqueue(event)")
         if sync:
             em.emit(1, "_drain.flush(sync=True)")
+        if local:
+            em.emit(1, "_dispatch_local(event, _KEY)")
         return GeneratedSource(source=em.source(), namespace=em.namespace)
     em.emit(1, "_rt.events_processed += 1")
     em.emit(1, "_sup.tick += 1")

@@ -35,8 +35,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from ..core.ast import Context, TemporalAssertion
 from ..core.automaton import Automaton, TransitionKind
 from ..core.events import EventKind, RuntimeEvent
-from ..core.translate import translate_all
-from ..errors import ContextError, TemporalAssertionError
+from ..core.translate import automaton_for, translate_all
+from ..errors import AssertionParseError, ContextError, TemporalAssertionError
 from . import rows
 from .clock import MonotonicClock, as_clock
 from .config import RuntimeConfig
@@ -378,13 +378,21 @@ class TeslaRuntime:
         self, assertions: Sequence[TemporalAssertion]
     ) -> List[Automaton]:
         batch = list(assertions)
-        self._lint_batch(batch)
-        self._prove_batch(batch)
+        # One translation per assertion per process, shared with the
+        # gates.  A rejected batch still runs them, so lint reports the
+        # rejection before it is raised.
+        try:
+            automata = translate_all(batch, automaton_for)
+        except AssertionParseError as error:
+            automata, rejection = None, error
+        self._lint_batch(batch, automata)
+        self._prove_batch(batch, automata)
         if self.journal is not None:
             # Embed the source assertions so the journal is self-contained:
             # offline replay re-derives the automata from the log alone.
             self.journal.record_assertions(batch)
-        automata = translate_all(batch)
+        if automata is None:
+            raise rejection
         for automaton, assertion in zip(automata, batch):
             if automaton.name in self.prove_elided:
                 # Statically discharged under prove="prune": the class is
@@ -394,18 +402,24 @@ class TeslaRuntime:
             self.install_automaton(automaton, assertion.context)
         return automata
 
-    def _lint_batch(self, assertions: Sequence[TemporalAssertion]) -> None:
+    def _lint_batch(
+        self,
+        assertions: Sequence[TemporalAssertion],
+        automata: Optional[List[Automaton]],
+    ) -> None:
         """The install-time tesla-lint gate (mode per ``config.lint``).
 
-        Runs the batch and automaton layers only; accumulates results on
-        ``self.lint_report`` so the translators' check-elision fast path
-        and ``health_report`` can consume them.
+        Runs the batch and automaton layers only, over the batch's
+        ``automata`` (``None`` for a batch that failed to translate: lint
+        then translates it and reports the rejection); accumulates results
+        on ``self.lint_report`` so the translators' check-elision fast
+        path and ``health_report`` can consume them.
         """
         if self.config.lint == "off" or not assertions:
             return
         from ..analysis.lint import lint_assertions
 
-        report = lint_assertions(assertions)
+        report = lint_assertions(assertions, automata=automata)
         if self.lint_report is None:
             self.lint_report = report
         else:
@@ -423,7 +437,11 @@ class TeslaRuntime:
                 stacklevel=3,
             )
 
-    def _prove_batch(self, assertions: Sequence[TemporalAssertion]) -> None:
+    def _prove_batch(
+        self,
+        assertions: Sequence[TemporalAssertion],
+        automata: Optional[List[Automaton]],
+    ) -> None:
         """The install-time tesla-prove gate (mode per ``config.prove``).
 
         Only the automaton proof basis runs here — the runtime has no
@@ -435,7 +453,7 @@ class TeslaRuntime:
             return
         from ..analysis.prove import PROVED, prove_assertions
 
-        report = prove_assertions(assertions)
+        report = prove_assertions(assertions, automata=automata)
         if self.config.prove == "prune":
             self.prove_elided |= {
                 r.assertion for r in report.results if r.verdict == PROVED

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.ast import FunctionCall, TemporalAssertion, referenced_variables
 from ..core.automaton import Automaton, TransitionKind
 from ..core.events import EventKind, RuntimeEvent
-from ..core.translate import translate
+from ..core.translate import automaton_for
 from ..errors import AssertionParseError
 from .notify import ErrorPolicy, NotificationHub
 from .prealloc import DEFAULT_CAPACITY
@@ -67,7 +67,7 @@ class ObjectMonitor:
             )
         self.assertion = assertion
         self.key = key
-        self.automaton: Automaton = translate(assertion)
+        self.automaton: Automaton = automaton_for(assertion)
         self.hub = NotificationHub(policy)
         self.capacity = capacity
         #: id(object) -> (object, this object's class runtime).

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Tuple
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -38,9 +39,12 @@ from repro.core.dsl import (
     previously,
     returnfrom,
     tesla_global,
+    tesla_perthread,
     tesla_within,
     var,
 )
+from repro.core.events import EventKind, assertion_site_event, call_event
+from repro.errors import TemporalAssertionError
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.journal import read_journal
 from repro.runtime.notify import LogAndContinue
@@ -261,5 +265,34 @@ def test_known_interleaving_journal_regression():
         check_agreement("anchor", specs, runtime, buf)
         assert verdict(runtime, len(specs))[0][:2] == (1, 0)
         assert verdict(runtime, len(specs))[1][1] == 1
+    finally:
+        runtime.reset()
+
+
+@pytest.mark.parametrize("context", [tesla_global, tesla_perthread])
+def test_fail_stop_verdict_is_journalled(context):
+    """A fail-stop verdict raises only once its event is in the journal,
+    from a per-thread class as from a global one: the journal holds the
+    event behind every verdict, and replaying it reports the violation."""
+    assertion = context(
+        call("fs_sys"),
+        returnfrom("fs_sys"),
+        previously(fn("fs_check", var("v")) == 0),
+        name="fs",
+    )
+    runtime = build(RuntimeConfig(deferred="manual", journal=JOURNAL))
+    runtime.install_assertions([assertion])
+    try:
+        runtime.handle_event(call_event("fs_sys", ()))
+        with pytest.raises(TemporalAssertionError) as raised:
+            runtime.handle_event(assertion_site_event("fs", {"v": 1}))
+        runtime.close_journal()
+        journal = read_journal(runtime.config.journal)
+        assert [(e.kind, e.name) for e in journal.events] == [
+            (EventKind.CALL, "fs_sys"),
+            (EventKind.ASSERTION_SITE, "fs"),
+        ]
+        replayed = ReplayEngine(journal).run("naive")
+        assert replayed.violations == {"fs": [raised.value.violation.reason]}
     finally:
         runtime.reset()

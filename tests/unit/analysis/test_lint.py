@@ -534,6 +534,50 @@ class TestRuntimeGate:
         with pytest.raises(ValueError, match="lint must be"):
             TeslaRuntime(lint="loud")
 
+    def test_rejected_batch_is_linted_then_raised(self):
+        """The gate reads install's automata; a batch that fails to
+        translate is still reported (TESLA012) before install raises the
+        analyser's attributed error."""
+        from repro.errors import AssertionParseError
+
+        nested = AtLeast(1, (Sequence((FunctionCall("a"), FunctionCall("b"))),))
+        broken = TemporalAssertion(
+            name="lint.gate-broken",
+            context=Context.GLOBAL,
+            bound=Bound(FunctionCall("outer"), FunctionCall("outer")),
+            expression=Sequence((nested, AssertionSite())),
+            location="tests:gate",
+        )
+        honest = tesla_within(
+            "enclosing_fn",
+            previously(call("security_check")),
+            name="lint.gate-first",
+        )
+        runtime = TeslaRuntime(lint="warn")
+        with pytest.warns(UserWarning, match="TESLA012"):
+            with pytest.raises(AssertionParseError) as excinfo:
+                runtime.install_assertions([honest, broken])
+        assert excinfo.value.assertion == "lint.gate-broken"
+        assert "(at tests:gate)" in str(excinfo.value)
+        assert not runtime.automata
+        assert runtime.lint_report.assertions_checked == 2
+
+        with pytest.raises(LintError, match="TESLA012"):
+            TeslaRuntime(lint="error").install_assertions([honest, broken])
+
+    def test_duplicate_names_are_linted_then_raised(self):
+        from repro.errors import AssertionParseError
+
+        twice = tesla_within(
+            "enclosing_fn", previously(call("security_check")),
+            name="lint.gate-twice",
+        )
+        runtime = TeslaRuntime(lint="warn")
+        with pytest.warns(UserWarning, match="TESLA011"):
+            with pytest.raises(AssertionParseError, match="duplicate"):
+                runtime.install_assertions([twice, twice])
+        assert not runtime.automata
+
 
 class TestElisionHandoff:
     def test_lint_clean_runtime_elides_arity_guards(self):

@@ -1,5 +1,7 @@
 """Unit tests for the assertion → automaton translation."""
 
+import importlib
+
 import pytest
 
 from repro.core.automaton import TransitionKind
@@ -19,8 +21,13 @@ from repro.core.dsl import (
     tsequence,
     var,
 )
-from repro.core.translate import translate, translate_all
+from repro.core.ast import AtLeast, FunctionCall, Sequence
+from repro.core.translate import Translator, automaton_for, translate, translate_all
 from repro.errors import AssertionParseError
+
+# ``repro.core.translate`` the module (the package re-exports the function
+# under the same name).
+translate_module = importlib.import_module("repro.core.translate")
 
 
 def letters(automaton, *kinds_and_symbols):
@@ -258,3 +265,94 @@ class TestStructure:
         assert (EventKind.RETURN, "m") in keys
         assert (EventKind.CALL, "check") in keys
         assert (EventKind.ASSERTION_SITE, "s3") in keys
+
+
+def counting_translations(monkeypatch):
+    """Patch the analyser to record the name of every assertion it
+    translates; returns the list it appends to."""
+    calls = []
+    original = Translator.translate
+
+    def counting(self):
+        calls.append(self.assertion.name)
+        return original(self)
+
+    monkeypatch.setattr(Translator, "translate", counting)
+    return calls
+
+
+def const_assertion(value, name="memo-const"):
+    return tesla_within("m", previously(fn("check", value) == 0), name=name)
+
+
+class TestAutomatonMemo:
+    def test_equal_assertions_share_one_automaton(self):
+        first = automaton_for(const_assertion(7, name="memo-eq"))
+        again = automaton_for(const_assertion(7, name="memo-eq"))
+        assert again is first
+
+    def test_translate_stays_uncached(self):
+        assertion = const_assertion(7, name="memo-fresh")
+        automaton_for(assertion)
+        assert translate(assertion) is not translate(assertion)
+        assert translate(assertion) is not automaton_for(assertion)
+
+    @pytest.mark.parametrize("values", [(1, True, 1.0), (0.0, -0.0)])
+    def test_equal_but_distinguishable_constants(self, values):
+        assertions = [const_assertion(v, name="memo-num") for v in values]
+        assert len(set(assertions)) == 1  # they compare and hash equal
+        automata = [automaton_for(a) for a in assertions]
+        assert len({id(a) for a in automata}) == len(values)
+        for assertion, automaton in zip(assertions, automata):
+            assert automaton.description == assertion.describe()
+        assert len({a.description for a in automata}) == len(values)
+
+    def test_unhashable_constant_translates(self):
+        assertion = const_assertion([1, 2], name="memo-list")
+        with pytest.raises(TypeError):
+            hash(assertion)
+        first = automaton_for(assertion)
+        assert "[1, 2]" in first.description
+        assert automaton_for(assertion) is not first
+
+    def test_rejections_are_not_memoised(self, monkeypatch):
+        nested = AtLeast(1, (Sequence((FunctionCall("a"), FunctionCall("b"))),))
+        broken = tesla_within("m", nested, name="memo-broken", location="mod:fn")
+        calls = counting_translations(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(AssertionParseError) as excinfo:
+                automaton_for(broken)
+            assert excinfo.value.assertion == "memo-broken"
+            assert "(at mod:fn)" in str(excinfo.value)
+        assert calls == ["memo-broken", "memo-broken"]
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(translate_module, "AUTOMATON_MEMO_LIMIT", 4)
+        for i in range(10):
+            automaton_for(const_assertion(i, name="memo-bound"))
+            assert len(translate_module._AUTOMATA) <= 4
+        # A cleared memo still answers: a fresh translation, equal shape.
+        again = automaton_for(const_assertion(0, name="memo-bound"))
+        assert again.description == const_assertion(0).describe()
+
+    def test_install_translates_each_assertion_once(self, monkeypatch):
+        """A cold install translates each assertion once — the lint gate
+        reads the same automata — and a warm one translates nothing."""
+        from repro.runtime.manager import TeslaRuntime
+
+        def batch():
+            return [
+                const_assertion(i, name=f"memo-install{i}") for i in range(5)
+            ]
+
+        calls = counting_translations(monkeypatch)
+        translate_module._AUTOMATA.clear()
+        cold = TeslaRuntime(lint="warn")
+        cold.install_assertions(batch())
+        assert sorted(calls) == sorted(a.name for a in batch())
+        assert cold.lint_report.assertions_checked == 5
+        calls.clear()
+        warm = TeslaRuntime(lint="warn")
+        warm.install_assertions(batch())
+        assert calls == []
+        assert warm.automata == cold.automata

@@ -6,6 +6,8 @@ from repro.core.dsl import call, previously, tesla_within
 from repro.errors import InstrumentationError
 from repro.instrument.build import BuildSystem, CompileUnit
 
+from ..core.test_translate import counting_translations
+
 
 def make_units(n=3, with_assertions=True):
     units = []
@@ -64,6 +66,17 @@ class TestCleanBuild:
         assert (tmp_path / "program.tesla.json").exists()
         assert (tmp_path / "unit0.tesla.json").exists()
         assert (tmp_path / "unit1.instrumented").exists()
+
+    @pytest.mark.parametrize("cached, translations", [(False, 4 * 4), (True, 4)])
+    def test_translations_per_build(self, tmp_path, monkeypatch, cached,
+                                    translations):
+        """Figure 10's naive model re-translates the combined manifest for
+        every unit (the paper's strategy); the cached mode translates it
+        once.  Neither goes through the runtime's automaton memo."""
+        calls = counting_translations(monkeypatch)
+        system = BuildSystem(make_units(4), tmp_path, cache_automata=cached)
+        system.clean_build(tesla=True)
+        assert len(calls) == translations
 
     def test_tesla_build_slower_than_default(self, tmp_path):
         units = make_units(6)

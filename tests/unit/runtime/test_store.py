@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.core.dsl import call, previously, tesla_within
-from repro.core.translate import translate
+from repro.core.translate import automaton_for, translate
 from repro.errors import ContextError
 from repro.runtime.store import GlobalStore, PerThreadStores, Store
 
@@ -30,8 +30,20 @@ class TestStore:
     def test_conflicting_definition_rejected(self):
         store = Store()
         store.install(make_automaton("s3"))
+        other = translate(tesla_within("m", previously(call("g")), name="s3"))
         with pytest.raises(ContextError):
-            store.install(make_automaton("s3"))
+            store.install(other)
+
+    def test_memoised_retranslation_installs_idempotently(self):
+        store = Store()
+        first = automaton_for(
+            tesla_within("m", previously(call("f")), name="s3m")
+        )
+        again = automaton_for(
+            tesla_within("m", previously(call("f")), name="s3m")
+        )
+        assert again is first
+        assert store.install(first) is store.install(again)
 
     def test_reset_clears_runtime_state(self):
         store = Store()
